@@ -20,7 +20,7 @@ from pathlib import Path
 
 from mdpabench.checks import CheckFailed
 from mdpabench.fingerprint import cpu_ticks, fingerprint, steal_pct
-from mdpabench.spec import OVERHEAD_PREFIX, PER_LAYER, WORKLOAD_METRICS, result_line
+from mdpabench.spec import OVERHEAD_PREFIX, PER_LAYER, result_line
 from mdpabench.tracing import Tracer, set_obs
 from mdpabench.workloads import WORKLOADS
 
@@ -93,8 +93,5 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, pinne
         return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    expected = set(WORKLOAD_METRICS[workload])
-    if not trace and set(metrics) != expected:
-        raise RuntimeError(f"{workload} produced {sorted(metrics)}, expected {sorted(expected)}")
     print(result_line(True, result.attempted, result.failed, metrics, trace), flush=True)
     return 0

@@ -14,27 +14,19 @@ import re
 
 NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 
-#: end-to-end metrics: name -> (unit, better).
+#: end-to-end metrics: name -> (unit, better).  Every workload reports
+#: every one of them, each for its own unit of work (see
+#: ``perfbench/README.md``): ``p50_ms`` is the median time of one fit
+#: and its evaluation (train-eval), one read at the reference rate
+#: (serve-read, serve-mixed) or one batched ``recommend_many`` call
+#: (recommend-wide).  Workload-specific figures — ``fit_s``, ``eval_s``,
+#: ``ndcg10``, ``p99_ms``, ``max_rate``, ``sat_qps``, ``write_p99_ms``,
+#: ``error_frac``, ``recs_per_s`` — are printed in each pass's report
+#: line, not gated.
 END_TO_END = {
     "setup_s": ("s", "lower"),
     "peak_rss_mb": ("MB", "lower"),
-    "eval_s": ("s", "lower"),
     "p50_ms": ("ms", "lower"),
-    "ok_frac": ("ratio", "higher"),
-    "recs_per_s": ("1/s", "higher"),
-}
-
-#: which end-to-end metrics each workload reports.  ``fit_s``, ``ndcg10``,
-#: ``p99_ms``, ``max_rate``, ``sat_qps`` and ``write_p99_ms`` (and
-#: serve-mixed's ``p50_ms``) are measured and printed in each pass's report
-#: line but not gated: over ten seeds on a shared 2-core virtual machine
-#: their spread reached 0.21-0.41 of the median, too close to or beyond
-#: the widest bound that would still catch a regression.
-WORKLOAD_METRICS = {
-    "train-eval": ("setup_s", "peak_rss_mb", "eval_s"),
-    "serve-read": ("setup_s", "peak_rss_mb", "p50_ms", "ok_frac"),
-    "serve-mixed": ("setup_s", "peak_rss_mb", "ok_frac"),
-    "recommend-wide": ("setup_s", "peak_rss_mb", "recs_per_s"),
 }
 
 #: per-layer metrics of the traced run: name -> (unit, better).  Every
@@ -77,7 +69,7 @@ _LAYERS = {
 }
 
 #: traced-minus-untraced difference of each end-to-end metric, in percent
-#: of the untraced value (0 where the workload does not report it).
+#: of the untraced value.
 OVERHEAD_PREFIX = "obs.trace_overhead_pct."
 
 PER_LAYER = {
@@ -100,10 +92,14 @@ def result_line(
 ) -> str:
     """The final stdout line: ``correct``, ``attempted``, ``failed``, ``metrics``.
 
-    Untraced runs print end-to-end metrics, traced runs per-layer ones;
-    a name missing from the matching table raises ``KeyError``.
+    Untraced runs print every end-to-end metric, traced runs every
+    per-layer one; a name missing from the matching table, or a metric of
+    the table missing from a correct run, raises ``KeyError``.
     """
     table = PER_LAYER if trace else END_TO_END
+    missing = set(table) - set(metrics)
+    if correct and missing:
+        raise KeyError(f"metrics missing from the result: {sorted(missing)}")
     body = {name: _entry(name, value, table) for name, value in metrics.items()}
     return json.dumps(
         {

@@ -59,9 +59,6 @@ from repro.data.splits import Scenario
 from repro.eval.protocol import evaluate_prepared
 from repro.registry import build_method
 
-#: how many times each run repeats its set-up; ``setup_s`` is the median.
-SETUP_REPEATS = 3
-
 #: the small training budget of the artifacts the serving workloads use.
 ARTIFACT_SPEC = {"name": "MetaDPA", "profile": "fast", "cvae_epochs": 4, "meta_epochs": 1}
 
@@ -77,8 +74,8 @@ class PassResult:
     phases: list[dict] = field(default_factory=list)
     #: largest peak RSS among the serving worker processes, in MB.
     child_rss_mb: float = 0.0
-    #: measured figures that are reported but not gated (see
-    #: :data:`mdpabench.spec.WORKLOAD_METRICS`).
+    #: workload-specific figures, reported but not gated (see
+    #: :data:`mdpabench.spec.END_TO_END`).
     info: dict[str, float] = field(default_factory=dict)
 
 
@@ -105,14 +102,16 @@ class TrainEval:
     targets = ("Books", "CDs")
     #: fit pairs (one per target) every run makes; the reported ``ndcg10``
     #: averages exactly these, so it is a deterministic function of the seed.
-    min_pairs = 4
+    min_pairs = 6
+    #: how many times each run repeats its set-up; ``setup_s`` is the median.
+    setup_repeats = 3
 
     def prepare(self, seed: int, work: Path) -> int:
         return seed
 
     def run(self, seed: int, seconds: float, tracer: Tracer | None) -> PassResult:
         setup_times = []
-        for _ in range(SETUP_REPEATS):
+        for _ in range(self.setup_repeats):
             t0 = perf_counter()
             with _span(tracer, "data.generate"):
                 dataset = make_amazon_like_benchmark(seed=seed)
@@ -161,12 +160,20 @@ class TrainEval:
         result = PassResult(
             e2e={
                 "setup_s": _median(setup_times),
-                "eval_s": per_pair(eval_times),
+                # One fit and its evaluation, the researcher's unit of work.
+                # The evaluation alone (a tenth of it) swung between 0.21 s
+                # and 0.32 s per pair in runs minutes apart on a shared host.
+                "p50_ms": per_pair(np.add(fit_times, eval_times)) * 1e3,
             },
-            info={"fit_s": per_pair(fit_times), "ndcg10": float(np.mean(ndcgs))},
+            info={
+                "fit_s": per_pair(fit_times),
+                "eval_s": per_pair(eval_times),
+                "ndcg10": float(np.mean(ndcgs)),
+            },
             attempted=len(fit_times),
             failed=0,
             phases=[
+                {"phase": "setup", "setup_s": setup_times},
                 {
                     "phase": "fits",
                     "sent": len(fit_times),
@@ -306,6 +313,9 @@ class _Serving:
     #: measured phase of each slice's p99: this shared machine has stalls
     #: lasting a second or two, which shift a pooled p99 from run to run.
     p99_window = 1.0
+    #: a set-up takes well under a second and a stall of the shared machine
+    #: easily doubles one, so the median is taken over many.
+    setup_repeats = 9
 
     def prepare(self, seed: int, work: Path) -> ServingInputs:
         return _in_child(_build_serving_inputs, seed, work, self.n_workers)
@@ -349,11 +359,11 @@ class _Serving:
         set-up report line (which names the kept service's worker pids).
         """
         readys, setups = [], []
-        for i in range(SETUP_REPEATS):
+        for i in range(self.setup_repeats):
             service, ready, setup, pins = self._start(inputs)
             readys.append(ready)
             setups.append(setup)
-            if i < SETUP_REPEATS - 1:
+            if i < self.setup_repeats - 1:
                 service.close()
         report = {"phase": "setup", "setup_s": setups, "worker_cpus": pins}
         return service, _median(readys), _median(setups), report
@@ -457,7 +467,7 @@ class ServeRead(_Serving):
     #: fixed offered rate of the saturation rung, above capacity.
     sat_rate = 4500.0
     #: shares of ``--seconds`` given to each part of the run.
-    ref_share, rung_share, sat_share = 0.4, 0.1, 0.15
+    ref_share, rung_share, sat_share = 0.5, 0.08, 0.12
 
     def run(self, inputs: ServingInputs, seconds: float, tracer: Tracer | None) -> PassResult:
         rng = np.random.default_rng([inputs.seed, 23])
@@ -508,12 +518,12 @@ class ServeRead(_Serving):
             e2e={
                 "setup_s": setup_s,
                 "p50_ms": float(np.percentile(ref.latencies(READ), 50) * 1e3),
-                "ok_frac": 1.0 - failed / sent,
             },
             info={
                 "p99_ms": ref.windowed_percentile(99, self.p99_window, READ) * 1e3,
                 "max_rate": max_rate(rates, margins),
                 "sat_qps": sat.completion_rate(),
+                "error_frac": failed / sent,
             },
             attempted=sent,
             failed=failed,
@@ -600,13 +610,13 @@ class ServeMixed(_Serving):
         result = PassResult(
             e2e={
                 "setup_s": setup_s,
-                "ok_frac": 1.0 - failed / n,
+                "p50_ms": float(np.percentile(phase.latencies(READ), 50) * 1e3),
             },
             info={
-                "p50_ms": float(np.percentile(phase.latencies(READ), 50) * 1e3),
                 "p99_ms": phase.windowed_percentile(99, self.p99_window, READ) * 1e3,
                 "write_p99_ms": phase.windowed_percentile(99, self.write_p99_window, WRITE)
                 * 1e3,
+                "error_frac": failed / n,
             },
             attempted=n,
             failed=failed,
@@ -642,6 +652,14 @@ def _build_wide_inputs(seed: int, work: Path) -> WideInputs:
     tasks = list(experiment.task_sets[Scenario.C_U]) + list(
         experiment.task_sets[Scenario.WARM]
     )
+    # The C-U and warm users number 100-120 of 160 depending on the seed,
+    # and a registered user costs more than a prior-only one to adapt and
+    # to score; a fixed-size seeded sample keeps the work per run equal.
+    n_registered = RecommendWide.registered
+    if len(tasks) < n_registered:
+        raise RuntimeError(f"only {len(tasks)} users with history, need {n_registered}")
+    pick = np.random.default_rng([seed, 37]).permutation(len(tasks))[:n_registered]
+    tasks = [tasks[i] for i in sorted(pick)]
     return WideInputs(seed, path, tasks, experiment.domain.n_users)
 
 
@@ -652,9 +670,31 @@ class RecommendWide:
     scale = BenchmarkScale(user_base=160, item_base=16000)
     batch = 32
     k = 10
+    #: users registered with their C-U or warm history (half of the 160).
+    registered = 80
+    #: a set-up takes about a tenth of a second; the median is over many.
+    setup_repeats = 9
 
     def prepare(self, seed: int, work: Path) -> WideInputs:
         return _in_child(_build_wide_inputs, seed, work)
+
+    @staticmethod
+    def _balanced_order(inputs: WideInputs, rng: np.random.Generator) -> np.ndarray:
+        """Every user once, with registered users spread evenly over the batches.
+
+        A registered user's adapted towers are scored through the full
+        forward pass, the others through the frozen-tower tables at a
+        fraction of the time and memory.  In a plain shuffle the batch
+        that draws the most registered users sets the peak RSS; with an
+        even spread every batch does the same work.
+        """
+        registered = np.zeros(inputs.n_users, dtype=bool)
+        registered[[task.user_row for task in inputs.tasks]] = True
+        key = np.empty(inputs.n_users)
+        for group in (registered, ~registered):
+            members = rng.permutation(np.flatnonzero(group))
+            key[members] = (np.arange(members.size) + 0.5) / members.size
+        return np.argsort(key, kind="stable")
 
     def _start(self, inputs: WideInputs):
         """Load, register histories, adapt every user once (the cache fill)."""
@@ -691,13 +731,12 @@ class RecommendWide:
             )
             tracer.patch(service_module, "top_k_order", "topk")
         setup_times = []
-        for _ in range(SETUP_REPEATS):
+        for _ in range(self.setup_repeats):
             t0 = perf_counter()
             service = self._start(inputs)
             setup_times.append(perf_counter() - t0)
 
-        rng = np.random.default_rng([inputs.seed, 31])
-        order = rng.permutation(inputs.n_users)
+        order = self._balanced_order(inputs, np.random.default_rng([inputs.seed, 31]))
         batches = [order[i : i + self.batch] for i in range(0, order.size, self.batch)]
         before = service.metrics.snapshot()
         if tracer is not None:
@@ -705,10 +744,14 @@ class RecommendWide:
             topk_before = tracer.total("topk")
         first = None
         served = 0
+        batch_times = []
         start = perf_counter()
         while perf_counter() - start < seconds:
             for users in batches:
+                t0 = perf_counter()
                 recs = service.recommend_many([int(u) for u in users], k=self.k)
+                if len(users) == self.batch:
+                    batch_times.append(perf_counter() - t0)
                 served += len(recs)
                 if first is None:
                     first = (users, recs)
@@ -724,10 +767,14 @@ class RecommendWide:
 
         self._check_first_batch(service, *first)
         result = PassResult(
-            e2e={"setup_s": _median(setup_times), "recs_per_s": served / elapsed},
+            e2e={"setup_s": _median(setup_times), "p50_ms": _median(batch_times) * 1e3},
+            info={"recs_per_s": served / elapsed},
             attempted=served,
             failed=0,
-            phases=[{"phase": "closed-loop", "sent": served, "ok": served, "failed": 0}],
+            phases=[
+                {"phase": "setup", "setup_s": setup_times},
+                {"phase": "closed-loop", "sent": served, "ok": served, "failed": 0},
+            ],
         )
         if tracer is not None:
             counters = window["counters"]

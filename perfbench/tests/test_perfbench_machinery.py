@@ -23,14 +23,9 @@ from mdpabench.checks import (
     check_topk,
 )
 from mdpabench.openloop import READ, WRITE, Phase, max_rate, rung_margin, run_open_loop
-from mdpabench.spec import (
-    END_TO_END,
-    NAME_RE,
-    PER_LAYER,
-    WORKLOAD_METRICS,
-    result_line,
-)
+from mdpabench.spec import END_TO_END, NAME_RE, PER_LAYER, result_line
 from mdpabench.tracing import Tracer, diff_snapshot
+from mdpabench.workloads import WORKLOADS
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -206,25 +201,29 @@ def test_every_metric_the_benchmark_prints_is_declared(benchmark_file):
             assert NAME_RE.fullmatch(name), name
             assert declared[name]["unit"] == unit
             assert declared[name]["better"] == better
-    assert {w["name"] for w in benchmark_file["workloads"]} == set(WORKLOAD_METRICS)
-    for names in WORKLOAD_METRICS.values():
-        assert set(names) <= set(e2e)
+    assert {w["name"] for w in benchmark_file["workloads"]} <= set(WORKLOADS)
+    assert all(m["bound"] <= 0.25 for m in benchmark_file["end_to_end"])
 
 
-def test_result_line_refuses_undeclared_names():
-    line = json.loads(result_line(True, 3, 0, {"setup_s": 0.5}, trace=False))
+def test_result_line_holds_every_declared_metric_and_no_other():
+    full = {name: 0.5 for name in END_TO_END}
+    line = json.loads(result_line(True, 3, 0, full, trace=False))
     assert line == {
         "correct": True,
         "attempted": 3,
         "failed": 0,
-        "metrics": {"setup_s": {"value": 0.5, "unit": "s"}},
+        "metrics": {name: {"value": 0.5, "unit": END_TO_END[name][0]} for name in full},
     }
     with pytest.raises(KeyError):
-        result_line(True, 1, 0, {"latency_ms": 1.0}, trace=False)
+        result_line(True, 1, 0, {**full, "latency_ms": 1.0}, trace=False)
     with pytest.raises(KeyError):  # a per-layer name in an untraced run
-        result_line(True, 1, 0, {"topk.busy_s": 1.0}, trace=False)
+        result_line(True, 1, 0, {**full, "topk.busy_s": 1.0}, trace=False)
+    with pytest.raises(KeyError):  # one end-to-end metric left out
+        result_line(True, 1, 0, {"setup_s": 0.5}, trace=False)
     with pytest.raises(ValueError):
-        result_line(True, 1, 0, {"setup_s": float("inf")}, trace=False)
+        result_line(True, 1, 0, {**full, "setup_s": float("inf")}, trace=False)
+    # A failed check prints no metrics.
+    assert json.loads(result_line(False, 1, 1, {}, trace=False))["metrics"] == {}
 
 
 # -- tracing helpers ------------------------------------------------------------
