@@ -2,12 +2,14 @@
 
 Serving-time candidate scoring runs the item tower over every candidate row
 on every request even though decision-only adaptation (MeLU-style) never
-moves the tower weights.  The frozen-tower tables bake both tower outputs
-once and turn scoring into gather + MLP head; this benchmark sweeps the
-candidate-pool width (1k / 4k / 16k) and asserts the speedup floor at the
-widest pool, where the skipped ``(n, content_dim) @ (content_dim, E)`` GEMM
-dominates.  The fast path is exact (pinned bitwise in
-``tests/test_frozen_tower.py``), so the floor is pure throughput.
+moves the tower weights.  The frozen-tower table bakes the item tower's
+output once and turns scoring into gather + MLP head; this benchmark scores
+a batch of un-adapted requests one at a time through the per-request
+kernel, with and without the table, sweeps the candidate-pool width
+(1k / 4k / 16k) and asserts the speedup floor at the widest pool, where the
+skipped ``(n, content_dim) @ (content_dim, E)`` GEMM dominates.  The fast
+path is exact (pinned bitwise in ``tests/test_frozen_tower.py``), so the
+floor is pure throughput.
 """
 
 from __future__ import annotations
@@ -18,13 +20,9 @@ import numpy as np
 
 from repro.data.negative_sampling import EvalInstance
 from repro.meta.corpus import PackedContent
-from repro.meta.maml import MAML, MAMLConfig, batched_candidate_scores
+from repro.meta.maml import MAML, MAMLConfig
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
-from repro.meta.serving import (
-    ITEM_TABLE_KEY,
-    USER_TABLE_KEY,
-    build_frozen_tower_tables,
-)
+from repro.meta.serving import ITEM_TABLE_KEY, build_frozen_tower_tables, score_candidates
 from repro.utils.timing import Timer
 
 # Catalogue geometry: content vectors are wide (bag-of-words / review
@@ -50,8 +48,12 @@ def _build():
     user_content = rng.random((N_USERS, CONTENT_DIM), dtype=np.float32)
     item_content = rng.random((N_ITEMS, CONTENT_DIM), dtype=np.float32)
     content = PackedContent(user=user_content, item=item_content)
-    tables = build_frozen_tower_tables(maml, content)
-    return maml, user_content, item_content, tables
+    return maml, content, build_frozen_tower_tables(maml, content)
+
+
+def _score_all(maml, content, instances, tables):
+    """Score every request through the per-request kernel."""
+    return [score_candidates(maml, content, maml.params, inst, tables) for inst in instances]
 
 
 def _instances(rng, n_candidates, batch=8):
@@ -69,18 +71,15 @@ def _instances(rng, n_candidates, batch=8):
 
 
 def test_frozen_tower_scoring_speedup(benchmark):
-    """Batched candidate scoring with tables vs the full tower forward."""
-    maml, user_content, item_content, tables = _build()
+    """Per-request candidate scoring with the table vs the full tower forward."""
+    maml, content, tables = _build()
     rng = np.random.default_rng(1)
     summary = {}
     for width in CANDIDATE_WIDTHS:
         instances = _instances(rng, width)
-        states = [None] * len(instances)
 
         def score(t):
-            return batched_candidate_scores(
-                maml, user_content, item_content, states, instances, tables=t
-            )
+            return _score_all(maml, content, instances, t)
 
         full = score(None)  # warm both paths once before timing
         fast = score(tables)
@@ -110,13 +109,8 @@ def test_frozen_tower_scoring_speedup(benchmark):
 
     widest = CANDIDATE_WIDTHS[-1]
     instances = _instances(rng, widest)
-    states = [None] * len(instances)
     benchmark.pedantic(
-        lambda: batched_candidate_scores(
-            maml, user_content, item_content, states, instances, tables=tables
-        ),
-        rounds=5,
-        iterations=1,
+        lambda: _score_all(maml, content, instances, tables), rounds=5, iterations=1
     )
     benchmark.extra_info["content_dim"] = CONTENT_DIM
     benchmark.extra_info["n_items"] = N_ITEMS
@@ -129,6 +123,5 @@ def test_frozen_tower_scoring_speedup(benchmark):
 
 
 def test_table_keys_stable():
-    """The artifact member names the sharded loader greps for."""
+    """The artifact member name the sharded loader greps for."""
     assert ITEM_TABLE_KEY == "item_embeddings"
-    assert USER_TABLE_KEY == "user_embeddings"

@@ -26,9 +26,11 @@ from repro.nn.module import Params
 from repro.utils.topk import top_k_order
 
 #: Artifact layout version written by :meth:`Recommender.save`.
-#: Format 2 adds the ``serving.table.*`` members — precomputed frozen-tower
-#: embedding tables (see :mod:`repro.meta.serving`).  Format-1 artifacts
-#: stay loadable: absent tables are recomputed once at load time.
+#: Format 2 means the ``serving.table.*`` members are present — for MAML
+#: methods the precomputed item-tower table (see :mod:`repro.meta.serving`).
+#: Earlier format-2 artifacts also carry a user-tower table, which loading
+#: ignores.  Format-1 artifacts stay loadable: the absent table is
+#: recomputed once on first use.
 ARTIFACT_FORMAT = 2
 
 _STATE_PREFIX = "state."
@@ -272,8 +274,10 @@ class Recommender(abc.ABC):
     ) -> list[np.ndarray]:
         """Score many instances with per-instance adapted states.
 
-        This is the coalescing entry point used by the service's
-        micro-batching queue; methods with vectorized forwards override it.
+        The batch entry point of the service's micro-batch flushes,
+        ``recommend_many`` and ``score_instances``.  Each instance is scored
+        alone through :meth:`score_with_state`, so a batched answer is
+        bitwise equal to the solo one.
         """
         if len(states) != len(instances):
             raise ValueError("states and instances must align")
@@ -339,8 +343,8 @@ class Recommender(abc.ABC):
     def serving_tables(self) -> dict[str, np.ndarray]:
         """Precomputed serving tables to bake into the artifact.
 
-        Methods with user-invariant submodels (the frozen embedding towers
-        of MAML-based methods, see :mod:`repro.meta.serving`) override this
+        Methods with user-invariant submodels (the frozen item tower of
+        MAML-based methods, see :mod:`repro.meta.serving`) override this
         to persist their precompute; the default has none.  Keys are
         namespaced under ``serving.table.`` in the archive.
         """

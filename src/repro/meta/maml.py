@@ -45,7 +45,7 @@ from repro.meta.corpus import (
 from repro.meta.model import PreferenceModel
 from repro.nn.module import Grads, Params
 from repro.nn.optim import Adam, add_grads, clip_grad_norm, mean_task_grads
-from repro.nn.stacking import pad_axis, stack_params, tile_params, unstack_params
+from repro.nn.stacking import pad_axis, tile_params, unstack_params
 from repro.obs import metrics as obs_metrics
 from repro.utils.rng import ensure_rng
 
@@ -640,159 +640,6 @@ class MAML:
         return self.model.predict(
             params if params is not None else self.params, user_content, item_content
         )
-
-
-def batched_candidate_scores(
-    maml: MAML,
-    user_content: np.ndarray,
-    item_content: np.ndarray,
-    states: Sequence[Params | None],
-    instances: Sequence,
-    tables=None,
-) -> list[np.ndarray]:
-    """Score many eval instances in as few forwards as possible.
-
-    Instances sharing the same adapted parameter dict (by identity — e.g.
-    un-adapted requests all using the meta-initialization, or several
-    requests for one cached user) are coalesced into a single ``predict``
-    over their concatenated candidate contents.  Requests with *distinct*
-    per-user fast weights (a micro-batch flush of many adapted users) are
-    scored in one stacked forward: their parameter dicts are stacked along
-    the task axis and their candidate lists padded to a common width, so
-    the whole flush costs one batched pass instead of one forward per
-    user.  This is the vectorized backend of ``score_with_state_batch``
-    for MAML-based methods.
-
-    ``tables`` (a :class:`~repro.meta.serving.FrozenTowerTables`) replaces
-    the tower GEMMs with row gathers for every group whose parameter dict
-    still aliases the tower arrays the tables were baked from: the item
-    side always, the user side additionally requiring an un-adapted user
-    tower.  Groups that adapted a tower — and any single-row forward,
-    whose GEMV kernel is not row-subset stable — take the exact historical
-    path, so results are bitwise identical with or without tables.
-
-    The data path is index-based: per group only int index arrays (user
-    row per candidate row, candidate item ids) are concatenated/padded and
-    the content rows are gathered in one fancy-indexing pass per forward —
-    no per-instance content copies.
-    """
-    if len(states) != len(instances):
-        raise ValueError("states and instances must align")
-    resolved = [s if s is not None else maml.params for s in states]
-    groups: dict[int, list[int]] = {}
-    for idx, params in enumerate(resolved):
-        groups.setdefault(id(params), []).append(idx)
-    results: list[np.ndarray | None] = [None] * len(instances)
-    if tables is not None and not (
-        tables.item_current(maml.params) and tables.user_current(maml.params)
-    ):
-        tables = None  # stale bake: never serve from it
-
-    def group_indices(indices: list[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        sizes = [instances[i].candidates.size for i in indices]
-        rows = np.repeat([instances[i].user_row for i in indices], sizes)
-        cols = np.concatenate([instances[i].candidates for i in indices])
-        return rows, cols, sizes
-
-    def scatter(indices: list[int], sizes: list[int], preds: np.ndarray) -> None:
-        offset = 0
-        for i, size in zip(indices, sizes):
-            results[i] = preds[offset : offset + size]
-            offset += size
-
-    def score_solo(indices: list[int]) -> None:
-        rows, cols, sizes = group_indices(indices)
-        params = resolved[indices[0]]
-        if tables is not None and cols.size >= 2 and tables.item_current(params):
-            # Item rows gather from the baked table; the user side gathers
-            # too when its tower is un-adapted, else embeds live (the same
-            # multi-row GEMM the full path runs — identical either way).
-            user_embeds = (
-                tables.user[rows] if tables.user_current(params) else None
-            )
-            preds = maml.model.forward_from_item_embeddings(
-                params, user_content[rows], tables.item[cols], user_embeds
-            )
-        else:
-            preds = maml.predict(user_content[rows], item_content[cols], params=params)
-        scatter(indices, sizes, preds)
-
-    group_list = list(groups.values())
-    if len(group_list) == 1:
-        score_solo(group_list[0])
-        return results  # type: ignore[return-value]
-
-    # Stacked path: one padded forward over similarly-sized parameter
-    # groups.  Groups much larger than the median (e.g. one shared
-    # meta-params group coalescing every un-adapted request) would force
-    # every other group's padding up to their size — those are scored
-    # through the concatenated single-group path instead, keeping the
-    # padded memory within a small factor of the real row count.
-    row_counts = {
-        id(indices): sum(instances[i].candidates.size for i in indices)
-        for indices in group_list
-    }
-    median_rows = float(np.median(list(row_counts.values())))
-    stackable = [g for g in group_list if row_counts[id(g)] <= 2.0 * median_rows]
-    oversized = [g for g in group_list if row_counts[id(g)] > 2.0 * median_rows]
-    for indices in oversized:
-        score_solo(indices)
-    if len(stackable) == 1:
-        score_solo(stackable[0])
-        return results  # type: ignore[return-value]
-
-    def score_stacked(group_set: list[list[int]], fast: bool) -> None:
-        if not group_set:
-            return
-        if len(group_set) == 1:
-            score_solo(group_set[0])
-            return
-        gathered = [group_indices(indices) for indices in group_set]
-        width = max(rows.size for rows, _, _ in gathered)
-        # Padded positions point at row/item 0 — valid content, masked out
-        # by the scatter reading only each group's real span.
-        row_idx = np.zeros((len(group_set), width), dtype=np.int64)
-        col_idx = np.zeros((len(group_set), width), dtype=np.int64)
-        for g, (rows, cols, _) in enumerate(gathered):
-            row_idx[g, : rows.size] = rows
-            col_idx[g, : cols.size] = cols
-        if fast and width >= 2:
-            # Both towers frozen for every group: gather (G, W, E) slabs
-            # from the tables and stack only the per-group MLP heads.
-            head = stack_params(
-                [
-                    {
-                        k: v
-                        for k, v in resolved[indices[0]].items()
-                        if k.startswith("mlp.")
-                    }
-                    for indices in group_set
-                ]
-            )
-            preds = maml.model.forward_from_item_embeddings(
-                head, None, tables.item[col_idx], tables.user[row_idx]
-            )
-        else:
-            stacked = stack_params([resolved[indices[0]] for indices in group_set])
-            preds = maml.predict(
-                user_content[row_idx], item_content[col_idx], params=stacked
-            )
-        for g, indices in enumerate(group_set):
-            scatter(indices, gathered[g][2], preds[g])
-
-    def fully_frozen(indices: list[int]) -> bool:
-        params = resolved[indices[0]]
-        return (
-            tables is not None
-            and tables.item_current(params)
-            and tables.user_current(params)
-        )
-
-    fast_groups = [g for g in stackable if fully_frozen(g)]
-    slow_groups = [g for g in stackable if not fully_frozen(g)]
-    score_stacked(slow_groups, False)
-    score_stacked(fast_groups, True)
-    return results  # type: ignore[return-value]
 
 
 def adapt_task_states(

@@ -188,36 +188,21 @@ class PreferenceModel:
         xi = self.item_embed(self._sub(params, "item_embed"), item_content)
         return np.ascontiguousarray(xi, dtype=np.float32)
 
-    def precompute_user_embeddings(
-        self, params: Params, user_content: np.ndarray
-    ) -> np.ndarray:
-        """User-tower outputs for every user row: ``(n_users, embed_dim)``."""
-        xu = self.user_embed(self._sub(params, "user_embed"), user_content)
-        return np.ascontiguousarray(xu, dtype=np.float32)
-
     def forward_from_item_embeddings(
-        self,
-        params: Params,
-        user_content: np.ndarray,
-        item_embeds: np.ndarray,
-        user_embeds: np.ndarray | None = None,
+        self, params: Params, user_content: np.ndarray, item_embeds: np.ndarray
     ) -> np.ndarray:
         """Backward-free scoring from precomputed item-tower outputs.
 
         ``item_embeds`` rows are gathered from a
         :meth:`precompute_item_embeddings` table; the user side is embedded
-        live from ``user_content`` unless ``user_embeds`` (rows of a
-        :meth:`precompute_user_embeddings` table) is given.  Supports the
-        same broadcast-user form as :meth:`forward` (``(..., 1, C)`` user
-        content against ``(..., batch, E)`` item embeddings).  Bit-identical
-        to the full forward whenever the tower parameters used to bake the
-        table are the ones in ``params`` — the guard enforced by
+        live from ``user_content``.  Supports the same broadcast-user form
+        as :meth:`forward` (``(..., 1, C)`` user content against
+        ``(..., batch, E)`` item embeddings).  Bit-identical to the full
+        forward whenever the item-tower parameters used to bake the table
+        are the ones in ``params`` — the guard enforced by
         :mod:`repro.meta.serving`.
         """
-        if user_embeds is None:
-            xu = self.user_embed(self._sub(params, "user_embed"), user_content)
-        else:
-            xu = user_embeds
+        xu = self.user_embed(self._sub(params, "user_embed"), user_content)
         xu, _ = _broadcast_user(xu, item_embeds)
         joint = np.concatenate([xu, item_embeds], axis=-1)
         out = self.mlp(self._sub(params, "mlp"), joint)

@@ -1,35 +1,43 @@
-"""Frozen-tower serving tables and the shared MAML serving surface.
+"""The frozen item-tower table and the shared MAML serving surface.
 
-The preference model's embedding towers are user-invariant at serving time
+The preference model's item tower is user-invariant at serving time
 whenever the inner loop is MeLU-style decision-only: per-user fast weights
-touch only ``mlp.*`` keys, so the ``content_dim -> embed_dim`` tower GEMM
-re-runs identically on every request.  :class:`FrozenTowerTables` bakes
-both tower outputs once — ``(n_items, E)`` and ``(n_users, E)`` float32
-tables — and candidate scoring becomes a gather plus the MLP head.
+touch only ``mlp.*`` keys, so the ``content_dim -> embed_dim`` item-tower
+GEMM re-runs identically on every request.  :class:`FrozenTowerTables`
+bakes its output once — one ``(n_items, E)`` float32 table — and candidate
+scoring becomes a gather plus the MLP head.
 
-Exactness is guarded, not assumed.  A table carries the *identity* of the
-tower parameter arrays it was computed from; a request takes the fast path
-only when the scoring parameter dict still holds those exact array objects.
-The adaptation machinery makes this check sufficient:
+Candidate scoring has one implementation, :func:`score_candidates`, and it
+is per request: each user is scored with their own locally adapted
+preference model (one task per user), so every batch entry point —
+``score_with_state_batch``, and through it ``recommend_many``,
+``score_instances``, evaluation and in-process micro-batch flushes — loops
+over it.  A request's scores therefore depend only on its own state and
+candidates, and batched answers are bitwise equal to solo ones and to the
+sharded workers' answers.  The user row is embedded once as ``(1, C)`` and
+broadcast across the candidates.
+
+Exactness of the table is guarded, not assumed.  It carries the *identity*
+of the item-tower parameter arrays it was computed from; a request takes
+the gather only when its scoring parameter dict still holds those exact
+array objects.  The adaptation machinery makes this check sufficient:
 :func:`~repro.nn.stacking.tile_params` and
 :func:`~repro.nn.stacking.unstack_params` share non-adapted parameters *by
 reference*, so decision-only fast weights alias the meta tower arrays,
-while full adaptation (or a meta-refresh that rewrote the towers) yields
-fresh arrays and falls back to the full forward — bit-identically, because
-the fallback is the unchanged historical path.
+while full adaptation (or a meta-refresh that rewrote the tower) yields
+fresh arrays and runs the item tower live.
 
 The gather itself is bitwise-faithful for every multi-row request: on this
 BLAS a row of an ``(n, C) @ (C, E)`` product equals the same row computed
 in any ``(m, C) @ (C, E)`` product with ``m >= 2`` (single-row products go
 through a GEMV kernel with a different reduction order), which is the same
 row-count-invariance the uniform-width adaptation chunks already rely on.
-Single-candidate requests therefore fall back to the full forward, and the
-broadcast-user row of :meth:`MAMLServingMixin.score_with_state` is always
-embedded live — a ``(1, C)`` product is identical in both paths.
+Single-candidate requests therefore run the item tower live, so served
+scores are identical with or without the table.
 
-:class:`MAMLServingMixin` also consolidates the previously duplicated
-MeLU/MetaDPA serving surface (``adapt_user``/``adapt_users``/
-``meta_refresh``/``score*``/``state_dict``) in one place.
+:class:`MAMLServingMixin` also consolidates the MeLU/MetaDPA serving
+surface (``adapt_user``/``adapt_users``/``meta_refresh``/``score*``/
+``state_dict``) in one place.
 """
 
 from __future__ import annotations
@@ -39,12 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.meta.corpus import PackedContent, PackedContentMixin
-from repro.meta.maml import (
-    MAML,
-    adapt_task_states,
-    batched_candidate_scores,
-    stream_refresh,
-)
+from repro.meta.maml import MAML, adapt_task_states, stream_refresh
 from repro.nn.module import Params
 
 if TYPE_CHECKING:
@@ -55,73 +58,74 @@ __all__ = [
     "FrozenTowerTables",
     "MAMLServingMixin",
     "build_frozen_tower_tables",
+    "score_candidates",
     "ITEM_TABLE_KEY",
-    "USER_TABLE_KEY",
 ]
 
 _ITEM_PREFIX = "item_embed."
-_USER_PREFIX = "user_embed."
 
-#: Artifact member names (under the ``serving.table.`` namespace) the
-#: tables are persisted as — see :meth:`repro.core.Recommender.save`.
+#: Artifact member name (under the ``serving.table.`` namespace) the item
+#: table is persisted as — see :meth:`repro.core.Recommender.save`.
 ITEM_TABLE_KEY = "item_embeddings"
-USER_TABLE_KEY = "user_embeddings"
 
 
-def _tower_refs(params: Params, prefix: str) -> dict[str, np.ndarray]:
-    return {k: v for k, v in params.items() if k.startswith(prefix)}
-
-
-def _refs_current(refs: dict[str, np.ndarray], params: Params) -> bool:
-    for key, value in refs.items():
-        if params.get(key) is not value:
-            return False
-    return True
+def _tower_refs(params: Params) -> dict[str, np.ndarray]:
+    return {k: v for k, v in params.items() if k.startswith(_ITEM_PREFIX)}
 
 
 class FrozenTowerTables:
-    """Baked tower outputs plus the identity of the weights they froze.
+    """The baked item-tower output plus the identity of the weights it froze.
 
-    ``item`` / ``user`` may be ``np.memmap`` views straight out of an
-    uncompressed artifact — every consumer only gathers rows, so N shard
-    workers share one page-cache copy and never materialize the tables.
+    ``item`` may be an ``np.memmap`` view straight out of an uncompressed
+    artifact — scoring only gathers rows, so N shard workers share one
+    page-cache copy and never materialize the table.
     """
 
-    __slots__ = ("item", "user", "_item_refs", "_user_refs")
+    __slots__ = ("item", "_item_refs")
 
-    def __init__(
-        self,
-        item: np.ndarray,
-        user: np.ndarray,
-        item_refs: dict[str, np.ndarray],
-        user_refs: dict[str, np.ndarray],
-    ):
+    def __init__(self, item: np.ndarray, item_refs: dict[str, np.ndarray]):
         self.item = item
-        self.user = user
         self._item_refs = item_refs
-        self._user_refs = user_refs
 
     def item_current(self, params: Params) -> bool:
         """Whether ``params`` still holds the exact item-tower arrays the
-        item table was baked from (object identity, not value equality)."""
-        return _refs_current(self._item_refs, params)
-
-    def user_current(self, params: Params) -> bool:
-        """Identity check for the user-tower arrays behind ``user``."""
-        return _refs_current(self._user_refs, params)
+        table was baked from (object identity, not value equality)."""
+        return all(params.get(k) is v for k, v in self._item_refs.items())
 
 
 def build_frozen_tower_tables(
     maml: MAML, content: PackedContent
 ) -> FrozenTowerTables:
-    """Bake both tower tables from the current meta-parameters."""
+    """Bake the item-tower table from the current meta-parameters."""
     params = maml.params
     return FrozenTowerTables(
         item=maml.model.precompute_item_embeddings(params, content.item),
-        user=maml.model.precompute_user_embeddings(params, content.user),
-        item_refs=_tower_refs(params, _ITEM_PREFIX),
-        user_refs=_tower_refs(params, _USER_PREFIX),
+        item_refs=_tower_refs(params),
     )
+
+
+def score_candidates(
+    maml: MAML,
+    content: PackedContent,
+    params: Params,
+    instance: "EvalInstance",
+    tables: FrozenTowerTables | None = None,
+) -> np.ndarray:
+    """Score one request's candidates with one user's parameters.
+
+    The only candidate-scoring kernel.  The ``(1, C)`` user row is embedded
+    once and broadcast across the candidates.  Item rows are gathered from
+    ``tables`` when it is given, ``params`` still holds the item-tower
+    arrays it was baked from, and the pool has at least two candidates;
+    otherwise the item tower runs over the gathered candidate content.
+    """
+    user_row = content.user[instance.user_row][None, :]
+    candidates = instance.candidates
+    if tables is not None and candidates.size >= 2 and tables.item_current(params):
+        return maml.model.forward_from_item_embeddings(
+            params, user_row, tables.item[candidates]
+        )
+    return maml.predict(user_row, content.item[candidates], params=params)
 
 
 class MAMLServingMixin(PackedContentMixin):
@@ -156,25 +160,21 @@ class MAMLServingMixin(PackedContentMixin):
             raise RuntimeError("fit() must be called before serving")
         return self.maml
 
-    # -- frozen-tower tables --------------------------------------------
+    # -- frozen-tower table ---------------------------------------------
     def invalidate_embedding_tables(self) -> None:
-        """Drop the baked tables; they rebake lazily on next use."""
+        """Drop the baked table; it rebakes lazily on next use."""
         self._tables = None
 
     def _scoring_tables(self) -> FrozenTowerTables:
-        """Current tables, rebaked if any tower parameter was replaced.
+        """The current table, rebaked if an item-tower parameter was replaced.
 
         Staleness is the same identity check the per-request guard uses,
         so a meta-refresh that only moved ``mlp.*`` keys (decision-only
-        configs) keeps the baked tables — nothing it changed is in them.
+        configs) keeps the baked table — nothing it changed is in it.
         """
         maml = self._require_maml()
         tables = self._tables
-        if (
-            tables is None
-            or not tables.item_current(maml.params)
-            or not tables.user_current(maml.params)
-        ):
+        if tables is None or not tables.item_current(maml.params):
             tables = build_frozen_tower_tables(maml, self._packed_content())
             self._tables = tables
         return tables
@@ -183,41 +183,28 @@ class MAMLServingMixin(PackedContentMixin):
         """Arrays for :meth:`Recommender.save` to bake into the artifact."""
         if self.maml is None:
             return {}
-        tables = self._scoring_tables()
-        return {ITEM_TABLE_KEY: tables.item, USER_TABLE_KEY: tables.user}
+        return {ITEM_TABLE_KEY: self._scoring_tables().item}
 
     def attach_serving_tables(self, tables: dict[str, np.ndarray]) -> None:
-        """Adopt artifact-baked tables (zero-copy for memmap loads).
+        """Adopt an artifact-baked item table (zero-copy for memmap loads).
 
         Called by :meth:`Recommender.load` after ``load_state_dict``; the
-        tables in an artifact were computed from the parameters stored
-        beside them, so they are current for the freshly loaded ``maml``.
-        Pre-v2 artifacts carry no tables — the (empty) mapping leaves
-        ``_tables`` unset and the first scoring call bakes them once.
+        table in an artifact was computed from the parameters stored beside
+        it, so it is current for the freshly loaded ``maml``.  Format-1
+        artifacts carry no table — the (empty) mapping leaves ``_tables``
+        unset and the first scoring call bakes it once.  Earlier format-2
+        artifacts also carry a user-tower table; it is ignored.
         """
         item = tables.get(ITEM_TABLE_KEY)
-        user = tables.get(USER_TABLE_KEY)
-        if item is None or user is None:
+        if item is None:
             return
         maml = self._require_maml()
-        content = self._packed_content()
-        embed_dim = maml.model.config.embed_dim
-        if item.shape != (content.item.shape[0], embed_dim):
+        expected = (self._packed_content().item.shape[0], maml.model.config.embed_dim)
+        if item.shape != expected:
             raise ValueError(
-                f"item table shape {item.shape} does not match "
-                f"({content.item.shape[0]}, {embed_dim})"
+                f"item table shape {item.shape} does not match {expected}"
             )
-        if user.shape != (content.user.shape[0], embed_dim):
-            raise ValueError(
-                f"user table shape {user.shape} does not match "
-                f"({content.user.shape[0]}, {embed_dim})"
-            )
-        self._tables = FrozenTowerTables(
-            item=item,
-            user=user,
-            item_refs=_tower_refs(maml.params, _ITEM_PREFIX),
-            user_refs=_tower_refs(maml.params, _USER_PREFIX),
-        )
+        self._tables = FrozenTowerTables(item=item, item_refs=_tower_refs(maml.params))
 
     # -- adaptation -----------------------------------------------------
     def adapt_user(self, task: "PreferenceTask | None"):
@@ -242,10 +229,10 @@ class MAMLServingMixin(PackedContentMixin):
     def meta_refresh(self, tasks, meta_lr: float = 0.1, steps: int | None = None):
         """Reptile-refresh the meta-initialization from observed tasks.
 
-        If the refresh rewrote any tower parameter (full-adaptation
-        configs), the baked tables are dropped and rebaked on next use;
-        decision-only refreshes leave them valid — the identity guard
-        proves nothing in them changed.
+        If the refresh rewrote an item-tower parameter (full-adaptation
+        configs), the baked table is dropped and rebaked on next use;
+        decision-only refreshes leave it valid — the identity guard proves
+        nothing in it changed.
         """
         maml = self._require_maml()
         self._stream_corpus, info = stream_refresh(
@@ -256,10 +243,7 @@ class MAMLServingMixin(PackedContentMixin):
             meta_lr=meta_lr,
             steps=self._finetune_steps if steps is None else steps,
         )
-        tables = self._tables
-        if tables is not None and not (
-            tables.item_current(maml.params) and tables.user_current(maml.params)
-        ):
+        if self._tables is not None and not self._tables.item_current(maml.params):
             self.invalidate_embedding_tables()
         return info
 
@@ -271,30 +255,9 @@ class MAMLServingMixin(PackedContentMixin):
         task: "PreferenceTask | None" = None,
     ) -> np.ndarray:
         maml = self._require_maml()
-        content = self._packed_content()
         params = state if state is not None else maml.params
-        candidates = instance.candidates
-        # (1, C) user row: embedded live in both paths (a single-row
-        # product is GEMV-kernelled and must not be served from the baked
-        # user table), then broadcast across the candidates.
-        user_row = content.user[instance.user_row][None, :]
-        tables = self._scoring_tables()
-        if candidates.size >= 2 and tables.item_current(params):
-            return maml.model.forward_from_item_embeddings(
-                params, user_row, tables.item[candidates]
-            )
-        return maml.predict(user_row, content.item[candidates], params=params)
-
-    def score_with_state_batch(self, states, instances) -> list[np.ndarray]:
-        maml = self._require_maml()
-        content = self._packed_content()
-        return batched_candidate_scores(
-            maml,
-            content.user,
-            content.item,
-            states,
-            instances,
-            tables=self._scoring_tables(),
+        return score_candidates(
+            maml, self._packed_content(), params, instance, self._scoring_tables()
         )
 
     def score(

@@ -411,13 +411,20 @@ class ShardedService:
         snapshot (fire-and-forget, so a busy worker never stalls the
         supervisor) — that copy is what :meth:`_revive` folds into the
         retired totals when a worker dies without warning.
+
+        The process and its generation are read together under the shard
+        lock: read apart, the pipe reader may revive the shard in between,
+        and the dead process would be blamed on its healthy replacement's
+        generation — restarting the replacement too.
         """
         while not self._stop.wait(self.heartbeat_interval):
             for shard in self._shards:
                 if shard.failed is not None:
                     continue
-                if shard.proc is not None and not shard.proc.is_alive():
-                    self._revive(shard, shard.generation)
+                with shard.lock:
+                    proc, generation = shard.proc, shard.generation
+                if proc is not None and not proc.is_alive():
+                    self._revive(shard, generation)
                 else:
                     self._poll_shard_metrics(shard)
 

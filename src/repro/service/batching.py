@@ -1,13 +1,13 @@
 """Micro-batching request queue for the serving facade.
 
-Concurrent ``recommend`` calls each need one model forward; methods with
-vectorized ``score_with_state_batch`` implementations (MeLU, MetaDPA) do
-much better scoring many candidate lists in one forward.  The
-:class:`MicroBatcher` coalesces requests that arrive within a short window
-into a single batched call and distributes the per-request results through
-futures.  The batcher is payload-agnostic: the serving facade's flush
-callback also resolves cache-missed adaptations, fine-tuning every pending
-cold-start user in the flush through one batched ``adapt_users`` call.
+The :class:`MicroBatcher` coalesces requests that arrive within a short
+window into a single batched call and distributes the per-request results
+through futures.  The batcher is payload-agnostic.  The work a flush
+shares is adaptation: the serving facade's flush callback fine-tunes every
+pending cold-start user in the flush through one batched ``adapt_users``
+call (and the sharded front-end sends the whole flush as one RPC).
+Scoring stays per request — each request's scores are exactly the ones a
+solo call would return.
 
 The batching loop is factored into :meth:`process_once` so tests can drive
 it deterministically (``autostart=False``); in production a daemon worker

@@ -10,14 +10,16 @@ artifact:
   fine-tuning of meta-learners (MeLU, MetaDPA) is paid once per user
   rather than once per request,
 - an optional micro-batching queue coalescing concurrent ``recommend``
-  calls into one vectorized ``score_with_state_batch``.
+  calls into one flush.
 
 Cold-start adaptation is batched wherever more than one user needs it at
 once: :meth:`RecommenderService.recommend_many` and every micro-batch
 flush route uncached users through the method's ``adapt_users`` — for
 MAML-based methods one vectorized inner loop over the whole batch of
 support sets (``MAML.adapt_many``) — instead of fine-tuning them one by
-one.
+one.  Scoring is per request on every path: each user is scored with their
+own adapted state, so every entry point returns the same bits as a solo
+:meth:`RecommenderService.recommend`.
 
 A user's support set enters through ``recommend(..., task=...)`` or
 :meth:`register_user_history`; users without history are served from the
@@ -471,10 +473,9 @@ class RecommenderService:
         ``adapt_users`` call (for MAML methods one vectorized inner loop
         over same-width chunks), but every request is then scored through
         the same ``score_with_state`` call :meth:`recommend` uses — so the
-        results are bit-identical to serving the requests one at a time.
-        This is the shard worker's entry point; prefer
-        :meth:`recommend_many` when tiny ranking differences are acceptable
-        and throughput matters more.
+        results are bit-identical to serving the requests one at a time,
+        and to :meth:`recommend_many` for the same users.  This is the
+        shard worker's entry point.
 
         Requests whose :attr:`ServeRequest.deadline` already passed are not
         adapted or scored; their slot holds a :class:`DeadlineSkipped`
@@ -631,7 +632,8 @@ class RecommenderService:
 
         Users without a cached adaptation are fine-tuned *together* through
         the method's ``adapt_users`` (one vectorized inner loop for the
-        whole batch) before the single batched scoring pass.
+        whole batch) before scoring, which is per user: the answers equal
+        :meth:`recommend` bit for bit.
         """
         states = self._states_for(user_rows)
         pools = [self._candidates_for(int(u), exclude_seen) for u in user_rows]

@@ -1,19 +1,22 @@
 """Frozen-tower precompute: fast-path scoring must be bitwise-faithful.
 
-The serving tables (:mod:`repro.meta.serving`) replace the item/user tower
-GEMMs with row gathers whenever the per-user fast weights provably alias
-the tower arrays the tables were baked from.  Everything here pins the
+The serving table (:mod:`repro.meta.serving`) replaces the item-tower GEMM
+with a row gather whenever the per-user fast weights provably alias the
+tower arrays the table was baked from.  Everything here pins the
 *exactness* contract: fast == full forward bit for bit for decision-only
 adaptation, unadapted users and mixed batches; full-adaptation states fall
-back; ``meta_refresh`` invalidates tables only when it actually rewrote a
-tower; format-2 artifacts round-trip (and format-1 artifacts still load);
-and a memory-mapped load materializes no table copy.
+back; ``meta_refresh`` invalidates the table only when it actually rewrote
+the tower; format-2 artifacts round-trip (format-1 artifacts and earlier
+format-2 artifacts with a user-tower table still load); a memory-mapped
+load materializes no table copy; and every batch entry point of the
+service answers bitwise like sequential solo serving.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,8 +26,7 @@ from hypothesis import strategies as st
 from repro.core.interface import ARTIFACT_FORMAT, Recommender
 from repro.data.negative_sampling import EvalInstance
 from repro.data.splits import Scenario
-from repro.meta.maml import batched_candidate_scores
-from repro.meta.serving import build_frozen_tower_tables
+from repro.meta.serving import build_frozen_tower_tables, score_candidates
 from repro.registry import build_method
 from repro.service import RecommenderService
 
@@ -51,21 +53,12 @@ def cold_tasks(bench_experiment):
     return list(bench_experiment.task_sets[Scenario.C_U])
 
 
-def full_batch(method, states, instances):
-    """The historical batched scoring path: no tables involved."""
-    content = method._packed_content()
-    return batched_candidate_scores(
-        method.maml, content.user, content.item, states, instances
-    )
-
-
 def full_solo(method, state, instance):
-    """The historical single-instance path ``score_with_state`` replaced.
+    """The table-free oracle: the full forward of one request.
 
-    Note this is *not* the batched path restricted to one instance: the
-    batched kernel feeds repeated ``(m, C)`` user rows where the solo path
-    feeds ``(1, C)`` — a GEMM-vs-GEMV difference that flips last-ulp bits.
-    Each fast entry point must match the specific path it replaced.
+    It feeds the same ``(1, C)`` user row the scoring kernel embeds, so the
+    user side is one GEMV in both and only the item side differs: the
+    item-tower GEMM here against the table gather there.
     """
     content = method._packed_content()
     params = state if state is not None else method.maml.params
@@ -118,7 +111,7 @@ class TestFastPathBitwise:
     def test_mixed_batches_match_full_bitwise(
         self, fitted_melu, cold_tasks, data
     ):
-        """Batched fast scoring == the historical stacked path, bit for bit.
+        """Batched fast scoring == the table-free solo forward, bit for bit.
 
         Batches mix unadapted users (shared meta-params group), several
         distinct adapted users, duplicated states, and candidate lists of
@@ -140,9 +133,8 @@ class TestFastPathBitwise:
                 make_instance(rng, serving.n_users, serving.n_items, n_cands)
             )
         fast = method.score_with_state_batch(states, instances)
-        full = full_batch(method, states, instances)
-        for f, g in zip(fast, full):
-            assert np.array_equal(f, g)
+        for f, state, inst in zip(fast, states, instances):
+            assert np.array_equal(f, full_solo(method, state, inst))
 
 
 class TestFallbackAndInvalidation:
@@ -166,9 +158,8 @@ class TestFallbackAndInvalidation:
         ]
         batch_states = [*states, None]
         fast = method.score_with_state_batch(batch_states, batch_insts)
-        full = full_batch(method, batch_states, batch_insts)
-        for f, g in zip(fast, full):
-            assert np.array_equal(f, g)
+        for f, state, inst in zip(fast, batch_states, batch_insts):
+            assert np.array_equal(f, full_solo(method, state, inst))
 
     def test_meta_refresh_invalidates_when_towers_move(
         self, fitted_full_adapt, cold_tasks
@@ -198,7 +189,7 @@ class TestFallbackAndInvalidation:
         assert method._scoring_tables() is before
 
     def test_stale_tables_never_served(self, fitted_melu):
-        """A tables object baked from older meta-params must be ignored."""
+        """A table baked from older meta-params must be ignored."""
         method = fitted_melu
         content = method._packed_content()
         stale = build_frozen_tower_tables(method.maml, content)
@@ -210,16 +201,10 @@ class TestFallbackAndInvalidation:
             rng = np.random.default_rng(4)
             serving = method.serving
             inst = make_instance(rng, serving.n_users, serving.n_items, 10)
-            got = batched_candidate_scores(
-                method.maml,
-                content.user,
-                content.item,
-                [None],
-                [inst],
-                tables=stale,
-            )[0]
-            expected = full_batch(method, [None], [inst])[0]
-            assert np.array_equal(got, expected)
+            got = score_candidates(
+                method.maml, content, method.maml.params, inst, stale
+            )
+            assert np.array_equal(got, full_solo(method, None, inst))
         finally:
             method.maml.params[key] = old
             method._tables = None
@@ -236,15 +221,14 @@ class TestArtifactTables:
         assert ARTIFACT_FORMAT == 2
         assert header["format"] == 2
         assert "serving.table.item_embeddings.npy" in names
-        assert "serving.table.user_embeddings.npy" in names
+        assert "serving.table.user_embeddings.npy" not in names
 
     def test_mmap_load_shares_tables_without_copy(self, fitted_melu, tmp_path):
         path = fitted_melu.save(tmp_path / "melu.npz")
         loaded = Recommender.load(path, mmap_mode="r")
         # Worker startup must not materialize the bake: the attached
-        # tables are memmap views straight into the artifact.
+        # table is a memmap view straight into the artifact.
         assert isinstance(loaded._tables.item, np.memmap)
-        assert isinstance(loaded._tables.user, np.memmap)
         first = fitted_melu.recommend(0, k=10)
         second = loaded.recommend(0, k=10)
         assert np.array_equal(first.items, second.items)
@@ -270,6 +254,36 @@ class TestArtifactTables:
         assert np.array_equal(first.items, second.items)
         assert np.array_equal(first.scores, second.scores)
         assert loaded._tables is not None  # computed once, on first use
+
+    def test_legacy_user_table_member_is_ignored(self, fitted_melu, tmp_path):
+        """Earlier format-2 artifacts also baked a user-tower table.
+
+        Loading ignores that member: the item table still attaches as a
+        memmap, and serving is bitwise identical to the in-memory model.
+        The legacy member holds noise, so any use of it would show.
+        """
+        from repro.nn.serialization import load_params, save_params
+
+        path = fitted_melu.save(tmp_path / "melu.npz")
+        arrays, header = load_params(path)
+        legacy = {name: np.asarray(value) for name, value in arrays.items()}
+        serving = fitted_melu.serving
+        embed_dim = fitted_melu.maml.model.config.embed_dim
+        legacy["serving.table.user_embeddings"] = np.random.default_rng(0).random(
+            (serving.n_users, embed_dim), dtype=np.float32
+        )
+        old_path = save_params(tmp_path / "melu_legacy.npz", legacy, config=header)
+        loaded = Recommender.load(old_path, mmap_mode="r")
+        assert isinstance(loaded._tables.item, np.memmap)
+        users = [0, 1, 2, serving.n_users - 1]
+        want = RecommenderService(fitted_melu).recommend_many(users, k=10)
+        got = RecommenderService(loaded).recommend_many(users, k=10)
+        for user, w, g in zip(users, want, got):
+            assert np.array_equal(w.items, g.items)
+            assert np.array_equal(w.scores, g.scores)
+            solo = loaded.recommend(user, k=10)
+            assert np.array_equal(solo.items, g.items)
+            assert np.array_equal(solo.scores, g.scores)
 
 
 class TestServiceIntegration:
@@ -299,3 +313,67 @@ class TestServiceIntegration:
         order = np.argsort(-scores, kind="stable")[:10]
         assert np.array_equal(rec.items, pool[order])
         assert np.array_equal(rec.scores, scores[order])
+
+
+@pytest.fixture(scope="module", params=["fitted_melu", "fitted_full_adapt"])
+def fitted_method(request):
+    """Both adaptation regimes: decision-only (table gather) and full."""
+    return request.getfixturevalue(request.param)
+
+
+class TestBatchedEqualsSolo:
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_batch_entry_points_equal_sequential_serving(
+        self, fitted_method, cold_tasks, data
+    ):
+        """Every batch entry point answers bitwise like solo serving.
+
+        ``recommend_many``, ``score_instances`` and concurrent ``recommend``
+        calls coalesced by the micro-batcher must equal sequential
+        ``recommend`` / ``score_with_state``.  Batches mix un-adapted users,
+        distinct adapted users and repeated users; pools run from a single
+        candidate upwards.
+        """
+        method = fitted_method
+        serving = method.serving
+        registered = cold_tasks[:4]
+        tasks = {int(t.user_row): t for t in registered}
+        unregistered = [u for u in range(serving.n_users) if u not in tasks][:4]
+        users = data.draw(
+            st.lists(st.sampled_from(sorted(tasks) + unregistered), min_size=1, max_size=8)
+        )
+        n_pool = data.draw(st.integers(min_value=1, max_value=30))
+        seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+        pool = np.random.default_rng(seed).choice(serving.n_items, n_pool, replace=False)
+        k = n_pool  # rank the whole pool: every score is compared
+
+        def service(**kwargs):
+            svc = RecommenderService(method, candidate_pool=pool, cache_size=32, **kwargs)
+            for task in registered:
+                svc.register_user_history(task)
+            return svc
+
+        sequential = service()
+        want = [sequential.recommend(u, k=k, exclude_seen=False) for u in users]
+        many = service().recommend_many(users, k=k, exclude_seen=False)
+        with service(batching=True, max_wait_ms=20.0) as batching:
+            with ThreadPoolExecutor(max_workers=len(users)) as executor:
+                coalesced = list(
+                    executor.map(
+                        lambda u: batching.recommend(u, k=k, exclude_seen=False), users
+                    )
+                )
+        for expected, *answers in zip(want, many, coalesced):
+            for got in answers:
+                assert np.array_equal(got.items, expected.items)
+                assert np.array_equal(got.scores, expected.scores)
+
+        instances = [
+            EvalInstance(user_row=u, pos_item=int(pool[0]), neg_items=pool[1:])
+            for u in users
+        ]
+        scored = service().score_instances(instances)
+        for user, inst, got in zip(users, instances, scored):
+            state = method.adapt_user(tasks.get(user))
+            assert np.array_equal(got, method.score_with_state(state, inst))

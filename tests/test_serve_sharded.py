@@ -271,6 +271,38 @@ class TestSupervision:
         assert len(results) == 3 * len(users)
         assert all(len(r) == 5 for r in results)
 
+    def test_slow_respawn_restarts_exactly_once(self, artifact, monkeypatch):
+        """The heartbeat must not blame a dead worker on its replacement.
+
+        The pipe reader revives the killed worker while the heartbeat keeps
+        polling.  With the respawn slowed down, the heartbeat ticks several
+        times inside the revival; it must neither restart the healthy
+        replacement nor count it as a startup failure.
+        """
+        spawn = ShardedService._spawn_worker
+
+        def slow_respawn(self, shard):
+            if shard.restarts:
+                time.sleep(0.2)
+            spawn(self, shard)
+
+        monkeypatch.setattr(ShardedService, "_spawn_worker", slow_respawn)
+        path, _ = artifact
+        with ShardedService(path, n_workers=1, heartbeat_interval=0.05) as service:
+            assert service.wait_ready(timeout=60.0)
+            shard = service._shards[0]
+            pid_before = shard.proc.pid
+            shard.proc.kill()
+            deadline = time.monotonic() + 10.0
+            while shard.proc.pid == pid_before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service.wait_ready(timeout=60.0)
+            time.sleep(0.5)  # ten more heartbeats against the replacement
+            restarts = shard.restarts
+            startup_failures = service.metrics.counter("serve.startup_failures")
+        assert restarts == 1
+        assert startup_failures == 0
+
     def test_close_mid_burst_flushes_rather_than_drops(self, artifact):
         path, tasks = artifact
         users = sorted(tasks)[:8]

@@ -2,10 +2,11 @@
 
 Property tests (hypothesis-driven shapes and seeds) asserting that every
 stacked computation — layers, losses, :class:`PreferenceModel`, the
-vectorized MAML inner loop, ``meta_step`` and ``adapt_many``, and the
-stacked candidate-scoring backend — produces the same outputs, gradients
-and optimizer states (to fp tolerance) as running the scalar per-task
-reference one task at a time.  These are the acceptance tests of the
+vectorized MAML inner loop, ``meta_step`` and ``adapt_many`` — produces the
+same outputs, gradients and optimizer states (to fp tolerance) as running
+the scalar per-task reference one task at a time, and that the per-request
+candidate-scoring kernel (one broadcast user row) matches the dense
+per-row forward.  These are the acceptance tests of the
 stacked-parameter redesign: any divergence means the vectorization changed
 the math, not just the speed.
 """
@@ -17,14 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.meta.maml import (
-    MAML,
-    MAMLConfig,
-    TaskBatch,
-    TaskBatchItem,
-    batched_candidate_scores,
-)
+from repro.data.negative_sampling import EvalInstance
+from repro.meta.corpus import PackedContent
+from repro.meta.maml import MAML, MAMLConfig, TaskBatch, TaskBatchItem
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
+from repro.meta.serving import score_candidates
 from repro.nn import (
     Adam,
     Dropout,
@@ -257,6 +255,18 @@ class TestModelEquivalence:
             _assert_tree_close({k: v[t] for k, v in grads.items()}, grads_t)
 
 
+def _assert_scores_match_dense(maml, content, states, instances):
+    """Kernel scores == the dense forward over repeated user rows."""
+    for state, instance in zip(states, instances):
+        params = state if state is not None else maml.params
+        scores = score_candidates(maml, content, params, instance)
+        users = np.repeat(
+            content.user[instance.user_row][None, :], instance.candidates.size, axis=0
+        )
+        expected = maml.predict(users, content.item[instance.candidates], params=params)
+        np.testing.assert_allclose(scores, expected, rtol=1e-8, atol=1e-10)
+
+
 class TestMAMLEquivalence:
     @given(
         n_tasks=st.integers(1, 6),
@@ -304,15 +314,15 @@ class TestMAMLEquivalence:
     @given(n_tasks=st.integers(2, 5), seed=seeds)
     @settings(max_examples=10, deadline=None)
     def test_stacked_candidate_scoring_matches_per_state(self, n_tasks, seed):
-        """Distinct per-user fast weights score identically stacked or not."""
-        from repro.data.negative_sampling import EvalInstance
-
+        """Distinct per-user fast weights: the scoring kernel's broadcast
+        ``(1, C)`` user row matches each state's dense per-row forward."""
         rng = np.random.default_rng(seed)
         maml = MAML(_model(), MAMLConfig(inner_lr=0.1), seed=seed)
         items = _items(rng, n_tasks)
         states = maml.adapt_many(items, steps=2)
-        user_content = rng.random((n_tasks + 2, 5))
-        item_content = rng.random((20, 5))
+        content = PackedContent(
+            user=rng.random((n_tasks + 2, 5)), item=rng.random((20, 5))
+        )
         instances = [
             EvalInstance(
                 user_row=t,
@@ -321,54 +331,30 @@ class TestMAMLEquivalence:
             )
             for t in range(n_tasks)
         ]
-        batched = batched_candidate_scores(
-            maml, user_content, item_content, states, instances
-        )
-        for state, instance, scores in zip(states, instances, batched):
-            users = np.repeat(
-                user_content[instance.user_row][None, :], instance.candidates.size, axis=0
-            )
-            expected = maml.predict(
-                users, item_content[instance.candidates], params=state
-            )
-            np.testing.assert_allclose(scores, expected, rtol=1e-8, atol=1e-10)
+        _assert_scores_match_dense(maml, content, states, instances)
 
     def test_scoring_with_skewed_group_sizes_matches(self):
         """One huge shared-params group + small per-user groups.
 
-        The oversized group takes the concatenated path (so its size does
-        not inflate every other group's padding) while the small adapted
-        groups stack — results must be identical either way.
+        Six un-adapted requests with wide pools share the meta-parameters
+        next to three adapted users with narrow pools and one
+        single-candidate request.  Each request is scored on its own, so
+        its scores match its own dense forward whatever shares the batch.
         """
-        from repro.data.negative_sampling import EvalInstance
-
         rng = np.random.default_rng(7)
         maml = MAML(_model(), MAMLConfig(inner_lr=0.1), seed=7)
         items = _items(rng, 3)
         adapted = maml.adapt_many(items, steps=2)
-        user_content = rng.random((10, 5))
-        item_content = rng.random((50, 5))
-        # Six un-adapted requests (None -> shared meta params, big group
-        # with large candidate lists) plus three adapted users (small).
-        states = [None] * 6 + adapted
+        content = PackedContent(user=rng.random((10, 5)), item=rng.random((50, 5)))
+        states = [None] * 6 + adapted + [None]
         instances = [
             EvalInstance(u, int(rng.integers(0, 50)), rng.choice(50, 40, replace=False))
             for u in range(6)
         ] + [
             EvalInstance(6 + t, int(rng.integers(0, 50)), rng.choice(50, 4, replace=False))
             for t in range(3)
-        ]
-        batched = batched_candidate_scores(
-            maml, user_content, item_content, states, instances
-        )
-        for state, instance, scores in zip(states, instances, batched):
-            users = np.repeat(
-                user_content[instance.user_row][None, :], instance.candidates.size, axis=0
-            )
-            expected = maml.predict(
-                users, item_content[instance.candidates], params=state or maml.params
-            )
-            np.testing.assert_allclose(scores, expected, rtol=1e-8, atol=1e-10)
+        ] + [EvalInstance(9, 3, np.array([], dtype=int))]
+        _assert_scores_match_dense(maml, content, states, instances)
 
     def test_adapt_many_states_do_not_pin_chunk_storage(self):
         """Cached per-user fast weights own their arrays (no chunk views)."""
