@@ -118,7 +118,6 @@ def _run_trial(path: str, tasks) -> dict:
         path,
         n_workers=n_workers,
         max_batch=4,
-        max_wait_ms=1.0,
         heartbeat_interval=0.1,
         resilience=cfg,
         fault_plan=plan,

@@ -67,9 +67,7 @@ def _run_trial(path: str, tasks, n_workers: int) -> dict:
     users = zipfian_users(
         [t.user_row for t in tasks], n_requests, alpha=alpha, seed=11
     )
-    with ShardedService(
-        path, n_workers=n_workers, cache_size=cache_size, max_wait_ms=2.0
-    ) as service:
+    with ShardedService(path, n_workers=n_workers, cache_size=cache_size) as service:
         assert service.wait_ready(timeout=120.0)
         for task in tasks:
             service.register_user_history(task)
@@ -102,9 +100,7 @@ def test_loadgen_and_service_percentiles_agree(load_artifact):
     users = zipfian_users(
         [t.user_row for t in tasks], 96, alpha=1.1, seed=13
     )
-    with ShardedService(
-        path, n_workers=2, cache_size=64, max_wait_ms=2.0
-    ) as service:
+    with ShardedService(path, n_workers=2, cache_size=64) as service:
         assert service.wait_ready(timeout=120.0)
         for task in tasks:
             service.register_user_history(task)

@@ -77,9 +77,7 @@ def _run_trial(path: str, tasks, n_items: int, write_frac: float) -> dict:
         alpha=alpha,
         seed=11,
     )
-    with ShardedService(
-        path, n_workers=n_workers, cache_size=cache_size, max_wait_ms=2.0
-    ) as service:
+    with ShardedService(path, n_workers=n_workers, cache_size=cache_size) as service:
         assert service.wait_ready(timeout=120.0)
         for task in tasks:
             service.register_user_history(task)

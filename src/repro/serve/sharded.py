@@ -5,11 +5,12 @@ Layout
 Requests are routed by ``user_row % n_workers``, so each worker's
 adaptation LRU owns a disjoint slice of the user base — no cross-worker
 cache duplication.  Every shard gets its own
-:class:`~repro.service.MicroBatcher` on the parent side: concurrent
-``submit`` calls coalesce into per-shard micro-batches (``max_wait_ms``
-deadline, ``max_batch`` cap) that cross the process boundary as **one**
-``batch`` RPC, and the worker resolves the whole flush's cold-start users
-with one ``adapt_users`` call.
+:class:`~repro.service.MicroBatcher` on the parent side, which flushes
+on idle: a request reaching a shard with no RPC in flight leaves at once,
+and requests submitted while one is in flight coalesce (up to
+``max_batch``) into the next micro-batch.  A flush crosses the process
+boundary as **one** ``batch`` RPC, and the worker resolves the whole
+flush's cold-start users with one ``adapt_users`` call.
 
 Because the workers memory-map one shared artifact and score each request
 through the same solo path the single-process facade uses (see
@@ -154,8 +155,11 @@ class ShardedService:
         per-worker adaptation LRU capacity.
     candidate_pool:
         optional global candidate restriction, forwarded to every worker.
-    max_batch / max_wait_ms:
-        per-shard coalescing window (see :class:`MicroBatcher`).
+    max_batch:
+        most requests one per-shard flush carries (see :class:`MicroBatcher`).
+    max_wait_ms:
+        ignored.  The batchers flush on idle and have no timed window; the
+        keyword is still accepted so existing callers keep working.
     mmap_mode:
         how workers load the artifact; ``"r"`` (default) maps it read-only,
         ``None`` forces the old eager load.
@@ -187,7 +191,7 @@ class ShardedService:
         cache_size: int = 256,
         candidate_pool: np.ndarray | None = None,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float | None = None,
         mmap_mode: str | None = "r",
         start_method: str | None = None,
         heartbeat_interval: float = 0.5,
@@ -257,7 +261,6 @@ class ShardedService:
             shard.batcher = MicroBatcher(
                 self._make_flush(shard),
                 max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
                 metrics=self.metrics,
             )
         self._stop = threading.Event()
@@ -612,7 +615,7 @@ class ShardedService:
             self._finish_degraded(call, "breaker")
             return
         call.attempts += 1
-        inner = shard.batcher.submit(call.request, None, deadline=call.deadline)
+        inner = shard.batcher.submit(call.request, None)
         inner.add_done_callback(lambda f, c=call: self._settle(c, f))
 
     def _settle(self, call: _ResilientCall, inner: Future) -> None:

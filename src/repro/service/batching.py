@@ -1,13 +1,16 @@
 """Micro-batching request queue for the serving facade.
 
-The :class:`MicroBatcher` coalesces requests that arrive within a short
-window into a single batched call and distributes the per-request results
-through futures.  The batcher is payload-agnostic.  The work a flush
-shares is adaptation: the serving facade's flush callback fine-tunes every
-pending cold-start user in the flush through one batched ``adapt_users``
-call (and the sharded front-end sends the whole flush as one RPC).
-Scoring stays per request — each request's scores are exactly the ones a
-solo call would return.
+The :class:`MicroBatcher` flushes on idle: its worker thread takes the
+oldest queued request plus whatever else is already queued (up to
+``max_batch``) and flushes at once.  The worker blocks on each flush, so
+requests that arrive meanwhile pile up and leave together in the next one:
+coalescing happens exactly when the flush target is busy, and a lone
+request never waits (Nagle's algorithm, RFC 896).  The batcher is
+payload-agnostic.  The work a flush shares is adaptation: the serving
+facade's flush callback fine-tunes every pending cold-start user in the
+flush through one batched ``adapt_users`` call (and the sharded front-end
+sends the whole flush as one RPC).  Scoring stays per request — each
+request's scores are exactly the ones a solo call would return.
 
 The batching loop is factored into :meth:`process_once` so tests can drive
 it deterministically (``autostart=False``); in production a daemon worker
@@ -38,12 +41,13 @@ class _Request:
     instance: EvalInstance
     future: Future = field(default_factory=Future)
     submitted: float = field(default_factory=time.perf_counter)
-    #: absolute wall-clock (``time.time()``) deadline, or None.
-    deadline: float | None = None
 
 
 class MicroBatcher:
     """Coalesce concurrent scoring requests into batched calls.
+
+    Each flush holds every request queued when the worker became idle;
+    requests submitted during a flush ride the next one together.
 
     Parameters
     ----------
@@ -51,10 +55,6 @@ class MicroBatcher:
         the batched scorer, typically a method's ``score_with_state_batch``.
     max_batch:
         largest number of requests folded into one call.
-    max_wait_ms:
-        after the first request of a batch arrives, how long to wait for
-        more before firing.  Small values trade a little latency for a lot
-        of throughput under concurrency.
     autostart:
         start the daemon worker thread; tests pass ``False`` and call
         :meth:`process_once` by hand.
@@ -69,7 +69,6 @@ class MicroBatcher:
         self,
         score_fn: BatchScoreFn,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         autostart: bool = True,
         metrics: MetricsRegistry | None = None,
     ):
@@ -77,7 +76,6 @@ class MicroBatcher:
             raise ValueError("max_batch must be positive")
         self._score_fn = score_fn
         self.max_batch = max_batch
-        self.max_wait = max_wait_ms / 1000.0
         self._queue: queue.Queue[_Request | None] = queue.Queue()
         self._closed = False
         self._metrics = metrics
@@ -92,19 +90,11 @@ class MicroBatcher:
             self._worker.start()
 
     # ------------------------------------------------------------------
-    def submit(
-        self, state: Any, instance: EvalInstance, deadline: float | None = None
-    ) -> Future:
-        """Enqueue one request; the future resolves to its score array.
-
-        ``deadline`` (absolute ``time.time()``) caps how long the flush
-        window may hold this request: the batch fires no later than the
-        earliest pending deadline, instead of always waiting the full
-        ``max_wait_ms``.
-        """
+    def submit(self, state: Any, instance: EvalInstance) -> Future:
+        """Enqueue one request; the future resolves to its score array."""
         if self._closed:
             raise RuntimeError("batcher is closed")
-        request = _Request(state=state, instance=instance, deadline=deadline)
+        request = _Request(state=state, instance=instance)
         self.n_requests += 1
         self._queue.put(request)
         return request.future
@@ -114,26 +104,8 @@ class MicroBatcher:
         return self.submit(state, instance).result()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _cap_window(request: _Request, deadline: float) -> float:
-        """Shrink the flush window so ``request`` is not held past its deadline.
-
-        Request deadlines are wall-clock (shared across processes), the
-        window is monotonic — the cap converts via remaining seconds.
-        """
-        if request.deadline is None:
-            return deadline
-        remaining = max(request.deadline - time.time(), 0.0)
-        return min(deadline, time.monotonic() + remaining)
-
     def _collect(self, block: bool) -> list[_Request]:
-        """Gather one batch: first request, then drain within the window.
-
-        The window closes at ``max_wait`` after the first request *or* at
-        the earliest pending deadline, whichever comes first — a request
-        with little budget left flushes immediately instead of burning it
-        waiting for company.
-        """
+        """Gather one batch: the oldest request plus everything already queued."""
         batch: list[_Request] = []
         try:
             first = self._queue.get(block=block, timeout=0.1 if block else None)
@@ -142,19 +114,14 @@ class MicroBatcher:
         if first is None:  # close sentinel
             return batch
         batch.append(first)
-        deadline = self._cap_window(first, time.monotonic() + self.max_wait)
         while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
             try:
-                item = self._queue.get(
-                    block=remaining > 0, timeout=max(remaining, 0.0) or None
-                )
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is None:
                 break
             batch.append(item)
-            deadline = self._cap_window(item, deadline)
         return batch
 
     def process_once(self, block: bool = False) -> int:

@@ -139,7 +139,6 @@ class RecommenderService:
         cache_size: int = 256,
         batching: bool = False,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         refresh_every: int = 0,
         refresh_lr: float = 0.1,
         refresh_steps: int | None = None,
@@ -187,7 +186,6 @@ class RecommenderService:
             self._batcher = MicroBatcher(
                 self._score_flush,
                 max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
                 metrics=self.metrics,
             )
 

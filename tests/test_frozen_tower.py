@@ -357,7 +357,7 @@ class TestBatchedEqualsSolo:
         sequential = service()
         want = [sequential.recommend(u, k=k, exclude_seen=False) for u in users]
         many = service().recommend_many(users, k=k, exclude_seen=False)
-        with service(batching=True, max_wait_ms=20.0) as batching:
+        with service(batching=True) as batching:
             with ThreadPoolExecutor(max_workers=len(users)) as executor:
                 coalesced = list(
                     executor.map(

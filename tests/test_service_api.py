@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.core.interface import Recommender, training_visibility
 from repro.data.negative_sampling import EvalInstance
 from repro.data.splits import Scenario
 from repro.registry import build_method
+from repro.serve import ShardedService
 from repro.service import LRUCache, MicroBatcher, RecommenderService, ServeRequest
 
 #: tiny budgets: the lifecycle under test is fit → save → load → recommend,
@@ -285,9 +289,7 @@ class TestRecommenderService:
 
     def test_batching_path_matches_direct(self, fitted_melu, cold_task):
         task, _ = cold_task
-        with RecommenderService(
-            fitted_melu, batching=True, max_wait_ms=1.0
-        ) as batched:
+        with RecommenderService(fitted_melu, batching=True) as batched:
             batched.register_user_history(task)
             direct = RecommenderService(fitted_melu)
             direct.register_user_history(task)
@@ -295,7 +297,7 @@ class TestRecommenderService:
                 a = batched.recommend(user, k=5)
                 b = direct.recommend(user, k=5)
                 assert np.array_equal(a.items, b.items)
-                assert np.allclose(a.scores, b.scores)
+                assert np.array_equal(a.scores, b.scores)
             assert batched.stats()["batching"]["requests"] == 3
 
     def test_recommend_many_matches_individual(self, fitted_melu):
@@ -332,17 +334,30 @@ class TestRecommenderService:
 
 
 class _CountingBatchMethod(_CountingMethod):
-    """Also count the coalesced ``adapt_users`` entry point."""
+    """Also count the coalesced ``adapt_users`` entry point.
+
+    Batch scoring waits on ``gate`` (open by default) after setting
+    ``scoring``, so a test can hold a flush in flight while it queues more
+    requests behind it.
+    """
 
     def __init__(self, method):
         super().__init__(method)
         self.adapt_users_calls = 0
         self.adapted_users = 0
+        self.gate = threading.Event()
+        self.gate.set()
+        self.scoring = threading.Event()
 
     def adapt_users(self, tasks):
         self.adapt_users_calls += 1
         self.adapted_users += len(tasks)
         return self._method.adapt_users(tasks)
+
+    def score_with_state_batch(self, states, instances):
+        self.scoring.set()
+        assert self.gate.wait(timeout=30.0)
+        return self._method.score_with_state_batch(states, instances)
 
 
 class TestRecommendBatch:
@@ -422,51 +437,61 @@ class TestRecommendBatch:
     def test_batching_service_one_adapt_users_per_flush(
         self, fitted_melu, bench_experiment
     ):
-        import threading
-
         tasks = self._cold_tasks(bench_experiment, 6)
         counting = _CountingBatchMethod(fitted_melu)
         reference = RecommenderService(fitted_melu, cache_size=16)
-        with RecommenderService(
-            counting, batching=True, cache_size=16, max_wait_ms=250.0
-        ) as service:
+        with RecommenderService(counting, batching=True, cache_size=16) as service:
             for task in tasks:
                 service.register_user_history(task)
                 reference.register_user_history(task)
             # Warm 3 users one at a time (each blocking call is its own
-            # flush), then burst all 6 concurrently into a single flush.
+            # flush).
             for task in tasks[:3]:
                 service.recommend(task.user_row, k=5)
             calls_before = counting.adapt_users_calls
-            batches_before = service.stats()["adaptation"]["batches"]
+            adapted_before = counting.adapted_users
+            before = service.stats()
             results: dict[int, object] = {}
 
             def request(user):
                 results[user] = service.recommend(user, k=5)
 
+            # Hold a warm user's flush in flight, queue all 6 users behind
+            # it, then release: the idle batcher sends the backlog as one
+            # flush.
+            counting.gate.clear()
+            counting.scoring.clear()
+            holder = threading.Thread(target=request, args=(tasks[0].user_row,))
+            holder.start()
+            assert counting.scoring.wait(timeout=30.0)
             threads = [
                 threading.Thread(target=request, args=(t.user_row,))
                 for t in tasks
             ]
             for thread in threads:
                 thread.start()
-            for thread in threads:
+            give_up = time.monotonic() + 30.0
+            while service._batcher._queue.qsize() < len(tasks):
+                assert time.monotonic() < give_up, "burst never queued"
+                time.sleep(0.001)
+            counting.gate.set()
+            for thread in [holder, *threads]:
                 thread.join()
             stats = service.stats()
-        # One flush resolved the whole burst: a single adapt_users call
-        # fine-tuned exactly the 3 cache-missed users, and the pending
-        # depth drained back to zero.
+        # The held flush plus exactly one flush for the whole burst, whose
+        # single adapt_users call fine-tuned only the 3 cache-missed users;
+        # the pending depth drained back to zero.
+        assert stats["batching"]["batches"] == before["batching"]["batches"] + 2
+        assert stats["batching"]["largest_batch"] == len(tasks)
         assert counting.adapt_users_calls == calls_before + 1
-        assert stats["adaptation"]["batches"] == batches_before + 1
+        assert counting.adapted_users == adapted_before + 3
+        assert stats["adaptation"]["batches"] == before["adaptation"]["batches"] + 1
         assert stats["adaptation"]["pending"] == 0
         for task in tasks:
             want = reference.recommend(task.user_row, k=5)
             got = results[task.user_row]
             np.testing.assert_array_equal(want.items, got.items)
-            # The coalesced flush scores through the batched kernel, which
-            # matches solo serving to float tolerance (recommend_batch is
-            # the bit-identical path; see test_matches_sequential_bitwise).
-            np.testing.assert_allclose(want.scores, got.scores, rtol=1e-5)
+            np.testing.assert_array_equal(want.scores, got.scores)
 
 
 class TestMicroBatcher:
@@ -504,9 +529,7 @@ class TestMicroBatcher:
             future.result()
 
     def test_threaded_worker_serves_concurrent_submits(self):
-        import threading
-
-        batcher = MicroBatcher(self._echo_scorer, max_wait_ms=20.0)
+        batcher = MicroBatcher(self._echo_scorer)
         futures: list = []
         lock = threading.Lock()
 
@@ -526,10 +549,10 @@ class TestMicroBatcher:
         assert all(np.array_equal(r, [0.0, 1.0, 2.0]) for r in results)
 
     def test_close_flushes_partially_filled_batch(self):
-        # A long wait window keeps the batch open (3 of 64 slots filled);
-        # close() must serve those requests promptly, not wait the window
-        # out or drop them.
-        batcher = MicroBatcher(self._echo_scorer, max_batch=64, max_wait_ms=5000.0)
+        # close() right after submitting (3 of 64 slots filled) must serve
+        # every request promptly, whether the worker already took it or it
+        # is still queued, and never drop one.
+        batcher = MicroBatcher(self._echo_scorer, max_batch=64)
         futures = [
             batcher.submit(None, EvalInstance(u, 0, np.array([1, 2])))
             for u in range(3)
@@ -568,7 +591,7 @@ class TestMicroBatcher:
         def broken(states, instances):
             raise RuntimeError("artifact vanished")
 
-        batcher = MicroBatcher(broken, max_batch=64, max_wait_ms=5000.0)
+        batcher = MicroBatcher(broken, max_batch=64)
         futures = [
             batcher.submit(None, EvalInstance(u, 0, np.array([1, 2])))
             for u in range(3)
@@ -579,44 +602,43 @@ class TestMicroBatcher:
             with pytest.raises(RuntimeError, match="artifact vanished"):
                 future.result()
 
-    def test_deadline_caps_the_flush_window(self):
-        import time
+    @pytest.mark.parametrize("max_batch, sizes", [(64, [1, 5]), (2, [1, 2, 2, 1])])
+    def test_coalesces_behind_a_busy_flush(self, max_batch, sizes):
+        # Flush 1 is held in flight; the 5 requests submitted meanwhile
+        # leave together once it returns, split only by max_batch.
+        release = threading.Event()
+        flushing = threading.Event()
+        flushed: list[int] = []
 
-        # The window is 5s, but the request only has ~50ms of budget left:
-        # the batch must fire at the deadline, not at the window's end.
-        batcher = MicroBatcher(self._echo_scorer, max_batch=64, max_wait_ms=5000.0)
-        t0 = time.monotonic()
-        future = batcher.submit(
-            None,
-            EvalInstance(0, 0, np.array([1, 2])),
-            deadline=time.time() + 0.05,
-        )
-        np.testing.assert_array_equal(
-            future.result(timeout=5.0), [0.0, 1.0, 2.0]
-        )
-        assert time.monotonic() - t0 < 2.0
+        def held(states, instances):
+            flushed.append(len(instances))
+            flushing.set()
+            assert release.wait(timeout=30.0)
+            return self._echo_scorer(states, instances)
+
+        batcher = MicroBatcher(held, max_batch=max_batch)
+        futures = [batcher.submit(None, EvalInstance(0, 0, np.array([1])))]
+        assert flushing.wait(timeout=30.0)
+        futures += [
+            batcher.submit(None, EvalInstance(u, 0, np.array([1])))
+            for u in range(1, 6)
+        ]
+        release.set()
+        for future in futures:
+            np.testing.assert_array_equal(future.result(timeout=30.0), [0.0, 1.0])
         batcher.close()
+        assert flushed == sizes
+        assert batcher.n_batches == len(sizes)
+        assert batcher.largest_batch == max(sizes)
 
-    def test_late_arrival_deadline_shrinks_an_open_window(self):
-        import time
-
-        # First request opens a 5s window; a second request with a tight
-        # deadline joins it and must pull the whole flush forward.
-        batcher = MicroBatcher(self._echo_scorer, max_batch=64, max_wait_ms=5000.0)
-        t0 = time.monotonic()
-        relaxed = batcher.submit(None, EvalInstance(0, 0, np.array([1, 2])))
-        time.sleep(0.05)  # let the worker open the window on the first
-        urgent = batcher.submit(
-            None,
-            EvalInstance(1, 0, np.array([1, 2])),
-            deadline=time.time() + 0.05,
-        )
-        np.testing.assert_array_equal(
-            urgent.result(timeout=5.0), [0.0, 1.0, 2.0]
-        )
-        np.testing.assert_array_equal(
-            relaxed.result(timeout=5.0), [0.0, 1.0, 2.0]
-        )
-        assert time.monotonic() - t0 < 2.0
-        assert batcher.n_batches == 1  # one coalesced flush, pulled forward
-        batcher.close()
+    def test_lone_sharded_request_is_sent_at_once(self, fitted_melu, tmp_path):
+        # max_wait_ms is accepted but ignored: a request reaching an idle
+        # shard leaves at once instead of waiting out a 5 s window.
+        path = fitted_melu.save(tmp_path / "melu.npz")
+        with ShardedService(path, n_workers=1, max_wait_ms=5000.0) as service:
+            assert service.wait_ready(timeout=60.0)
+            t0 = time.monotonic()
+            result = service.recommend(0, k=5)
+            elapsed = time.monotonic() - t0
+        assert len(result) == 5
+        assert elapsed < 1.0

@@ -399,9 +399,7 @@ class TestServingCacheCorrectness:
     def test_failed_flush_releases_pending(self, melu, cold_tasks):
         user = sorted(cold_tasks)[0]
         exploding = _ExplodingMethod(melu)
-        with RecommenderService(
-            exploding, cache_size=8, batching=True, max_wait_ms=1.0
-        ) as service:
+        with RecommenderService(exploding, cache_size=8, batching=True) as service:
             service.register_user_history(cold_tasks[user])
             exploding.explode = True
             with pytest.raises(RuntimeError, match="backend down"):
