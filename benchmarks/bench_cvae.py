@@ -5,9 +5,10 @@ stacks the k models on a leading domain axis and runs every branch of every
 domain in one numpy pass per step (`repro.cvae.trainer
 .MultiDomainCVAETrainer`), with per-domain Adam state and clipping on the
 same stacked axis.  This benchmark measures that fusion against the
-``fuse_domains=False`` reference loop at k ∈ {2, 3}, asserts the >=3x
-acceptance bar at k=3, and double-checks the numerics (both paths must
-produce matching generated matrices — the speedup must not change the math).
+sequential per-domain reference loop of ``tests/oracles.py`` at k ∈ {2, 3},
+asserts the >=3x acceptance bar at k=3, and double-checks the numerics (both
+paths must produce matching generated matrices — the speedup must not change
+the math).
 
 Results land in ``BENCH_*.json`` via the shared conftest harness.
 """
@@ -27,6 +28,8 @@ from repro.data.generator import (
     SyntheticMultiDomainGenerator,
 )
 from repro.utils.timing import Timer
+
+import oracles
 
 # Simulator-scale domains (tens of items, ~1e2 users): the regime every
 # repo experiment runs in, and the one the paper's 300-epoch size-32
@@ -68,13 +71,12 @@ def _dataset(k: int):
     )
 
 
-def _augmenter(dataset, fuse: bool) -> DiversePreferenceAugmenter:
+def _augmenter(dataset) -> DiversePreferenceAugmenter:
     return DiversePreferenceAugmenter(
         dataset,
         "Tgt",
         trainer_config=TrainerConfig(epochs=EPOCHS, eval_every=EVAL_EVERY),
         seed=0,
-        fuse_domains=fuse,
     )
 
 
@@ -87,13 +89,13 @@ def _best_fit_times(dataset, rounds: int = ROUNDS) -> tuple[float, float]:
     """
     best_seq = best_fused = float("inf")
     for _ in range(rounds):
-        trainers = _augmenter(dataset, fuse=False)._build_trainers()
+        trainers = _augmenter(dataset)._build_trainers()
         with Timer() as t_seq:
             for trainer in trainers:
                 trainer.train()
         best_seq = min(best_seq, t_seq.elapsed)
 
-        trainers = _augmenter(dataset, fuse=True)._build_trainers()
+        trainers = _augmenter(dataset)._build_trainers()
         with Timer() as t_fused:
             MultiDomainCVAETrainer(trainers).train()
         best_fused = min(best_fused, t_fused.elapsed)
@@ -119,7 +121,7 @@ def test_fused_training_speedup_k2(benchmark):
     seq, fused = _best_fit_times(dataset)
     benchmark.pedantic(
         lambda: MultiDomainCVAETrainer(
-            _augmenter(dataset, fuse=True)._build_trainers()
+            _augmenter(dataset)._build_trainers()
         ).train(),
         rounds=2,
         iterations=1,
@@ -135,8 +137,8 @@ def test_fused_training_speedup_k3(benchmark):
 
     # The speedup must be a pure re-batching: both paths produce matching
     # augmented matrices (fresh augmenters; the timed ones were consumed).
-    out_seq = _augmenter(dataset, fuse=False).fit_generate()
-    out_fused = _augmenter(dataset, fuse=True).fit_generate()
+    out_seq = oracles.fit_generate_sequential(_augmenter(dataset))
+    out_fused = _augmenter(dataset).fit_generate()
     max_diff = max(
         float(np.max(np.abs(a - b)))
         for a, b in zip(out_seq.matrices, out_fused.matrices)
@@ -145,7 +147,7 @@ def test_fused_training_speedup_k3(benchmark):
 
     benchmark.pedantic(
         lambda: MultiDomainCVAETrainer(
-            _augmenter(dataset, fuse=True)._build_trainers()
+            _augmenter(dataset)._build_trainers()
         ).train(),
         rounds=2,
         iterations=1,
@@ -161,7 +163,7 @@ def test_augmentation_cache_hit_speedup(benchmark, tmp_path):
     cache = AugmentationCache(tmp_path / "aug")
 
     def run():
-        augmenter = _augmenter(dataset, fuse=True)
+        augmenter = _augmenter(dataset)
         augmenter.cache = cache
         augmenter._cache_token = "bench"
         return augmenter.fit_generate()

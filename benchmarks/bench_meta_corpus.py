@@ -12,10 +12,11 @@ the float32 meta stack skips the content-wide input-gradient GEMMs its
 predecessor paid.
 
 The reference timed here reproduces that seed pipeline faithfully — dense
-float64 items fed to ``MAML.fit``'s materialized path, with the discarded
-embedding input-gradient GEMMs restored (:class:`SeedReferenceModel`) —
-so the measured ratio is the end-to-end meta-training speedup of the
-packed redesign, not a comparison against an already-optimized reference.
+float64 items fed through the padded meta-batch of ``tests/oracles.py``
+(``dense_fit``/``dense_adapt_many``), with the discarded embedding
+input-gradient GEMMs restored (:class:`SeedReferenceModel`) — so the
+measured ratio is the end-to-end meta-training speedup of the packed
+redesign, not a comparison against an already-optimized reference.
 
 Geometry mirrors the repo bench scale (``BenchmarkScale(160, 110)``,
 target Books): content dim 300, ~112 warm tasks with 15-39 support/query
@@ -35,10 +36,12 @@ import numpy as np
 
 from repro.data.tasks import PreferenceTask
 from repro.meta.corpus import TaskCorpusBuilder, pack_content
-from repro.meta.maml import MAML, MAMLConfig, TaskBatchItem
+from repro.meta.maml import MAML, MAMLConfig
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
 from repro.nn.losses import binary_cross_entropy, binary_cross_entropy_tasks
 from repro.utils.timing import Timer
+
+import oracles
 
 # The repo bench scale's warm-task geometry for target Books.
 N_TASKS = 112
@@ -102,26 +105,13 @@ def _model(dtype=np.float32, cls=PreferenceModel) -> PreferenceModel:
     )
 
 
-def _seed_materialize(user_content, item_content, task) -> TaskBatchItem:
-    """Dense float64 task arrays exactly as the seed built them."""
-    cu = user_content[task.user_row]
-    return TaskBatchItem(
-        support_user=np.repeat(cu[None, :], task.support_items.size, axis=0),
-        support_item=item_content[task.support_items],
-        support_labels=np.asarray(task.support_labels, dtype=np.float64),
-        query_user=np.repeat(cu[None, :], task.query_items.size, axis=0),
-        query_item=item_content[task.query_items],
-        query_labels=np.asarray(task.query_labels, dtype=np.float64),
-    )
-
-
 def _build(seed: int = 0):
     """The same task set twice: packed corpus and seed-style dense items."""
     rng = np.random.default_rng(seed)
     user_content = rng.random((N_USERS, CONTENT_DIM))
     item_content = rng.random((N_ITEMS, CONTENT_DIM))
     builder = TaskCorpusBuilder(pack_content(user_content, item_content))
-    dense_items: list[TaskBatchItem] = []
+    dense_items: list[oracles.TaskBatchItem] = []
     for _ in range(N_TASKS):
         n_s = int(rng.integers(15, 40))
         n_q = int(rng.integers(15, 40))
@@ -138,8 +128,18 @@ def _build(seed: int = 0):
             vector = rng.random(N_ITEMS)
             builder.add_rating_view(base, vector)
             views.append(task.with_labels(vector))
+        # Dense float64 arrays with copied user rows, as the seed built them.
         dense_items.extend(
-            _seed_materialize(user_content, item_content, view) for view in views
+            oracles.materialize(
+                user_content,
+                item_content,
+                view.user_row,
+                view.support_items,
+                view.support_labels,
+                view.query_items,
+                view.query_labels,
+            )
+            for view in views
         )
     return builder.build(), dense_items
 
@@ -147,21 +147,17 @@ def _build(seed: int = 0):
 def test_packed_fit_speedup_and_memory(benchmark):
     """``MAML.fit``: packed corpus vs the seed's dense-float64 pipeline."""
     corpus, dense_items = _build()
-    packed = MAML(_model(), MAMLConfig(packed=True), seed=0)
-    seed_ref = MAML(
-        _model(dtype=np.float64, cls=SeedReferenceModel),
-        MAMLConfig(packed=False),
-        seed=0,
-    )
+    packed = MAML(_model(), MAMLConfig(), seed=0)
+    seed_ref = MAML(_model(dtype=np.float64, cls=SeedReferenceModel), MAMLConfig(), seed=0)
     packed.fit(corpus, epochs=1)  # warm both paths (scratch, caches)
-    seed_ref.fit(dense_items, epochs=1)
+    oracles.dense_fit(seed_ref, dense_items, epochs=1)
 
     rounds = 3
     t_ref = []
     t_packed = []
     for _ in range(rounds):
         with Timer() as t:
-            seed_ref.fit(dense_items, epochs=EPOCHS)
+            oracles.dense_fit(seed_ref, dense_items, epochs=EPOCHS)
         t_ref.append(t.elapsed)
         with Timer() as t:
             packed.fit(corpus, epochs=EPOCHS)
@@ -172,18 +168,7 @@ def test_packed_fit_speedup_and_memory(benchmark):
     # Best-of-N minima: single-core VM timing is noisy upward, never down.
     speedup = min(t_ref) / max(min(t_packed), 1e-9)
     corpus_bytes = corpus.nbytes
-    dense_bytes = sum(
-        arr.nbytes
-        for item in dense_items
-        for arr in (
-            item.support_user,
-            item.support_item,
-            item.support_labels,
-            item.query_user,
-            item.query_item,
-            item.query_labels,
-        )
-    )
+    dense_bytes = sum(item.nbytes for item in dense_items)
     memory_ratio = dense_bytes / corpus_bytes
     views_per_second = corpus.n_views * EPOCHS / max(min(t_packed), 1e-9)
 
@@ -207,24 +192,20 @@ def test_packed_fit_speedup_and_memory(benchmark):
 
 
 def test_packed_adapt_corpus_speedup(benchmark):
-    """Serving-side packed adaptation vs the seed's dense ``adapt_many``."""
+    """Serving-side packed adaptation vs the seed's dense padded chunks."""
     corpus, dense_items = _build(seed=1)
     packed = MAML(_model(), MAMLConfig(), seed=0)
-    seed_ref = MAML(
-        _model(dtype=np.float64, cls=SeedReferenceModel),
-        MAMLConfig(packed=False),
-        seed=0,
-    )
+    seed_ref = MAML(_model(dtype=np.float64, cls=SeedReferenceModel), MAMLConfig(), seed=0)
     steps = 5
     packed.adapt_corpus(corpus, steps=steps)  # warm up
-    seed_ref.adapt_many(dense_items, steps=steps)
+    oracles.dense_adapt_many(seed_ref, dense_items, steps=steps)
 
     rounds = 3
     t_ref = []
     t_packed = []
     for _ in range(rounds):
         with Timer() as t:
-            seed_ref.adapt_many(dense_items, steps=steps)
+            oracles.dense_adapt_many(seed_ref, dense_items, steps=steps)
         t_ref.append(t.elapsed)
         with Timer() as t:
             packed.adapt_corpus(corpus, steps=steps)
@@ -243,6 +224,6 @@ def test_packed_adapt_corpus_speedup(benchmark):
         f"\nadapt over {corpus.n_views} views: seed reference {min(t_ref):.4f}s, "
         f"packed {min(t_packed):.4f}s ({speedup:.1f}x)"
     )
-    # adapt_many already pre-materialized its items once (no per-step
-    # rebuild), so the packed win here is content copies + float32 math.
+    # The dense items are materialized once (no per-step rebuild), so the
+    # packed win here is content copies + float32 math.
     assert speedup >= min(SPEEDUP_FLOOR, 2.0)

@@ -15,10 +15,11 @@ import pytest
 
 from repro.data.experiment import prepare_experiment
 from repro.data.splits import Scenario
-from repro.meta.maml import materialize_task
 from repro.registry import build_method
 from repro.service import RecommenderService
 from repro.utils.timing import Timer
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def test_service_batch_adaptation_speedup(benchmark, served_melu):
 
     def legacy_adapt_user(task):
         """The pre-redesign per-user path: full backward every inner step."""
-        item = materialize_task(
+        item = oracles.materialize(
             serving.user_content,
             serving.item_content,
             task.user_row,

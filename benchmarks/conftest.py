@@ -17,6 +17,10 @@ Observability: when the process-global :mod:`repro.obs` registry recorded
 anything (training spans, serving counters), a compact summary is folded
 into every payload's ``extra_info["obs"]`` and the full snapshot is written
 as ``BENCH_obs_snapshot.json`` so CI uploads it with the other artifacts.
+
+Reference implementations the benches time against come from
+``tests/oracles.py`` (the same file the equivalence suites check against),
+so the tests directory is put on ``sys.path`` here.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -31,6 +36,10 @@ import pytest
 
 from repro.data.amazon import BenchmarkScale, make_amazon_like_benchmark
 from repro.obs import Histogram, metrics, peak_rss_bytes
+
+_TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 
 def _obs_summary() -> dict | None:

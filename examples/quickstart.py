@@ -11,7 +11,7 @@ budget (about a minute on a laptop):
    recommendations through :class:`repro.service.RecommenderService` —
    including a batch of cold-start users whose support-set fine-tuning
    runs as ONE vectorized MAML inner loop (``adapt_users`` /
-   ``MAML.adapt_many``, the stacked-parameter adaptation API).
+   ``MAML.adapt_corpus``, the stacked-parameter adaptation API).
 
 Usage:  python examples/quickstart.py
 """

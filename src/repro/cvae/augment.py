@@ -6,11 +6,12 @@ domain, producing k continuous rating vectors per user.  Those vectors,
 together with the original binary ratings, become the label sets of the
 augmented meta-learning tasks (Eq. 10).
 
-Training the k Dual-CVAEs is fused by default: their parameters are
-stacked along a leading domain axis and all k train in one numpy pass per
-step (:class:`~repro.cvae.trainer.MultiDomainCVAETrainer`).  Pass
-``fuse_domains=False`` for the sequential reference path — the equivalence
-tests pin that both produce numerically matching matrices.
+Training the k Dual-CVAEs is fused whenever the inputs allow it: their
+parameters are stacked along a leading domain axis and all k train in one
+numpy pass per step (:class:`~repro.cvae.trainer.MultiDomainCVAETrainer`).
+A single source domain, or softmax decoders over unequal item widths (which
+cannot be zero-padded), train through the sequential
+:class:`~repro.cvae.trainer.DualCVAETrainer` loop instead.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ class DiversePreferenceAugmenter:
         augmenter.fit()
         augmented = augmenter.generate()
 
-    ``fuse_domains=True`` (the default) trains all k CVAEs jointly on a
-    stacked domain axis; ``False`` keeps the sequential per-domain loop as
-    the reference path.  An optional :class:`~repro.cvae.cache
+    All k CVAEs train jointly on a stacked domain axis when they can (see
+    :meth:`_can_fuse`).  An optional :class:`~repro.cvae.cache
     .AugmentationCache` short-circuits :meth:`fit_generate` entirely when
     an identical augmentation (same target, seed, CVAE hyper-parameters and
     dataset ``cache_token``) was computed before.
@@ -82,7 +82,6 @@ class DiversePreferenceAugmenter:
         cvae_config_overrides: dict | None = None,
         trainer_config: TrainerConfig | None = None,
         seed: int = 0,
-        fuse_domains: bool = True,
         cache: "AugmentationCache | None" = None,
         cache_token: str = "",
     ):
@@ -93,7 +92,6 @@ class DiversePreferenceAugmenter:
         self._overrides = dict(cvae_config_overrides or {})
         self._trainer_config = trainer_config or TrainerConfig()
         self._seed = seed
-        self.fuse_domains = fuse_domains
         self.cache = cache
         self._cache_token = cache_token
         #: ``None`` until a cache-aware :meth:`fit_generate` ran; then True
@@ -125,7 +123,8 @@ class DiversePreferenceAugmenter:
         return trainers
 
     def _can_fuse(self, trainers: list[DualCVAETrainer]) -> bool:
-        if not self.fuse_domains or len(trainers) < 2:
+        """Whether the k models can share one stacked training pass."""
+        if len(trainers) < 2:
             return False
         if trainers[0].model.config.out_activation == "sigmoid":
             return True
@@ -174,7 +173,6 @@ class DiversePreferenceAugmenter:
             self._seed,
             self._overrides,
             self._trainer_config,
-            fused=self.fuse_domains,
             token=self._cache_token,
         )
 

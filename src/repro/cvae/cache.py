@@ -46,16 +46,14 @@ class AugmentationCache:
         seed: int,
         cvae_overrides: Mapping[str, Any] | None,
         trainer_config: TrainerConfig,
-        fused: bool,
         token: str = "",
     ) -> str:
         """Content hash of everything an augmentation's matrices depend on.
 
         ``token`` names the dataset (e.g. the canonical dataset spec), so a
         cache directory shared across runs never mixes benchmarks.  The
-        trainer config and the ``fused`` flag are part of the key: epochs,
-        learning rate and the (float32-level) fused/sequential distinction
-        all change the trained decoders, hence the generated matrices.
+        trainer config is part of the key: epochs and learning rate change
+        the trained decoders, hence the generated matrices.
         ``eval_every`` alone is excluded — evaluation is a pure monitoring
         pass over an independent rng, so its frequency cannot change the
         generated matrices and must not invalidate warm entries.
@@ -68,7 +66,6 @@ class AugmentationCache:
             "seed": int(seed),
             "cvae": dict(sorted((cvae_overrides or {}).items())),
             "trainer": trainer,
-            "fused": bool(fused),
             "token": token,
         }
         return content_key(payload)

@@ -28,10 +28,10 @@ scratch buffers and content rows are gathered inside the model forward.
 Epoch iteration (:meth:`TaskCorpus.epoch_batches`) shuffles the views, then
 stable-sorts them into geometric ``(support, query)`` width buckets so each
 meta-batch pads to near-uniform width (waste bounded by the bucket ratio,
-< 2x) while staying randomized within a bucket.  The materialized
-:class:`~repro.meta.maml.TaskBatchItem` reference path consumes the *same*
-schedule through :meth:`materialize`, which is what lets the equivalence
-suite pin ``packed == materialized`` per batch.
+< 2x) while staying randomized within a bucket.  :class:`TaskCorpus` is the
+only data path of :mod:`repro.meta.maml`; the per-view reference the
+equivalence suite pins it against reads views through
+:meth:`TaskCorpus.view_arrays`.
 """
 
 from __future__ import annotations
@@ -362,21 +362,6 @@ class TaskCorpus:
             + self.view_base.nbytes
         )
 
-    def materialized_nbytes(self) -> int:
-        """Bytes the dense :class:`TaskBatchItem` layout needs for this corpus.
-
-        Counts, per view, the user/item content rows and label rows of the
-        materialized representation at the corpus dtypes — the memory the
-        pre-corpus ``_build_meta_tasks`` path allocated (user content per
-        row, item content per row, labels).
-        """
-        if self.content is None:
-            raise ValueError("corpus has no content attached")
-        rows = (self.support_lens + self.query_lens)[self.view_base].sum()
-        itemsize = self.content.user.dtype.itemsize
-        per_row = 2 * self.content.dim * itemsize  # user row + item row
-        return int(rows) * per_row + int(rows) * self.support_labels.dtype.itemsize
-
     # ------------------------------------------------------------------
     def view_arrays(
         self, view: int
@@ -493,9 +478,9 @@ class TaskCorpus:
     ) -> Iterator[np.ndarray]:
         """Yield meta-batches of view ids for one epoch.
 
-        Views are shuffled (one ``rng.shuffle`` draw, so packed and
-        materialized runs seeded alike see identical schedules), then
-        stable-sorted into geometric ``(support, query)`` width buckets;
+        Views are shuffled (one ``rng.shuffle`` draw, so any two consumers
+        seeded alike see identical schedules), then stable-sorted into
+        geometric ``(support, query)`` width buckets;
         consecutive slices of ``batch_size`` become the meta-batches.
         ``bucketed=False`` skips the width sort (pure shuffled order, for
         consumers that never pad).
@@ -608,38 +593,6 @@ class TaskCorpus:
             query_labels=q_labels,
             query_mask=q_mask,
         )
-
-    # ------------------------------------------------------------------
-    def materialize(self, view_ids: Sequence[int] | np.ndarray | None = None):
-        """Dense :class:`~repro.meta.maml.TaskBatchItem` list for ``view_ids``.
-
-        The reference data path (``MAMLConfig.packed=False``) and the
-        equivalence tests consume the corpus through this, so both paths
-        see the same float32 content and the same schedules.  User content
-        rows are broadcast views, not copies.
-        """
-        from repro.meta.maml import TaskBatchItem
-
-        if self.content is None:
-            raise ValueError("corpus has no content attached")
-        ids = range(self.n_views) if view_ids is None else view_ids
-        user, item = self.content.user, self.content.item
-        dim = self.content.dim
-        items = []
-        for view in ids:
-            row, s_items, s_labels, q_items, q_labels = self.view_arrays(int(view))
-            cu = user[row]
-            items.append(
-                TaskBatchItem(
-                    support_user=np.broadcast_to(cu, (s_items.size, dim)),
-                    support_item=item[s_items],
-                    support_labels=s_labels,
-                    query_user=np.broadcast_to(cu, (q_items.size, dim)),
-                    query_item=item[q_items],
-                    query_labels=q_labels,
-                )
-            )
-        return items
 
 
 class TaskCorpusBuilder:

@@ -7,31 +7,25 @@ the adapted parameters is applied to the meta-parameters directly.  An
 optional MeLU-style restriction adapts only the decision (MLP) layers in the
 inner loop while embeddings stay global.
 
-The hot path is *task-batched*: a meta-batch of tasks is padded into one
-:class:`TaskBatch` and adapted in a single vectorized inner loop over
-stacked fast weights (``[T, ...]`` parameter arrays, see
-:mod:`repro.nn.stacking`), so both meta-training (:meth:`MAML.meta_step`)
-and meta-testing many cold-start users at once (:meth:`MAML.adapt_many`)
-cost one numpy pass per inner step instead of one per task.  The scalar
-per-task path (:meth:`MAML.adapt` with ``config.vectorize=False``) is kept
-as the reference implementation the equivalence tests check against.
-
-The *data* path is packed on top of that: handed a
-:class:`~repro.meta.corpus.TaskCorpus`, :meth:`MAML.fit` iterates bucketed
-epoch batches of view ids and each meta-step fancy-indexes the packed
-index/label pools into reused scratch buffers, gathering content rows only
-inside the step (:meth:`MAML.meta_step_corpus`) — no dense ``(T, S, C)``
-content outlives a step and the per-batch Python padding loops of
-:meth:`TaskBatch.from_items` disappear from training entirely.
-``MAMLConfig.packed=False`` keeps the materialized :class:`TaskBatchItem`
-reference data path (same schedules, same float32 content) that the
-equivalence suite pins the packed path against.
+Every entry point reads a packed :class:`~repro.meta.corpus.TaskCorpus`
+and is *task-batched*: a batch of views is fancy-indexed out of the corpus
+pools into reused scratch buffers and adapted in one vectorized inner loop
+over stacked fast weights (``[T, ...]`` parameter arrays, see
+:mod:`repro.nn.stacking`).  Item content is gathered only inside the step
+and each view's user row rides as a ``(T, 1, C)`` broadcast input, so no
+dense ``(T, S, C)`` content outlives a step.  Meta-training
+(:meth:`MAML.fit`, one :meth:`MAML.meta_step_corpus` per bucketed epoch
+batch), serving-time adaptation of many cold-start users
+(:meth:`MAML.adapt_corpus`) and the streaming Reptile refresh
+(:meth:`MAML.refresh_from`) all cost one numpy pass per inner step instead
+of one per task.  The per-view reference math they are checked against
+lives in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,12 +34,11 @@ from repro.meta.corpus import (
     PackedContent,
     TaskCorpus,
     TaskCorpusBuilder,
-    pack_content,
 )
 from repro.meta.model import PreferenceModel
-from repro.nn.module import Grads, Params
-from repro.nn.optim import Adam, add_grads, clip_grad_norm, mean_task_grads
-from repro.nn.stacking import pad_axis, tile_params, unstack_params
+from repro.nn.module import Params
+from repro.nn.optim import Adam, clip_grad_norm, mean_task_grads
+from repro.nn.stacking import tile_params, unstack_params
 from repro.obs import metrics as obs_metrics
 from repro.utils.rng import ensure_rng
 
@@ -55,13 +48,7 @@ class MAMLConfig:
     """MAML hyper-parameters.
 
     ``inner_lr`` is α of Eq. (1); ``local_only_decision`` restricts the
-    inner-loop update to the MLP decision layers (MeLU's scheme);
-    ``vectorize=False`` falls back to the scalar one-task-at-a-time loops
-    (the reference implementation — slower, numerically equivalent);
-    ``packed=False`` falls back to the materialized :class:`TaskBatchItem`
-    data path when training from a :class:`~repro.meta.corpus.TaskCorpus`
-    (same schedules, dense content copies — the reference the packed
-    fancy-indexing path is pinned against).
+    inner-loop update to the MLP decision layers (MeLU's scheme).
     """
 
     inner_lr: float = 0.05
@@ -70,35 +57,12 @@ class MAMLConfig:
     meta_batch_size: int = 16
     grad_clip: float = 5.0
     local_only_decision: bool = False
-    vectorize: bool = True
-    packed: bool = True
 
     def __post_init__(self) -> None:
         if self.inner_lr <= 0 or self.outer_lr <= 0:
             raise ValueError("learning rates must be positive")
         if self.inner_steps <= 0 or self.meta_batch_size <= 0:
             raise ValueError("inner_steps and meta_batch_size must be positive")
-
-
-@dataclass(frozen=True)
-class TaskBatchItem:
-    """Materialized arrays for one task: contents and labels, support+query."""
-
-    support_user: np.ndarray
-    support_item: np.ndarray
-    support_labels: np.ndarray
-    query_user: np.ndarray
-    query_item: np.ndarray
-    query_labels: np.ndarray
-
-
-def _pad_rows(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """Stack variable-length arrays into ``(T, width, ...)`` with zero padding.
-
-    Dtype-preserving (a float32 corpus stays float32 through padding); each
-    row is zero-padded with :func:`~repro.nn.stacking.pad_axis`.
-    """
-    return np.stack([pad_axis(np.asarray(a), 0, width) for a in arrays])
 
 
 def uniform_width_chunks(
@@ -125,53 +89,6 @@ def uniform_width_chunks(
             chunks.append(order[start:i])
             start = i
     return chunks
-
-
-@dataclass(frozen=True)
-class TaskBatch:
-    """A whole meta-batch of tasks as padded ``[T, ...]`` arrays.
-
-    Ragged support/query sets are zero-padded to the largest task in the
-    batch; the ``*_mask`` arrays (1 = real row, 0 = padding) keep padded
-    rows out of every loss and gradient.  Built once per meta-batch with
-    :meth:`from_items`, consumed by the vectorized MAML paths.
-    """
-
-    support_user: np.ndarray  # (T, S, C)
-    support_item: np.ndarray  # (T, S, C)
-    support_labels: np.ndarray  # (T, S)
-    support_mask: np.ndarray  # (T, S)
-    query_user: np.ndarray  # (T, Q, C)
-    query_item: np.ndarray  # (T, Q, C)
-    query_labels: np.ndarray  # (T, Q)
-    query_mask: np.ndarray  # (T, Q)
-
-    def __len__(self) -> int:
-        return self.support_labels.shape[0]
-
-    @classmethod
-    def from_items(cls, items: Sequence[TaskBatchItem]) -> "TaskBatch":
-        if not items:
-            raise ValueError("empty task batch")
-        s_width = max(max(i.support_labels.size for i in items), 1)
-        q_width = max(max(i.query_labels.size for i in items), 1)
-        support_labels = _pad_rows([i.support_labels for i in items], s_width)
-        query_labels = _pad_rows([i.query_labels for i in items], q_width)
-        s_mask = np.zeros((len(items), s_width), dtype=support_labels.dtype)
-        q_mask = np.zeros((len(items), q_width), dtype=query_labels.dtype)
-        for t, item in enumerate(items):
-            s_mask[t, : item.support_labels.size] = 1.0
-            q_mask[t, : item.query_labels.size] = 1.0
-        return cls(
-            support_user=_pad_rows([i.support_user for i in items], s_width),
-            support_item=_pad_rows([i.support_item for i in items], s_width),
-            support_labels=support_labels,
-            support_mask=s_mask,
-            query_user=_pad_rows([i.query_user for i in items], q_width),
-            query_item=_pad_rows([i.query_item for i in items], q_width),
-            query_labels=query_labels,
-            query_mask=q_mask,
-        )
 
 
 class MAML:
@@ -215,64 +132,6 @@ class MAML:
         return set(self.params)
 
     # ------------------------------------------------------------------
-    def adapt(
-        self,
-        item: TaskBatchItem,
-        params: Params | None = None,
-        steps: int | None = None,
-    ) -> Params:
-        """Inner loop: returns task-adapted fast weights (meta params untouched).
-
-        This is the single scalar implementation of Eq. (1) — meta-training
-        adaptation and meta-testing fine-tuning (:meth:`finetune`) both run
-        through it; ``steps`` overrides ``config.inner_steps``.
-        """
-        fast = dict(params if params is not None else self.params)
-        n_steps = self.config.inner_steps if steps is None else steps
-        if self._decision_only:
-            joint = self.model.embed_joint(fast, item.support_user, item.support_item)
-            for _ in range(n_steps):
-                _, grads = self.model.decision_loss_and_grads(
-                    fast, joint, item.support_labels
-                )
-                for name, grad in grads.items():
-                    fast[name] = fast[name] - self.config.inner_lr * grad
-            return fast
-        for _ in range(n_steps):
-            _, grads = self.model.loss_and_grads(
-                fast, item.support_user, item.support_item, item.support_labels
-            )
-            for name, grad in grads.items():
-                if self._adaptable is not None and name not in self._adaptable:
-                    continue
-                fast[name] = fast[name] - self.config.inner_lr * grad
-        return fast
-
-    def adapt_batch(
-        self,
-        batch: TaskBatch,
-        params: Params | None = None,
-        steps: int | None = None,
-    ) -> Params:
-        """Vectorized inner loop over a whole padded meta-batch of tasks.
-
-        Returns one *stacked* fast-weight dict: every adaptable parameter
-        carries a leading ``[T, ...]`` task axis while non-adaptable
-        parameters (MeLU's global embeddings) stay unstacked and shared by
-        reference.  Each of the ``steps`` inner updates is a single numpy
-        pass over all ``T`` tasks; padding rows are masked out of every
-        gradient, so the result matches running :meth:`adapt` per task.
-        """
-        return self._adapt_stacked(
-            batch.support_user,
-            batch.support_item,
-            batch.support_labels,
-            batch.support_mask,
-            len(batch),
-            params=params,
-            steps=steps,
-        )
-
     def _adapt_stacked(
         self,
         support_user: np.ndarray,
@@ -280,127 +139,105 @@ class MAML:
         support_labels: np.ndarray,
         support_mask: np.ndarray,
         n_tasks: int,
-        params: Params | None = None,
         steps: int | None = None,
     ) -> Params:
-        """The vectorized inner loop over prepared ``[T, ...]`` arrays.
+        """The vectorized inner loop (Eq. 1) over prepared ``[T, ...]`` arrays.
 
-        Shared by the materialized (:class:`TaskBatch`) and packed-corpus
-        data paths; ``support_user`` may be the broadcast-user form
-        ``(T, 1, C)`` (see :class:`~repro.meta.model.PreferenceModel`).
+        Returns one *stacked* fast-weight dict: every adaptable parameter
+        carries a leading ``[T, ...]`` task axis while non-adaptable
+        parameters (MeLU's global embeddings) stay unstacked and shared by
+        reference.  Each of the ``steps`` inner updates is a single numpy
+        pass over all ``T`` tasks; the ``support_mask`` keeps padded rows
+        out of every gradient.  ``support_user`` may be the broadcast-user
+        form ``(T, 1, C)`` (see :class:`~repro.meta.model.PreferenceModel`).
         """
-        base = params if params is not None else self.params
-        adaptable = self._adaptable_keys & set(base)
-        fast = tile_params(base, n_tasks, keys=adaptable)
+        adaptable = self._adaptable_keys & set(self.params)
+        fast = tile_params(self.params, n_tasks, keys=adaptable)
         n_steps = self.config.inner_steps if steps is None else steps
-        if self._decision_only:
-            # Frozen embeddings: embed every task's support set once (the
-            # embedding weights are shared and never change inside the inner
-            # loop), then iterate only the stacked MLP head.
-            joint = self.model.embed_joint(fast, support_user, support_item)
-            for _ in range(n_steps):
+        # Frozen embeddings: embed every task's support set once (the
+        # embedding weights are shared and never change inside the inner
+        # loop), then iterate only the stacked MLP head.
+        joint = (
+            self.model.embed_joint(fast, support_user, support_item)
+            if self._decision_only
+            else None
+        )
+        for _ in range(n_steps):
+            if joint is not None:
                 _, grads = self.model.decision_loss_and_grads(
                     fast, joint, support_labels, mask=support_mask
                 )
-                for name in adaptable:
-                    grad = grads[name]
-                    grad *= self.config.inner_lr
-                    fast[name] -= grad
-            return fast
-        for _ in range(n_steps):
-            _, grads = self.model.loss_and_grads(
-                fast,
-                support_user,
-                support_item,
-                support_labels,
-                mask=support_mask,
-            )
+            else:
+                _, grads = self.model.loss_and_grads(
+                    fast, support_user, support_item, support_labels, mask=support_mask
+                )
             for name in adaptable:
                 grad = grads[name]
                 grad *= self.config.inner_lr
                 fast[name] -= grad
         return fast
 
-    def adapt_many(
-        self,
-        items: Sequence[TaskBatchItem],
-        steps: int | None = None,
-        max_chunk: int = 64,
-    ) -> list[Params]:
-        """Adapt many independent tasks, vectorized in chunks of ``max_chunk``.
+    def _adapt_gathered(self, content, batch, steps: int | None = None):
+        """Support-side content gather + vectorized inner loop for a packed
+        batch; returns ``(cu, fast)`` (the ``(T, 1, C)`` user rows are
+        reused by the caller's query pass)."""
+        with self._metrics.span("meta.gather"):
+            cu = content.user[batch.user_rows][:, None, :]
+            ci = self._scratch.get(
+                "ci_support",
+                batch.support_items.shape + (content.dim,),
+                content.item.dtype,
+            )
+            np.take(content.item, batch.support_items, axis=0, out=ci)
+        fast = self._adapt_stacked(
+            cu, ci, batch.support_labels, batch.support_mask, len(batch), steps=steps
+        )
+        return cu, fast
 
-        The batched counterpart of calling :meth:`adapt` (or
-        :meth:`finetune`) in a loop — this is the serving-side primitive
-        that fine-tunes a whole flush of cold-start users at once.  Returns
-        one ordinary fast-weight dict per task (views into the stacked
-        storage; shared non-adapted weights stay shared).  ``max_chunk``
-        bounds the stacked ``(T, S, C)`` scratch memory; tasks are grouped
-        into same-support-width chunks (see :func:`uniform_width_chunks`) so
-        every chunk stacks padding-free and each task's fast weights are
-        bit-identical to a solo :meth:`adapt` — independent of which other
-        tasks share the flush.
+    def _adapt_chunks(
+        self,
+        corpus: TaskCorpus,
+        view_ids: np.ndarray,
+        steps: int | None,
+        max_chunk: int,
+    ) -> Iterator[tuple[np.ndarray, Params]]:
+        """Adapt ``view_ids`` in same-support-width chunks of ≤ ``max_chunk``.
+
+        Yields ``(positions, fast)``: ``positions`` index into ``view_ids``
+        and ``fast`` is the chunk's stacked fast weights.  Each chunk is one
+        fancy-indexed gather plus one vectorized inner loop with no padding
+        (see :func:`uniform_width_chunks`), so every view's fast weights are
+        bit-identical to adapting it alone.
         """
         if max_chunk <= 0:
             raise ValueError("max_chunk must be positive")
-        if not self.config.vectorize:
-            return [self.adapt(item, steps=steps) for item in items]
-        widths = np.array([item.support_labels.size for item in items])
+        content = corpus.content
+        if content is None:
+            raise ValueError("corpus has no content attached")
+        widths = corpus.view_support_lens(view_ids)
         order = np.argsort(widths, kind="stable")
-        results: list[Params | None] = [None] * len(items)
-        for indices in uniform_width_chunks(widths, order, max_chunk):
-            if len(indices) == 1:
-                results[indices[0]] = self.adapt(items[indices[0]], steps=steps)
-                continue
-            chunk = [items[i] for i in indices]
-            fast = self.adapt_batch(TaskBatch.from_items(chunk), steps=steps)
-            # copy=True: the per-task dicts may be cached long past this
-            # chunk (serving LRU) and must not pin the stacked block alive.
-            parts = unstack_params(
-                fast,
-                len(chunk),
-                stacked_keys=self._adaptable_keys & set(fast),
-                copy=True,
+        for positions in uniform_width_chunks(widths, order, max_chunk):
+            batch = corpus.gather_batch(
+                view_ids[positions], scratch=self._scratch, support_only=True
             )
-            for i, part in zip(indices, parts):
-                results[i] = part
-        return results  # type: ignore[return-value]
+            _, fast = self._adapt_gathered(content, batch, steps=steps)
+            yield positions, fast
 
-    def meta_step(self, batch: Sequence[TaskBatchItem]) -> float:
-        """One outer-loop update over a batch of tasks; returns mean query loss.
-
-        The whole meta-batch is adapted in one vectorized inner loop and its
-        FOMAML query gradients are taken in one backward pass (per-task
-        gradients averaged over the task axis).  ``config.vectorize=False``
-        selects the equivalent scalar reference loop.
-        """
-        if not batch:
-            raise ValueError("empty task batch")
-        if not self.config.vectorize:
-            return self._meta_step_loop(batch)
-        task_batch = TaskBatch.from_items(batch)
-        fast = self.adapt_batch(task_batch)
-        losses, grads = self.model.loss_and_grads(
-            fast,
-            task_batch.query_user,
-            task_batch.query_item,
-            task_batch.query_labels,
-            mask=task_batch.query_mask,
-        )
-        meta_grads = mean_task_grads(grads)
-        clip_grad_norm(meta_grads, self.config.grad_clip)
-        self._optimizer.step(meta_grads)
-        return float(np.mean(losses))
-
+    # ------------------------------------------------------------------
     def meta_step_corpus(self, corpus: TaskCorpus, view_ids: np.ndarray) -> float:
-        """One outer-loop update straight from the packed corpus.
+        """One outer-loop update over ``view_ids``; returns mean query loss.
 
         The batch is assembled by fancy-indexing the corpus pools into
         reused scratch buffers (no per-task Python work), content rows are
         gathered once per side, and the user row rides the batch as a
         ``(T, 1, C)`` broadcast input — the only dense ``(T, S, C)`` array
         is the item-content gather, which lives in scratch and dies with
-        the step.
+        the step.  The whole batch is adapted in one vectorized inner loop
+        and its FOMAML query gradients are taken in one backward pass
+        (per-task gradients averaged over the task axis).
         """
+        if len(view_ids) == 0:
+            raise ValueError("empty task batch")
         content = corpus.content
         if content is None:
             raise ValueError("corpus has no content attached")
@@ -423,83 +260,18 @@ class MAML:
             self._optimizer.step(meta_grads)
         return float(np.mean(losses))
 
-    def _adapt_gathered(self, content, batch, steps: int | None = None):
-        """Support-side content gather + vectorized inner loop for a packed
-        batch; returns ``(cu, fast)`` (the ``(T, 1, C)`` user rows are
-        reused by the caller's query pass)."""
-        with self._metrics.span("meta.gather"):
-            cu = content.user[batch.user_rows][:, None, :]
-            ci = self._scratch.get(
-                "ci_support",
-                batch.support_items.shape + (content.dim,),
-                content.item.dtype,
-            )
-            np.take(content.item, batch.support_items, axis=0, out=ci)
-        fast = self._adapt_stacked(
-            cu, ci, batch.support_labels, batch.support_mask, len(batch), steps=steps
-        )
-        return cu, fast
+    def fit(self, corpus: TaskCorpus, epochs: int, shuffle: bool = True) -> list[float]:
+        """Meta-train for ``epochs`` passes over ``corpus``; returns loss trace.
 
-    def _meta_step_loop(self, batch: Sequence[TaskBatchItem]) -> float:
-        """Scalar reference implementation of :meth:`meta_step`."""
-        meta_grads: Grads = {}
-        total_loss = 0.0
-        for item in batch:
-            fast = self.adapt(item)
-            loss, grads = self.model.loss_and_grads(
-                fast, item.query_user, item.query_item, item.query_labels
-            )
-            total_loss += loss
-            add_grads(meta_grads, grads, scale=1.0 / len(batch))
-        clip_grad_norm(meta_grads, self.config.grad_clip)
-        self._optimizer.step(meta_grads)
-        return total_loss / len(batch)
-
-    def fit(
-        self,
-        tasks: TaskCorpus | Sequence[TaskBatchItem],
-        epochs: int,
-        shuffle: bool = True,
-    ) -> list[float]:
-        """Meta-train for ``epochs`` passes over ``tasks``; returns loss trace.
-
-        ``tasks`` is either a packed :class:`~repro.meta.corpus.TaskCorpus`
-        (the fast path: bucketed epoch batching, index-based meta-steps) or
-        a dense :class:`TaskBatchItem` sequence.  With a corpus,
-        ``config.packed=False`` materializes each batch through the same
-        schedule instead — only the data path changes, so the two traces
-        agree to float rounding.
+        Each epoch draws bucketed batches of view ids from
+        :meth:`~repro.meta.corpus.TaskCorpus.epoch_batches` (one shuffle per
+        epoch from this instance's rng) and takes one
+        :meth:`meta_step_corpus` per batch.
         """
         if epochs <= 0:
             raise ValueError("epochs must be positive")
-        if isinstance(tasks, TaskCorpus):
-            return self._fit_corpus(tasks, epochs, shuffle)
-        history: list[float] = []
-        order = np.arange(len(tasks))
-        for _ in range(epochs):
-            with self._metrics.span("meta.epoch", size=len(tasks)):
-                if shuffle:
-                    self._rng.shuffle(order)
-                epoch_loss = 0.0
-                n_batches = 0
-                bs = self.config.meta_batch_size
-                for start in range(0, len(order), bs):
-                    batch = [tasks[i] for i in order[start : start + bs]]
-                    with self._metrics.span("meta.step", size=len(batch)):
-                        epoch_loss += self.meta_step(batch)
-                    n_batches += 1
-            history.append(epoch_loss / max(n_batches, 1))
-        return history
-
-    def _fit_corpus(
-        self, corpus: TaskCorpus, epochs: int, shuffle: bool
-    ) -> list[float]:
         history: list[float] = []
         bs = self.config.meta_batch_size
-        # The packed data path rides the vectorized inner loop; either
-        # reference flag (packed=False data path, vectorize=False scalar
-        # math — meta_step dispatches the latter) materializes instead.
-        use_packed = self.config.packed and self.config.vectorize
         for _ in range(epochs):
             with self._metrics.span("meta.epoch", size=corpus.n_views):
                 epoch_loss = 0.0
@@ -507,10 +279,7 @@ class MAML:
                 for view_ids in corpus.epoch_batches(
                     bs, rng=self._rng, shuffle=shuffle
                 ):
-                    if use_packed:
-                        epoch_loss += self.meta_step_corpus(corpus, view_ids)
-                    else:
-                        epoch_loss += self.meta_step(corpus.materialize(view_ids))
+                    epoch_loss += self.meta_step_corpus(corpus, view_ids)
                     n_batches += 1
             history.append(epoch_loss / max(n_batches, 1))
         return history
@@ -521,42 +290,29 @@ class MAML:
         steps: int | None = None,
         max_chunk: int = 64,
     ) -> list[Params]:
-        """Adapt every view of ``corpus`` independently; packed counterpart
-        of :meth:`adapt_many`.
+        """Adapt every view of ``corpus`` independently (Eq. 1).
 
-        Views are grouped into same-support-width chunks of at most
-        ``max_chunk`` (see :func:`uniform_width_chunks`); each chunk is one
-        fancy-indexed gather plus one vectorized inner loop, with no
-        padding, so every view's fast weights are bit-identical to adapting
-        it alone.  Returns one owning fast-weight dict per view (shared
-        non-adapted weights stay shared).
+        The serving-side primitive that fine-tunes a whole flush of
+        cold-start users at once; ``steps`` overrides
+        ``config.inner_steps``.  Views are adapted in same-support-width
+        chunks of at most ``max_chunk`` (bounding the stacked scratch
+        memory), so every view's fast weights are bit-identical to adapting
+        it alone — independent of which other views share the flush.
+        Returns one owning fast-weight dict per view (shared non-adapted
+        weights stay shared).
         """
-        if max_chunk <= 0:
-            raise ValueError("max_chunk must be positive")
-        if not (self.config.vectorize and self.config.packed):
-            return self.adapt_many(
-                corpus.materialize(), steps=steps, max_chunk=max_chunk
-            )
-        content = corpus.content
-        if content is None:
-            raise ValueError("corpus has no content attached")
-        widths = corpus.view_support_lens()
-        order = np.argsort(widths, kind="stable")
+        view_ids = np.arange(corpus.n_views)
         results: list[Params | None] = [None] * corpus.n_views
-        for chunk in uniform_width_chunks(widths, order, max_chunk):
-            batch = corpus.gather_batch(
-                chunk, scratch=self._scratch, support_only=True
-            )
-            _, fast = self._adapt_gathered(content, batch, steps=steps)
+        for positions, fast in self._adapt_chunks(corpus, view_ids, steps, max_chunk):
             # copy=True: the per-view dicts may be cached long past this
             # chunk (serving LRU) and must not pin the stacked block alive.
             parts = unstack_params(
                 fast,
-                len(batch),
+                positions.size,
                 stacked_keys=self._adaptable_keys & set(fast),
                 copy=True,
             )
-            for i, part in zip(chunk, parts):
+            for i, part in zip(positions, parts):
                 results[int(i)] = part
         return results  # type: ignore[return-value]
 
@@ -597,22 +353,9 @@ class MAML:
             key: np.zeros(self.params[key].shape, dtype=np.float64)
             for key in adaptable
         }
-        if self.config.vectorize and self.config.packed and corpus.content is not None:
-            widths = corpus.view_support_lens(ids)
-            order = np.argsort(widths, kind="stable")
-            for chunk in uniform_width_chunks(widths, order, max_chunk):
-                batch = corpus.gather_batch(
-                    ids[chunk], scratch=self._scratch, support_only=True
-                )
-                _, fast = self._adapt_gathered(corpus.content, batch, steps=steps)
-                for key in adaptable:
-                    totals[key] += (fast[key] - self.params[key][None]).sum(axis=0)
-        else:
-            for fast in self.adapt_many(
-                corpus.materialize(ids), steps=steps, max_chunk=max_chunk
-            ):
-                for key in adaptable:
-                    totals[key] += fast[key] - self.params[key]
+        for _, fast in self._adapt_chunks(corpus, ids, steps, max_chunk):
+            for key in adaptable:
+                totals[key] += (fast[key] - self.params[key][None]).sum(axis=0)
         scale = meta_lr / ids.size
         sq_sum = 0.0
         n_elems = 0
@@ -626,10 +369,6 @@ class MAML:
         return float(np.sqrt(sq_sum / max(n_elems, 1)))
 
     # ------------------------------------------------------------------
-    def finetune(self, item: TaskBatchItem, steps: int | None = None) -> Params:
-        """Meta-testing adaptation: :meth:`adapt` with a step override."""
-        return self.adapt(item, steps=steps)
-
     def predict(
         self,
         user_content: np.ndarray,
@@ -644,8 +383,7 @@ class MAML:
 
 def adapt_task_states(
     maml: MAML,
-    user_content: np.ndarray,
-    item_content: np.ndarray,
+    content: PackedContent,
     tasks: Sequence,
     steps: int,
 ) -> list[Params | None]:
@@ -653,50 +391,28 @@ def adapt_task_states(
 
     The shared ``adapt_users`` backend of MAML-based recommenders: unique
     tasks (by object identity — evaluation aligns many instances to one
-    task object) are packed into a transient :class:`TaskCorpus` and
-    fine-tuned together through :meth:`MAML.adapt_corpus` (or materialized
-    through :meth:`MAML.adapt_many` when ``config.packed=False``);
-    positions whose task is ``None``/empty (or when ``steps == 0``) stay
-    ``None``, meaning "serve from the meta-initialization".  Instances
-    sharing a task share the *same* returned dict, which downstream
-    scoring coalesces by identity.
+    task object) are packed into a transient :class:`TaskCorpus` over
+    ``content`` and fine-tuned together through :meth:`MAML.adapt_corpus`.
+    Positions whose task is ``None``/empty (or when ``steps == 0``) stay
+    ``None``, meaning "serve from the meta-initialization".  Positions
+    sharing one task object share the *same* returned dict: the task is
+    adapted once.
     """
     states: list[Params | None] = [None] * len(tasks)
+    builder = TaskCorpusBuilder(content)
     slot_of: dict[int, int] = {}
-    unique: list = []
     owners: list[list[int]] = []
     for i, task in enumerate(tasks):
         if task is None or task.n_support == 0 or steps == 0:
             continue
         slot = slot_of.get(id(task))
         if slot is None:
-            slot = len(unique)
-            slot_of[id(task)] = slot
-            unique.append(task)
+            slot = slot_of[id(task)] = builder.add_task(task)
             owners.append([])
         owners[slot].append(i)
-    if not unique:
+    if not owners:
         return states
-    if maml.config.packed and maml.config.vectorize:
-        builder = TaskCorpusBuilder(pack_content(user_content, item_content))
-        for task in unique:
-            builder.add_task(task)
-        fasts = maml.adapt_corpus(builder.build(), steps=steps)
-    else:
-        items = [
-            materialize_task(
-                user_content,
-                item_content,
-                task.user_row,
-                task.support_items,
-                task.support_labels,
-                task.query_items,
-                task.query_labels,
-            )
-            for task in unique
-        ]
-        fasts = maml.adapt_many(items, steps=steps)
-    for slot, fast in enumerate(fasts):
+    for slot, fast in enumerate(maml.adapt_corpus(builder.build(), steps=steps)):
         for i in owners[slot]:
             states[i] = fast
     return states
@@ -767,30 +483,3 @@ def subsample_support(
     items = np.concatenate([keep_pos, keep_neg]).astype(int)
     labels = np.concatenate([np.ones(n_pos), np.zeros(n_neg)])
     return replace(task, support_items=items, support_labels=labels)
-
-
-def materialize_task(
-    user_content: np.ndarray,
-    item_content: np.ndarray,
-    user_row: int,
-    support_items: np.ndarray,
-    support_labels: np.ndarray,
-    query_items: np.ndarray,
-    query_labels: np.ndarray,
-) -> TaskBatchItem:
-    """Turn index-based task data into dense arrays for the model.
-
-    The user's content row is a read-only broadcast *view* across the item
-    rows (never per-row copies); labels follow the content dtype so a
-    float32 stack stays float32.
-    """
-    cu = user_content[user_row]
-    dtype = user_content.dtype if user_content.dtype.kind == "f" else np.float64
-    return TaskBatchItem(
-        support_user=np.broadcast_to(cu, (support_items.size, cu.shape[0])),
-        support_item=item_content[support_items],
-        support_labels=np.asarray(support_labels, dtype=dtype),
-        query_user=np.broadcast_to(cu, (query_items.size, cu.shape[0])),
-        query_item=item_content[query_items],
-        query_labels=np.asarray(query_labels, dtype=dtype),
-    )

@@ -220,10 +220,8 @@ class MAMLServingMixin(PackedContentMixin):
 
     def adapt_users(self, tasks):
         """Fine-tune a whole batch of users in one vectorized inner loop."""
-        maml = self._require_maml()
-        content = self._packed_content()
         return adapt_task_states(
-            maml, content.user, content.item, tasks, self._finetune_steps
+            self._require_maml(), self._packed_content(), tasks, self._finetune_steps
         )
 
     def meta_refresh(self, tasks, meta_lr: float = 0.1, steps: int | None = None):

@@ -305,6 +305,13 @@ class ShardedService:
                 req_id, ok, payload = conn.recv()
             except (EOFError, OSError):
                 break
+            except TypeError:
+                # ``_revive``/``close`` closed the pipe between recv's
+                # closed-check and its read (CPython then reads fd None):
+                # that is end of pipe.  Anything else is a real bug.
+                if not conn.closed:
+                    raise
+                break
             if req_id == CONTROL_ID:
                 if ok:
                     shard.startup_failures = 0

@@ -16,7 +16,7 @@ Cold-start adaptation is batched wherever more than one user needs it at
 once: :meth:`RecommenderService.recommend_many` and every micro-batch
 flush route uncached users through the method's ``adapt_users`` — for
 MAML-based methods one vectorized inner loop over the whole batch of
-support sets (``MAML.adapt_many``) — instead of fine-tuning them one by
+support sets (``MAML.adapt_corpus``) — instead of fine-tuning them one by
 one.  Scoring is per request on every path: each user is scored with their
 own adapted state, so every entry point returns the same bits as a solo
 :meth:`RecommenderService.recommend`.

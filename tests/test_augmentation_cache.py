@@ -26,7 +26,7 @@ class TestCacheStore:
     def test_round_trip(self, tmp_path):
         cache = AugmentationCache(tmp_path / "aug")
         out = _augmented()
-        key = cache.key("Tgt", 7, {"beta1": 0.1}, TrainerConfig(epochs=3), True)
+        key = cache.key("Tgt", 7, {"beta1": 0.1}, TrainerConfig(epochs=3))
         assert cache.load(key) is None
         cache.save(key, out)
         loaded = cache.load(key)
@@ -43,7 +43,6 @@ class TestCacheStore:
             seed=7,
             cvae_overrides={"beta1": 0.1},
             trainer_config=TrainerConfig(epochs=3),
-            fused=True,
             token="ds-a",
         )
         key = AugmentationCache.key(**base)
@@ -53,29 +52,28 @@ class TestCacheStore:
             {"seed": 8},
             {"cvae_overrides": {"beta1": 0.2}},
             {"trainer_config": TrainerConfig(epochs=4)},
-            {"fused": False},
             {"token": "ds-b"},
         ):
             assert AugmentationCache.key(**{**base, **change}) != key
 
     def test_key_ignores_eval_every(self):
         """Evaluation frequency is monitoring-only: it must not bust the cache."""
-        a = AugmentationCache.key("Tgt", 0, None, TrainerConfig(eval_every=1), True)
-        b = AugmentationCache.key("Tgt", 0, None, TrainerConfig(eval_every=7), True)
+        a = AugmentationCache.key("Tgt", 0, None, TrainerConfig(eval_every=1))
+        b = AugmentationCache.key("Tgt", 0, None, TrainerConfig(eval_every=7))
         assert a == b
 
     def test_key_insensitive_to_override_order(self):
         a = AugmentationCache.key(
-            "Tgt", 0, {"beta1": 0.1, "latent_dim": 4}, TrainerConfig(), True
+            "Tgt", 0, {"beta1": 0.1, "latent_dim": 4}, TrainerConfig()
         )
         b = AugmentationCache.key(
-            "Tgt", 0, {"latent_dim": 4, "beta1": 0.1}, TrainerConfig(), True
+            "Tgt", 0, {"latent_dim": 4, "beta1": 0.1}, TrainerConfig()
         )
         assert a == b
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = AugmentationCache(tmp_path)
-        key = cache.key("Tgt", 0, None, TrainerConfig(), True)
+        key = cache.key("Tgt", 0, None, TrainerConfig())
         cache.save(key, _augmented())
         path = cache._path(key)
         path.write_bytes(path.read_bytes()[: 40])  # truncate mid-archive
@@ -87,7 +85,7 @@ class TestCacheStore:
         cache = AugmentationCache(tmp_path)
         out = _augmented()
         out.matrices[0][0, 0] = np.nan
-        key = cache.key("Tgt", 0, None, TrainerConfig(), True)
+        key = cache.key("Tgt", 0, None, TrainerConfig())
         cache.save(key, out)
         assert cache.load(key) is None
 

@@ -21,6 +21,8 @@ from repro.cvae.trainer import DualCVAETrainer, MultiDomainCVAETrainer, TrainerC
 from repro.nn.optim import Adam, StackedAdam, clip_grad_norm, clip_grad_norm_grouped
 from repro.nn.losses import info_nce, info_nce_stacked
 
+from oracles import fit_generate_sequential
+
 LOSS_TERMS = ("elbo_recon", "kl", "mse", "cross_recon", "mdi", "me", "total")
 
 
@@ -399,12 +401,17 @@ class TestFusedTrainerEquivalence:
     def both_paths(self, tiny_dataset):
         config = TrainerConfig(epochs=25)
         sequential = DiversePreferenceAugmenter(
-            tiny_dataset, "Tgt", trainer_config=config, seed=0, fuse_domains=False
+            tiny_dataset, "Tgt", trainer_config=config, seed=0
         )
         fused = DiversePreferenceAugmenter(
-            tiny_dataset, "Tgt", trainer_config=config, seed=0, fuse_domains=True
+            tiny_dataset, "Tgt", trainer_config=config, seed=0
         )
-        return sequential.fit_generate(), fused.fit_generate(), sequential, fused
+        return (
+            fit_generate_sequential(sequential),
+            fused.fit_generate(),
+            sequential,
+            fused,
+        )
 
     def test_fit_generate_matrices_match(self, both_paths):
         seq_out, fused_out, _, _ = both_paths
@@ -438,7 +445,6 @@ class TestFusedTrainerEquivalence:
 
     def test_fused_is_the_default(self, tiny_dataset):
         augmenter = DiversePreferenceAugmenter(tiny_dataset, "Tgt")
-        assert augmenter.fuse_domains
         trainers = augmenter._build_trainers()
         assert augmenter._can_fuse(trainers)
 

@@ -7,18 +7,17 @@ import pytest
 
 from repro.data.splits import Scenario
 from repro.data.tasks import PreferenceTask
-from repro.meta.maml import MAML, MAMLConfig, TaskBatchItem, materialize_task, subsample_support
+from repro.meta.corpus import TaskCorpusBuilder, pack_content
+from repro.meta.maml import MAML, MAMLConfig, subsample_support
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
 from repro.meta.trainer import MetaDPA, MetaDPAConfig, _sharpen_per_user
 from repro.nn import numerical_gradient, relative_error
 
-RNG = np.random.default_rng(0)
-
 
 def _model(content_dim=6, dtype=np.float64) -> PreferenceModel:
     # float64 by default here: numerical-gradient checks (and the exact
-    # adapt/finetune identities below) need more headroom than the float32
-    # the meta stack trains in.
+    # zero-step identity below) need more headroom than the float32 the
+    # meta stack trains in.
     return PreferenceModel(
         PreferenceModelConfig(
             content_dim=content_dim, embed_dim=4, hidden_dims=(5,), dtype=dtype
@@ -82,30 +81,38 @@ class TestPreferenceModel:
         assert np.isfinite(loss)
 
 
-def _task_item(content_dim=6, seed=0) -> TaskBatchItem:
+def _corpus(n_tasks=1, content_dim=6, seed=0):
+    """``n_tasks`` tasks of 6 support and 4 query rows, one user each."""
     rng = np.random.default_rng(seed)
-    return TaskBatchItem(
-        support_user=rng.random((6, content_dim)),
-        support_item=rng.random((6, content_dim)),
-        support_labels=(rng.random(6) < 0.5).astype(float),
-        query_user=rng.random((4, content_dim)),
-        query_item=rng.random((4, content_dim)),
-        query_labels=(rng.random(4) < 0.5).astype(float),
+    builder = TaskCorpusBuilder(
+        pack_content(rng.random((n_tasks, content_dim)), rng.random((40, content_dim)))
     )
+    for user in range(n_tasks):
+        items = rng.choice(40, size=10, replace=False)
+        builder.add_task(
+            PreferenceTask(
+                user_row=user,
+                support_items=items[:6],
+                support_labels=(rng.random(6) < 0.5).astype(float),
+                query_items=items[6:],
+                query_labels=(rng.random(4) < 0.5).astype(float),
+            )
+        )
+    return builder.build()
 
 
 class TestMAML:
     def test_adapt_changes_params_leaves_meta(self):
         maml = MAML(_model(), MAMLConfig(), seed=0)
         before = {k: v.copy() for k, v in maml.params.items()}
-        fast = maml.adapt(_task_item())
+        (fast,) = maml.adapt_corpus(_corpus())
         assert any(not np.allclose(fast[k], before[k]) for k in fast)
         for name in maml.params:
             np.testing.assert_array_equal(maml.params[name], before[name])
 
     def test_local_only_decision_freezes_embeddings(self):
         maml = MAML(_model(), MAMLConfig(local_only_decision=True), seed=0)
-        fast = maml.adapt(_task_item())
+        (fast,) = maml.adapt_corpus(_corpus())
         for name in fast:
             if not name.startswith("mlp."):
                 np.testing.assert_array_equal(fast[name], maml.params[name])
@@ -116,31 +123,55 @@ class TestMAML:
     def test_meta_step_updates_params(self):
         maml = MAML(_model(), MAMLConfig(), seed=0)
         before = {k: v.copy() for k, v in maml.params.items()}
-        loss = maml.meta_step([_task_item(seed=1), _task_item(seed=2)])
+        loss = maml.meta_step_corpus(_corpus(n_tasks=2, seed=1), np.array([0, 1]))
         assert np.isfinite(loss)
         assert any(not np.allclose(maml.params[k], before[k]) for k in before)
 
     def test_fit_reduces_loss(self):
         maml = MAML(_model(), MAMLConfig(outer_lr=5e-3), seed=0)
-        tasks = [_task_item(seed=s) for s in range(12)]
-        history = maml.fit(tasks, epochs=30)
+        history = maml.fit(_corpus(n_tasks=12), epochs=30)
         assert history[-1] < history[0]
 
     def test_empty_batch_rejected(self):
+        """An empty meta-batch raises and leaves params and Adam untouched."""
         maml = MAML(_model(), seed=0)
+        before = {k: v.copy() for k, v in maml.params.items()}
+        with pytest.raises(ValueError, match="empty task batch"):
+            maml.meta_step_corpus(_corpus(), np.array([], dtype=np.int64))
+        assert maml._optimizer._t == 0
+        for name, value in before.items():
+            np.testing.assert_array_equal(maml.params[name], value)
         with pytest.raises(ValueError):
-            maml.meta_step([])
-        with pytest.raises(ValueError):
-            maml.fit([_task_item()], epochs=0)
+            maml.fit(_corpus(), epochs=0)
 
     def test_finetune_steps_override(self):
         maml = MAML(_model(), MAMLConfig(inner_steps=1), seed=0)
-        item = _task_item()
-        zero = maml.finetune(item, steps=0)
+        corpus = _corpus()
+        (zero,) = maml.adapt_corpus(corpus, steps=0)
         for name in zero:
             np.testing.assert_array_equal(zero[name], maml.params[name])
-        many = maml.finetune(item, steps=4)
+        (many,) = maml.adapt_corpus(corpus, steps=4)
         assert any(not np.allclose(many[k], maml.params[k]) for k in many)
+
+    def test_corpus_entry_points_validate_inputs(self):
+        """Chunk sizes must be positive and the corpus must carry content."""
+        maml = MAML(_model(), seed=0)
+        corpus = _corpus()
+        with pytest.raises(ValueError, match="max_chunk"):
+            maml.adapt_corpus(corpus, max_chunk=0)
+        with pytest.raises(ValueError, match="max_chunk"):
+            maml.refresh_from(corpus, max_chunk=0)
+        builder = TaskCorpusBuilder(None)
+        builder.add_task(
+            PreferenceTask(0, np.array([1]), np.array([1.0]), np.array([2]), np.array([0.0]))
+        )
+        bare = builder.build()
+        with pytest.raises(ValueError, match="no content"):
+            maml.adapt_corpus(bare)
+        with pytest.raises(ValueError, match="no content"):
+            maml.refresh_from(bare)
+        with pytest.raises(ValueError, match="no content"):
+            maml.meta_step_corpus(bare, np.array([0]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -180,21 +211,6 @@ class TestSubsampleSupport:
         for item, label in zip(small.support_items, small.support_labels):
             original = task.support_labels[task.support_items == item][0]
             assert original == label
-
-
-class TestMaterializeTask:
-    def test_broadcasts_user_content(self):
-        uc = RNG.random((3, 5))
-        ic = RNG.random((10, 5))
-        item = materialize_task(
-            uc, ic, 1,
-            np.array([0, 2]), np.array([1.0, 0.0]),
-            np.array([3]), np.array([1.0]),
-        )
-        assert item.support_user.shape == (2, 5)
-        np.testing.assert_array_equal(item.support_user[0], uc[1])
-        np.testing.assert_array_equal(item.support_item[1], ic[2])
-        assert item.query_user.shape == (1, 5)
 
 
 class TestSharpen:

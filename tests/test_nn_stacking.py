@@ -1,11 +1,14 @@
-"""Stacked-parameter helpers, TaskBatch padding, and artifact round-trips."""
+"""Stacked-parameter helpers, dense TaskBatch padding, and artifact round-trips.
+
+The dense padded ``TaskBatch`` is the reference layout in ``tests/oracles.py``
+that the packed corpus batches are checked against.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.meta.maml import TaskBatch, TaskBatchItem
 from repro.nn import (
     load_params,
     save_params,
@@ -14,6 +17,8 @@ from repro.nn import (
     tree_map,
     unstack_params,
 )
+
+from oracles import TaskBatch, TaskBatchItem
 
 RNG = np.random.default_rng(0)
 

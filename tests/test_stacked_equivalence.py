@@ -1,10 +1,11 @@
 """Stacked-vs-scalar equivalence: the batched paths ARE the per-task paths.
 
 Property tests (hypothesis-driven shapes and seeds) asserting that every
-stacked computation — layers, losses, :class:`PreferenceModel`, the
-vectorized MAML inner loop, ``meta_step`` and ``adapt_many`` — produces the
-same outputs, gradients and optimizer states (to fp tolerance) as running
-the scalar per-task reference one task at a time, and that the per-request
+stacked computation — layers, losses, :class:`PreferenceModel`, and the
+packed MAML entry points ``meta_step_corpus``, ``adapt_corpus``,
+``refresh_from`` — produces the same outputs, gradients and optimizer
+states (to fp tolerance) as the per-view scalar reference in
+``tests/oracles.py`` run one task at a time, and that the per-request
 candidate-scoring kernel (one broadcast user row) matches the dense
 per-row forward.  These are the acceptance tests of the
 stacked-parameter redesign: any divergence means the vectorization changed
@@ -19,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.negative_sampling import EvalInstance
-from repro.meta.corpus import PackedContent
-from repro.meta.maml import MAML, MAMLConfig, TaskBatch, TaskBatchItem
+from repro.data.tasks import PreferenceTask
+from repro.meta.corpus import PackedContent, TaskCorpusBuilder, pack_content
+from repro.meta.maml import MAML, MAMLConfig
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
 from repro.meta.serving import score_candidates
 from repro.nn import (
@@ -38,6 +40,8 @@ from repro.nn import (
     mlp,
     stack_params,
 )
+
+import oracles
 
 RTOL = 1e-9
 ATOL = 1e-11
@@ -219,7 +223,7 @@ def _items(rng: np.random.Generator, n_tasks: int, content_dim: int = 5):
         n_s = int(rng.integers(1, 7))
         n_q = int(rng.integers(1, 5))
         out.append(
-            TaskBatchItem(
+            oracles.TaskBatchItem(
                 support_user=rng.random((n_s, content_dim)),
                 support_item=rng.random((n_s, content_dim)),
                 support_labels=(rng.random(n_s) < 0.5).astype(float),
@@ -239,7 +243,7 @@ class TestModelEquivalence:
         model = _model()
         params_list = [model.init_params(int(rng.integers(0, 2**31))) for _ in range(n_tasks)]
         items = _items(rng, n_tasks)
-        batch = TaskBatch.from_items(items)
+        batch = oracles.TaskBatch.from_items(items)
         losses, grads = model.loss_and_grads(
             stack_params(params_list),
             batch.support_user,
@@ -253,6 +257,41 @@ class TestModelEquivalence:
             )
             np.testing.assert_allclose(losses[t], loss_t, rtol=RTOL, atol=ATOL)
             _assert_tree_close({k: v[t] for k, v in grads.items()}, grads_t)
+
+
+def _corpus(
+    rng: np.random.Generator,
+    n_tasks: int,
+    content_dim: int = 5,
+    k_views: int = 1,
+    min_support: int = 0,
+):
+    """A float64 corpus of ragged tasks (support 0–6, query 1–4 rows), each
+    with ``k_views`` augmented rating views."""
+    n_users, n_items = 8, 20
+    builder = TaskCorpusBuilder(
+        pack_content(
+            rng.random((n_users, content_dim)),
+            rng.random((n_items, content_dim)),
+            dtype=np.float64,
+        )
+    )
+    for _ in range(n_tasks):
+        n_s = int(rng.integers(min_support, 7))
+        n_q = int(rng.integers(1, 5))
+        items = rng.choice(n_items, size=n_s + n_q, replace=False)
+        base = builder.add_task(
+            PreferenceTask(
+                user_row=int(rng.integers(0, n_users)),
+                support_items=items[:n_s],
+                support_labels=(rng.random(n_s) < 0.5).astype(float),
+                query_items=items[n_s:],
+                query_labels=(rng.random(n_q) < 0.5).astype(float),
+            )
+        )
+        for _ in range(k_views):
+            builder.add_rating_view(base, rng.random(n_items))
+    return builder.build()
 
 
 def _assert_scores_match_dense(maml, content, states, instances):
@@ -271,22 +310,33 @@ class TestMAMLEquivalence:
     @given(
         n_tasks=st.integers(1, 6),
         local_only=st.booleans(),
+        grad_clip=st.sampled_from([0.01, 5.0]),
         seed=seeds,
     )
     @settings(max_examples=15, deadline=None)
-    def test_meta_step_vectorized_matches_loop(self, n_tasks, local_only, seed):
-        """Same params, same losses, same Adam moments after three steps."""
+    def test_meta_step_vectorized_matches_loop(self, n_tasks, local_only, grad_clip, seed):
+        """Packed ``meta_step_corpus`` == the per-view oracle loop: same
+        losses, params and Adam moments after three steps (with and without
+        the meta-gradient clip engaging)."""
         rng = np.random.default_rng(seed)
-        items = _items(rng, n_tasks)
-        config = dict(inner_lr=0.1, inner_steps=2, outer_lr=1e-2,
-                      local_only_decision=local_only)
-        vec = MAML(_model(), MAMLConfig(vectorize=True, **config), seed=seed)
-        ref = MAML(_model(), MAMLConfig(vectorize=False, **config), seed=seed)
-        _assert_tree_close(vec.params, ref.params)
+        corpus = _corpus(rng, n_tasks)
+        ids = np.arange(corpus.n_views)
+        config = MAMLConfig(
+            inner_lr=0.1,
+            inner_steps=2,
+            outer_lr=1e-2,
+            grad_clip=grad_clip,
+            local_only_decision=local_only,
+        )
+        vec = MAML(_model(), config, seed=seed)
+        ref = MAML(_model(), config, seed=seed)
         for _ in range(3):
-            loss_vec = vec.meta_step(items)
-            loss_ref = ref.meta_step(items)
-            np.testing.assert_allclose(loss_vec, loss_ref, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(
+                vec.meta_step_corpus(corpus, ids),
+                oracles.fomaml_step(ref, corpus, ids),
+                rtol=RTOL,
+                atol=ATOL,
+            )
         _assert_tree_close(vec.params, ref.params)
         _assert_tree_close(vec._optimizer._m, ref._optimizer._m)
         _assert_tree_close(vec._optimizer._v, ref._optimizer._v)
@@ -300,16 +350,42 @@ class TestMAMLEquivalence:
     )
     @settings(max_examples=15, deadline=None)
     def test_adapt_many_matches_adapt(self, n_tasks, steps, local_only, seed):
+        """Adapting many views in one width-chunked ``adapt_corpus`` call,
+        empty-support views included, == Eq. (1) run on each view alone."""
         rng = np.random.default_rng(seed)
+        corpus = _corpus(rng, n_tasks)
         maml = MAML(
             _model(),
             MAMLConfig(inner_lr=0.1, local_only_decision=local_only),
             seed=seed,
         )
-        items = _items(rng, n_tasks)
-        fasts = maml.adapt_many(items, steps=steps, max_chunk=3)
-        for item, fast in zip(items, fasts):
-            _assert_tree_close(fast, maml.adapt(item, steps=steps))
+        fasts = maml.adapt_corpus(corpus, steps=steps, max_chunk=3)
+        assert len(fasts) == corpus.n_views
+        for view, fast in enumerate(fasts):
+            _assert_tree_close(fast, oracles.adapt_view(maml, corpus, view, steps=steps))
+
+    @given(
+        n_tasks=st.integers(1, 6),
+        steps=st.integers(0, 3),
+        local_only=st.booleans(),
+        seed=seeds,
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_refresh_from_matches_oracle(self, n_tasks, steps, local_only, seed):
+        """The streaming Reptile step == the oracle's per-view Reptile mean,
+        over a random subset of views."""
+        rng = np.random.default_rng(seed)
+        corpus = _corpus(rng, n_tasks)
+        ids = rng.permutation(corpus.n_views)[: int(rng.integers(1, corpus.n_views + 1))]
+        config = MAMLConfig(inner_lr=0.1, local_only_decision=local_only)
+        packed = MAML(_model(), config, seed=seed)
+        ref = MAML(_model(), config, seed=seed)
+        rms = packed.refresh_from(
+            corpus, view_ids=ids, meta_lr=0.5, steps=steps, max_chunk=3
+        )
+        expected = oracles.reptile_step(ref, corpus, ids, meta_lr=0.5, steps=steps)
+        np.testing.assert_allclose(rms, expected, rtol=RTOL, atol=ATOL)
+        _assert_tree_close(packed.params, ref.params)
 
     @given(n_tasks=st.integers(2, 5), seed=seeds)
     @settings(max_examples=10, deadline=None)
@@ -318,8 +394,9 @@ class TestMAMLEquivalence:
         ``(1, C)`` user row matches each state's dense per-row forward."""
         rng = np.random.default_rng(seed)
         maml = MAML(_model(), MAMLConfig(inner_lr=0.1), seed=seed)
-        items = _items(rng, n_tasks)
-        states = maml.adapt_many(items, steps=2)
+        states = maml.adapt_corpus(
+            _corpus(rng, n_tasks, k_views=0, min_support=1), steps=2
+        )
         content = PackedContent(
             user=rng.random((n_tasks + 2, 5)), item=rng.random((20, 5))
         )
@@ -343,8 +420,7 @@ class TestMAMLEquivalence:
         """
         rng = np.random.default_rng(7)
         maml = MAML(_model(), MAMLConfig(inner_lr=0.1), seed=7)
-        items = _items(rng, 3)
-        adapted = maml.adapt_many(items, steps=2)
+        adapted = maml.adapt_corpus(_corpus(rng, 3, k_views=0, min_support=1), steps=2)
         content = PackedContent(user=rng.random((10, 5)), item=rng.random((50, 5)))
         states = [None] * 6 + adapted + [None]
         instances = [
@@ -356,21 +432,14 @@ class TestMAMLEquivalence:
         ] + [EvalInstance(9, 3, np.array([], dtype=int))]
         _assert_scores_match_dense(maml, content, states, instances)
 
-    def test_adapt_many_states_do_not_pin_chunk_storage(self):
+    def test_adapt_corpus_states_do_not_pin_chunks(self):
         """Cached per-user fast weights own their arrays (no chunk views)."""
         rng = np.random.default_rng(0)
         maml = MAML(_model(), MAMLConfig(inner_lr=0.1), seed=0)
-        items = _items(rng, 4)
-        states = maml.adapt_many(items, steps=1)
+        states = maml.adapt_corpus(_corpus(rng, 4, min_support=1), steps=1)
         for state in states:
             for name, value in state.items():
                 assert value.base is None or value.base is maml.params.get(name), name
-
-    def test_finetune_delegates_to_adapt(self):
-        maml = MAML(_model(), MAMLConfig(inner_steps=1), seed=0)
-        item = _items(np.random.default_rng(0), 1)[0]
-        _assert_tree_close(maml.finetune(item, steps=2), maml.adapt(item, steps=2))
-        _assert_tree_close(maml.finetune(item), maml.adapt(item))
 
 
 class TestStackedOptimizer:

@@ -5,7 +5,7 @@ Four layers of guarantees:
 1. **Corpus appends** — a corpus grown incrementally (``TaskCorpus.append``
    / ``extend``, starting from a builder prefix or from
    ``TaskCorpus.empty``) is indistinguishable from one rebuilt from
-   scratch: every packed array, every ``gather_batch`` and ``materialize``
+   scratch: every packed array, every ``gather_batch`` and ``view_arrays``
    output is bitwise identical, so the training path cannot tell streams
    from batches.
 2. **Event ingest** — ``RecommenderService.observe`` appends to exactly
@@ -95,11 +95,9 @@ def _assert_corpora_identical(grown: TaskCorpus, rebuilt: TaskCorpus) -> None:
         np.testing.assert_array_equal(
             getattr(a, field), getattr(b, field), err_msg=field
         )
-    for x, y in zip(grown.materialize(), rebuilt.materialize()):
-        np.testing.assert_array_equal(x.support_item, y.support_item)
-        np.testing.assert_array_equal(x.support_labels, y.support_labels)
-        np.testing.assert_array_equal(x.query_item, y.query_item)
-        np.testing.assert_array_equal(x.query_labels, y.query_labels)
+    for view in range(rebuilt.n_views):
+        for x, y in zip(grown.view_arrays(view), rebuilt.view_arrays(view)):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestPackedContentExtend:

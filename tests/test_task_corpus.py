@@ -4,15 +4,18 @@ Two layers of guarantees:
 
 1. **Structural** — offset/bucket bookkeeping on ragged task sets, label
    views aliasing (never copying) their parent's index arrays, zero-copy
-   view access, empty-support tasks.
-2. **Numerical** — the packed data path (``MAMLConfig.packed=True``:
-   fancy-indexed batches, gather-on-forward content, broadcast user rows)
-   reproduces the materialized :class:`TaskBatchItem` reference
-   (``packed=False``) through identical schedules: per-step losses,
-   gradients, Adam state and full ``fit`` traces agree to float32
-   rounding.  Both runs draw their schedules from identically seeded
-   generators (the repo's pre-drawn rng-stream convention), so only the
-   data path differs.
+   view access, empty-support tasks, and padded batches that match the
+   dense padded layout.
+2. **Numerical** — the packed path (fancy-indexed batches,
+   gather-on-forward content, broadcast user rows) reproduces the
+   materialized references in ``tests/oracles.py``: meta steps and
+   width-chunked adaptation agree with the dense padded layout, and full
+   ``fit`` traces with the per-view loop, to float32 rounding;
+   ``adapt_task_states`` agrees with Eq. (1) to float64 rounding.  Both
+   runs draw their schedules from identically seeded generators (the
+   repo's pre-drawn rng-stream convention), so only the computation
+   differs.  The float64 per-view FOMAML, inner-loop and Reptile
+   properties live in ``test_stacked_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -28,15 +31,17 @@ from repro.meta.corpus import (
     TaskCorpusBuilder,
     pack_content,
 )
-from repro.meta.maml import MAML, MAMLConfig, TaskBatch, adapt_task_states
+from repro.meta.maml import MAML, MAMLConfig, adapt_task_states
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
+
+import oracles
 
 CONTENT_DIM = 5
 N_ITEMS = 30
 N_USERS = 8
 
-# float32 rounding tolerances: packed and materialized differ only in the
-# user-embedding reduction order (one embed + broadcast vs per-row copies).
+# float32 rounding tolerances: packed and per-view runs sum in different
+# orders (padded meta-batches, task-axis gradient means).
 RTOL = 2e-4
 ATOL = 1e-5
 
@@ -78,9 +83,11 @@ def _corpus(seed: int, n_tasks: int, k_views: int = 2, allow_empty: bool = True)
     return builder.build(), tasks
 
 
-def _model(content_dim: int = CONTENT_DIM) -> PreferenceModel:
+def _model(content_dim: int = CONTENT_DIM, dtype=np.float32) -> PreferenceModel:
     return PreferenceModel(
-        PreferenceModelConfig(content_dim=content_dim, embed_dim=3, hidden_dims=(4,))
+        PreferenceModelConfig(
+            content_dim=content_dim, embed_dim=3, hidden_dims=(4,), dtype=dtype
+        )
     )
 
 
@@ -90,6 +97,16 @@ def _assert_tree_close(actual, expected):
         np.testing.assert_allclose(
             actual[name], expected[name], rtol=RTOL, atol=ATOL, err_msg=name
         )
+
+
+def _dense_items(corpus, ids=None):
+    """The oracle's dense per-row arrays of corpus views ``ids`` (all by default)."""
+    content = corpus.content
+    ids = range(corpus.n_views) if ids is None else ids
+    return [
+        oracles.materialize(content.user, content.item, *corpus.view_arrays(int(v)))
+        for v in ids
+    ]
 
 
 class TestConstruction:
@@ -213,13 +230,13 @@ class TestConstruction:
         corpus, _ = _corpus(seed=8, n_tasks=5, k_views=2)
         ids = np.array([0, 3, 7, 11])
         batch = corpus.gather_batch(ids, scratch=BatchScratch())
-        dense = TaskBatch.from_items(corpus.materialize(ids))
+        content = corpus.content
+        dense = oracles.TaskBatch.from_items(_dense_items(corpus, ids))
         np.testing.assert_array_equal(batch.support_mask, dense.support_mask)
         np.testing.assert_array_equal(batch.query_mask, dense.query_mask)
         np.testing.assert_array_equal(batch.support_labels, dense.support_labels)
         np.testing.assert_array_equal(batch.query_labels, dense.query_labels)
         # Gathered item content at real positions == the dense copies.
-        content = corpus.content
         ci = content.item[batch.support_items] * batch.support_mask[..., None]
         np.testing.assert_array_equal(
             ci, dense.support_item * dense.support_mask[..., None]
@@ -236,25 +253,29 @@ class TestConstruction:
             for _ in range(3):
                 builder.add_rating_view(base, rng.random(N_ITEMS))
         corpus = builder.build()
-        assert corpus.nbytes * 5 <= corpus.materialized_nbytes()
+        dense_bytes = sum(item.nbytes for item in _dense_items(corpus))
+        assert corpus.nbytes * 5 <= dense_bytes
 
 
 class TestPackedEquivalence:
-    """The packed data path IS the materialized path, to float32 rounding."""
+    """The packed path IS the materialized reference, to float32 rounding."""
 
     @given(n_tasks=st.integers(1, 5), local_only=st.booleans(), seed=seeds)
     @settings(max_examples=15, deadline=None)
     def test_meta_step_corpus_matches_materialized(self, n_tasks, local_only, seed):
+        """Packed ``meta_step_corpus`` == one FOMAML step over the dense
+        padded meta-batch: losses, params and Adam state after three steps."""
         corpus, _ = _corpus(seed=seed, n_tasks=n_tasks, k_views=2)
-        config = dict(inner_lr=0.1, inner_steps=2, outer_lr=1e-2,
-                      local_only_decision=local_only)
-        packed = MAML(_model(), MAMLConfig(packed=True, **config), seed=seed)
-        dense = MAML(_model(), MAMLConfig(packed=False, **config), seed=seed)
-        _assert_tree_close(packed.params, dense.params)
+        config = MAMLConfig(
+            inner_lr=0.1, inner_steps=2, outer_lr=1e-2, local_only_decision=local_only
+        )
+        packed = MAML(_model(), config, seed=seed)
+        dense = MAML(_model(), config, seed=seed)
         ids = np.arange(corpus.n_views)
+        items = _dense_items(corpus, ids)
         for _ in range(3):
             loss_p = packed.meta_step_corpus(corpus, ids)
-            loss_d = dense.meta_step(corpus.materialize(ids))
+            loss_d = oracles.dense_meta_step(dense, items)
             np.testing.assert_allclose(loss_p, loss_d, rtol=RTOL, atol=ATOL)
         _assert_tree_close(packed.params, dense.params)
         _assert_tree_close(packed._optimizer._m, dense._optimizer._m)
@@ -269,16 +290,16 @@ class TestPackedEquivalence:
     )
     @settings(max_examples=15, deadline=None)
     def test_adapt_corpus_matches_adapt_many(self, n_tasks, steps, local_only, seed):
-        corpus, _ = _corpus(
-            seed=seed, n_tasks=n_tasks, k_views=1, allow_empty=False
-        )
+        """Packed ``adapt_corpus`` == the dense width-chunked inner loop."""
+        corpus, _ = _corpus(seed=seed, n_tasks=n_tasks, k_views=1, allow_empty=False)
         maml = MAML(
             _model(),
             MAMLConfig(inner_lr=0.1, local_only_decision=local_only),
             seed=seed,
         )
         packed = maml.adapt_corpus(corpus, steps=steps, max_chunk=3)
-        dense = maml.adapt_many(corpus.materialize(), steps=steps, max_chunk=3)
+        dense = oracles.dense_adapt_many(maml, _dense_items(corpus), steps=steps, max_chunk=3)
+        assert len(packed) == len(dense) == corpus.n_views
         for fast_p, fast_d in zip(packed, dense):
             _assert_tree_close(fast_p, fast_d)
 
@@ -286,62 +307,67 @@ class TestPackedEquivalence:
     @settings(max_examples=8, deadline=None)
     def test_fit_trace_packed_matches_materialized(self, seed):
         corpus, _ = _corpus(seed=seed, n_tasks=4, k_views=2)
-        config = dict(inner_lr=0.05, outer_lr=5e-3, meta_batch_size=3)
-        packed = MAML(_model(), MAMLConfig(packed=True, **config), seed=seed)
-        dense = MAML(_model(), MAMLConfig(packed=False, **config), seed=seed)
+        config = MAMLConfig(inner_lr=0.05, outer_lr=5e-3, meta_batch_size=3)
+        packed = MAML(_model(), config, seed=seed)
+        reference = MAML(_model(), config, seed=seed)
         trace_p = packed.fit(corpus, epochs=2)
-        trace_d = dense.fit(corpus, epochs=2)
-        np.testing.assert_allclose(trace_p, trace_d, rtol=RTOL, atol=ATOL)
-        _assert_tree_close(packed.params, dense.params)
+        trace_r = oracles.fit(reference, corpus, epochs=2)
+        np.testing.assert_allclose(trace_p, trace_r, rtol=RTOL, atol=ATOL)
+        _assert_tree_close(packed.params, reference.params)
 
-    def test_fit_corpus_honors_vectorize_false(self):
-        """vectorize=False must route corpus fits through the scalar loop."""
-        corpus, _ = _corpus(seed=21, n_tasks=3, k_views=1, allow_empty=False)
-        config = dict(inner_lr=0.05, outer_lr=5e-3, meta_batch_size=2)
-        vec = MAML(_model(), MAMLConfig(packed=True, **config), seed=5)
-        scalar = MAML(
-            _model(), MAMLConfig(packed=True, vectorize=False, **config), seed=5
+    @given(n_tasks=st.integers(1, 6), local_only=st.booleans(), seed=seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_adapt_task_states_packed_matches_materialized(self, n_tasks, local_only, seed):
+        """``None`` and support-empty slots stay ``None``, repeated task
+        objects share one dict, and every state equals Eq. (1) on its task
+        (float64, at the stacked-equivalence tolerances)."""
+        rng = np.random.default_rng(seed)
+        content = pack_content(
+            rng.random((N_USERS, CONTENT_DIM)),
+            rng.random((N_ITEMS, CONTENT_DIM)),
+            dtype=np.float64,
         )
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("packed meta step ran despite vectorize=False")
-
-        scalar.meta_step_corpus = forbidden  # type: ignore[method-assign]
-        trace_s = scalar.fit(corpus, epochs=1)
-        trace_v = vec.fit(corpus, epochs=1)
-        np.testing.assert_allclose(trace_s, trace_v, rtol=RTOL, atol=ATOL)
-
-    def test_adapt_task_states_packed_matches_materialized(self):
-        rng = np.random.default_rng(11)
-        content = _content(11)
-        tasks = [_task(rng, n_support=int(rng.integers(1, 6))) for _ in range(6)]
-        tasks = [tasks[0], None, tasks[1], tasks[0]] + tasks[2:]
-        packed = MAML(_model(), MAMLConfig(packed=True), seed=3)
-        dense = MAML(_model(), MAMLConfig(packed=False), seed=3)
-        states_p = adapt_task_states(packed, content.user, content.item, tasks, 2)
-        states_d = adapt_task_states(dense, content.user, content.item, tasks, 2)
-        assert states_p[1] is None and states_d[1] is None
-        assert states_p[0] is states_p[3]  # shared task -> shared dict
-        for sp, sd in zip(states_p, states_d):
-            if sp is None:
-                assert sd is None
-            else:
-                _assert_tree_close(sp, sd)
+        unique = [_task(rng) for _ in range(n_tasks)]
+        tasks = [unique[int(i)] for i in rng.integers(0, n_tasks, size=n_tasks + 2)]
+        tasks.insert(int(rng.integers(0, len(tasks) + 1)), None)
+        maml = MAML(
+            _model(dtype=np.float64),
+            MAMLConfig(inner_lr=0.1, local_only_decision=local_only),
+            seed=seed,
+        )
+        states = adapt_task_states(maml, content, tasks, 2)
+        first: dict[int, dict] = {}
+        for task, state in zip(tasks, states):
+            if task is None or task.n_support == 0:
+                assert state is None
+                continue
+            assert first.setdefault(id(task), state) is state  # one dict per task
+            expected = oracles.adapt(
+                maml,
+                content.user[task.user_row][None, :],
+                content.item[task.support_items],
+                task.support_labels.astype(np.float32),
+                steps=2,
+            )
+            for name in expected:
+                np.testing.assert_allclose(
+                    state[name], expected[name], rtol=1e-9, atol=1e-11, err_msg=name
+                )
 
 
 class TestFitTraceGolden:
     def test_golden_fit_trace_regression(self):
-        """Deterministic packed-vs-materialized loss trace, pinned tightly.
+        """Deterministic packed-vs-reference loss trace, pinned tightly.
 
         The regression guard of the packed data path: same seed, same
-        corpus, same epochs — the two flags must walk the same loss curve
-        (and the curve must actually descend).
+        corpus, same epochs — ``MAML.fit`` and the per-view oracle fit must
+        walk the same loss curve (and the curve must actually descend).
         """
         corpus, _ = _corpus(seed=1234, n_tasks=8, k_views=3, allow_empty=False)
-        config = dict(inner_lr=0.05, outer_lr=5e-3, meta_batch_size=4)
-        packed = MAML(_model(), MAMLConfig(packed=True, **config), seed=7)
-        dense = MAML(_model(), MAMLConfig(packed=False, **config), seed=7)
+        config = MAMLConfig(inner_lr=0.05, outer_lr=5e-3, meta_batch_size=4)
+        packed = MAML(_model(), config, seed=7)
+        reference = MAML(_model(), config, seed=7)
         trace_p = packed.fit(corpus, epochs=4)
-        trace_d = dense.fit(corpus, epochs=4)
-        np.testing.assert_allclose(trace_p, trace_d, rtol=RTOL, atol=ATOL)
+        trace_r = oracles.fit(reference, corpus, epochs=4)
+        np.testing.assert_allclose(trace_p, trace_r, rtol=RTOL, atol=ATOL)
         assert trace_p[-1] < trace_p[0]
