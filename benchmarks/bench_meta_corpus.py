@@ -55,46 +55,59 @@ SPEEDUP_FLOOR = float(os.environ.get("BENCH_SPEEDUP_FLOOR", 3.0))
 MEMORY_FLOOR = 5.0
 
 
+def _sub(params, prefix):
+    """The ``prefix.``-named parameters with the prefix stripped, as the
+    seed's model split its parameter dict on every call."""
+    dot = prefix + "."
+    return {k[len(dot):]: v for k, v in params.items() if k.startswith(dot)}
+
+
+def _into(grads, out):
+    """The gradients, copied into ``out`` when the inner loop passes its
+    flat gradient buffer."""
+    if out is None:
+        return grads
+    for name, value in grads.items():
+        out[name][...] = value
+    return out
+
+
 class SeedReferenceModel(PreferenceModel):
     """The preference model as the seed computed it.
 
     Identical math, but the embedding branches' input gradients — dead
-    values over content-wide arrays — are computed instead of skipped,
-    exactly like the pre-corpus backward pass.  Used only to time the
-    reference pipeline.
+    values over content-wide arrays — are computed instead of skipped, and
+    every backward splits the parameter dict by name, exactly like the
+    pre-corpus backward pass.  Used only to time the reference pipeline.
     """
 
-    def backward(self, params, cache, d_preds):
+    def backward(self, params, cache, d_preds, out=None):
         cache_u, cache_i, cache_m, user_broadcast = cache
         d_out = d_preds[..., None]
-        d_joint, grads_m = self.mlp.backward(self._sub(params, "mlp"), cache_m, d_out)
+        d_joint, grads_m = self.mlp.backward(_sub(params, "mlp"), cache_m, d_out)
         e = self.config.embed_dim
         d_xu = d_joint[..., :e]
         if user_broadcast:
             d_xu = d_xu.sum(axis=-2, keepdims=True)
-        _, grads_u = self.user_embed.backward(
-            self._sub(params, "user_embed"), cache_u, d_xu
-        )
+        _, grads_u = self.user_embed.backward(_sub(params, "user_embed"), cache_u, d_xu)
         _, grads_i = self.item_embed.backward(
-            self._sub(params, "item_embed"), cache_i, d_joint[..., e:]
+            _sub(params, "item_embed"), cache_i, d_joint[..., e:]
         )
         grads = {}
         for prefix, sub in (("user_embed", grads_u), ("item_embed", grads_i), ("mlp", grads_m)):
             for name, value in sub.items():
                 grads[f"{prefix}.{name}"] = value
-        return grads
+        return _into(grads, out)
 
-    def decision_loss_and_grads(self, params, joint, labels, mask=None):
-        out, cache_m = self.mlp.forward(self._sub(params, "mlp"), joint)
-        preds = out[..., 0]
+    def decision_loss_and_grads(self, params, joint, labels, mask=None, out=None):
+        out_m, cache_m = self.mlp.forward(_sub(params, "mlp"), joint)
+        preds = out_m[..., 0]
         if preds.ndim == 1 and mask is None:
             loss, d_preds = binary_cross_entropy(preds, labels)
         else:
             loss, d_preds = binary_cross_entropy_tasks(preds, labels, mask=mask)
-        _, grads_m = self.mlp.backward(
-            self._sub(params, "mlp"), cache_m, d_preds[..., None]
-        )
-        return loss, {f"mlp.{name}": value for name, value in grads_m.items()}
+        _, grads_m = self.mlp.backward(_sub(params, "mlp"), cache_m, d_preds[..., None])
+        return loss, _into({f"mlp.{name}": value for name, value in grads_m.items()}, out)
 
 
 def _model(dtype=np.float32, cls=PreferenceModel) -> PreferenceModel:

@@ -39,7 +39,7 @@ from repro.nn.losses import (
 )
 from repro.nn.module import Grads, Module, Params, mlp
 from repro.nn.optim import add_grads
-from repro.nn.stacking import pad_axis, stack_params
+from repro.nn.stacking import ParamLayout, pad_axis, stack_params
 from repro.utils.rng import ensure_rng
 
 
@@ -639,36 +639,28 @@ class FusedDualCVAE:
         # ``(2k, S)`` buffer: the stacked optimizer then updates the whole
         # model in a dozen vector ops, and per-domain gradient norms become
         # one contraction over the matching gradient buffer.
-        per_slice = sum(value.size for value in self.params.values()) // self.n_stack
-        self.flat_params = np.empty((self.n_stack, per_slice), dtype=self.dtype)
-        self.flat_slices: dict[str, tuple[int, int, tuple[int, ...]]] = {}
-        offset = 0
-        for name in sorted(self.params):
-            value = self.params[name]
-            size = value.size // self.n_stack
-            view = self.flat_params[:, offset : offset + size].reshape(value.shape)
-            view[:] = value
+        layout = ParamLayout(
+            (name, self.params[name].shape[1:]) for name in sorted(self.params)
+        )
+        self.flat_params = np.empty((self.n_stack, layout.size), dtype=self.dtype)
+        for name, view in layout.views(self.flat_params).items():
+            view[...] = self.params[name]
             self.params[name] = view
-            self.flat_slices[name] = (offset, size, value.shape)
-            offset += size
+        self.flat_slices: dict[str, tuple[int, int, tuple[int, ...]]] = {
+            name: (offset, size, (self.n_stack, *shape))
+            for name, offset, size, shape in layout.entries
+        }
         # Sub-dict views are stable: optimizers update arrays in place, so
         # both the per-component dicts and the per-layer split are built
         # once — the hot loop never rebuilds a parameter dict.
         self._subs = {comp: self._strip(comp) for comp in _COMPONENTS}
         self._layer_params = {
-            comp: [
-                {
-                    name[len(f"{i}."):]: value
-                    for name, value in sub.items()
-                    if name.startswith(f"{i}.")
-                }
-                for i in range(len(module.layers))
-            ]
-            for comp, sub, module in (
-                ("enc", self._subs["enc"], self.branch.encoder),
-                ("enc_x", self._subs["enc_x"], self.branch.content_encoder),
-                ("dec", self._subs["dec"], self.branch.decoder),
-                ("crit", self._subs["crit"], self.branch.critic),
+            comp: module.split(self._subs[comp])
+            for comp, module in (
+                ("enc", self.branch.encoder),
+                ("enc_x", self.branch.content_encoder),
+                ("dec", self.branch.decoder),
+                ("crit", self.branch.critic),
             )
         }
         cols = np.arange(self.n_items_max)
@@ -679,23 +671,14 @@ class FusedDualCVAE:
 
     def _forward(self, comp: str, module, x: np.ndarray):
         """Sequential forward over prebuilt per-layer parameter dicts."""
-        caches = []
-        out = x
-        for layer, layer_params in zip(module.layers, self._layer_params[comp]):
-            out, cache = layer.forward(layer_params, out)
-            caches.append(cache)
-        return out, caches
+        return module.forward_layers(self._layer_params[comp], x)
 
     def _backward(self, comp: str, module, caches, dy: np.ndarray, grads: Grads):
         """Sequential backward mirror of :meth:`_forward`; fills ``grads``."""
-        layer_params = self._layer_params[comp]
-        grad_out = dy
-        for i in reversed(range(len(module.layers))):
-            grad_out, layer_grads = module.layers[i].backward(
-                layer_params[i], caches[i], grad_out
-            )
-            for name, value in layer_grads.items():
-                grads[f"{comp}.{i}.{name}"] = value
+        grad_out, layer_grads = module.backward_layers(
+            self._layer_params[comp], caches, dy
+        )
+        module.named_grads(layer_grads, f"{comp}.", grads)
         return grad_out
 
     def _strip(self, prefix: str) -> Params:

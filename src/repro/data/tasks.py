@@ -96,7 +96,14 @@ def append_interaction(
     (re-rating) instead of growing the support set; otherwise the item is
     appended.  The query side is never touched — observed events are
     training signal, not held-out evaluation rows.
+
+    ``rating`` must be a finite value in [0, 1], the label range of every
+    task; anything else raises ``ValueError`` before a task is built, so
+    one hostile event cannot reach the meta-parameters through a refresh.
     """
+    rating = float(rating)
+    if not 0.0 <= rating <= 1.0:
+        raise ValueError(f"rating must be a finite value in [0, 1], got {rating!r}")
     if task is None:
         return PreferenceTask(
             user_row=int(user_row),

@@ -441,20 +441,6 @@ class TaskCorpus:
         )
         return view
 
-    def append_label_view(
-        self, base: int, support_labels: np.ndarray, query_labels: np.ndarray
-    ) -> int:
-        """Attach a label-only view to an existing base task, post-build."""
-        if not 0 <= base < self.n_tasks:
-            raise ValueError(f"unknown base task {base}")
-        support_labels = np.asarray(support_labels, dtype=_LABEL_DTYPE)
-        query_labels = np.asarray(query_labels, dtype=_LABEL_DTYPE)
-        if support_labels.size != int(self.support_lens[base]):
-            raise ValueError("support labels must match the base task's width")
-        if query_labels.size != int(self.query_lens[base]):
-            raise ValueError("query labels must match the base task's width")
-        return self._append_view(base, support_labels.ravel(), query_labels.ravel())
-
     def append_rating_view(self, base: int, rating_vector: np.ndarray) -> int:
         """Augmented view of Eqs. (9)-(10) against a live corpus."""
         if not 0 <= base < self.n_tasks:

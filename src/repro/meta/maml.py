@@ -9,9 +9,15 @@ inner loop while embeddings stay global.
 
 Every entry point reads a packed :class:`~repro.meta.corpus.TaskCorpus`
 and is *task-batched*: a batch of views is fancy-indexed out of the corpus
-pools into reused scratch buffers and adapted in one vectorized inner loop
-over stacked fast weights (``[T, ...]`` parameter arrays, see
-:mod:`repro.nn.stacking`).  Item content is gathered only inside the step
+pools into reused scratch buffers and adapted in one vectorized inner loop.
+The meta-parameters live in one flat buffer at the model's
+:attr:`~repro.meta.model.PreferenceModel.layout`, and the ``T`` tasks' fast
+weights in one ``(T, P)`` block of its adaptable span (every parameter, or
+MeLU's decision layers — one contiguous tail), see
+:class:`~repro.nn.stacking.FlatParams`: tiling is one broadcast copy, each
+inner step one backward pass into a ``(T, P)`` gradient buffer plus one
+in-place ``block -= lr * grad``, and an adapted view is one row.  Item
+content is gathered only inside the step
 and each view's user row rides as a ``(T, 1, C)`` broadcast input, so no
 dense ``(T, S, C)`` content outlives a step.  Meta-training
 (:meth:`MAML.fit`, one :meth:`MAML.meta_step_corpus` per bucketed epoch
@@ -38,7 +44,7 @@ from repro.meta.corpus import (
 from repro.meta.model import PreferenceModel
 from repro.nn.module import Params
 from repro.nn.optim import Adam, clip_grad_norm, mean_task_grads
-from repro.nn.stacking import tile_params, unstack_params
+from repro.nn.stacking import FlatParams
 from repro.obs import metrics as obs_metrics
 from repro.utils.rng import ensure_rng
 
@@ -103,7 +109,7 @@ class MAML:
         self.model = model
         self.config = config or MAMLConfig()
         self._rng = ensure_rng(seed)
-        self.params: Params = model.init_params(self._rng)
+        self.params = model.init_params(self._rng)
         self._optimizer = Adam(self.params, lr=self.config.outer_lr)
         self._scratch = BatchScratch()
         # Training spans report through the process-global registry:
@@ -117,12 +123,21 @@ class MAML:
         # the support embedding is computed once per adaptation and reused
         # across every inner step (a large win — the embedding GEMMs over
         # high-dimensional content dominate the full backward pass).
-        self._decision_only = (
-            self._adaptable is not None
-            and hasattr(model, "embed_joint")
-            and hasattr(model, "decision_loss_and_grads")
-            and all(name.startswith("mlp.") for name in self._adaptable)
-        )
+        self._decision_only = self._adaptable is not None
+        #: the fast weights' span of the layout: all of it, or the tail of
+        #: decision layers.
+        self._fast_layout = model.layout.sub(self._adaptable_keys)
+
+    @property
+    def params(self) -> FlatParams:
+        """The meta-parameters, one :class:`FlatParams` at the model layout."""
+        return self._params
+
+    @params.setter
+    def params(self, params: Params) -> None:
+        if not isinstance(params, FlatParams):
+            params = FlatParams.adopt(self.model.layout, params)
+        self._params = params
 
     @property
     def _adaptable_keys(self) -> set[str]:
@@ -140,19 +155,26 @@ class MAML:
         support_mask: np.ndarray,
         n_tasks: int,
         steps: int | None = None,
-    ) -> Params:
+    ) -> FlatParams:
         """The vectorized inner loop (Eq. 1) over prepared ``[T, ...]`` arrays.
 
-        Returns one *stacked* fast-weight dict: every adaptable parameter
-        carries a leading ``[T, ...]`` task axis while non-adaptable
-        parameters (MeLU's global embeddings) stay unstacked and shared by
-        reference.  Each of the ``steps`` inner updates is a single numpy
-        pass over all ``T`` tasks; the ``support_mask`` keeps padded rows
-        out of every gradient.  ``support_user`` may be the broadcast-user
-        form ``(T, 1, C)`` (see :class:`~repro.meta.model.PreferenceModel`).
+        Returns the stacked fast weights: a :class:`FlatParams` over a
+        fresh ``(T, P)`` block of the adaptable span, so every adaptable
+        parameter carries a leading ``[T, ...]`` task axis, while
+        non-adaptable parameters (MeLU's global embeddings) stay unstacked
+        and shared by reference.  Each of the ``steps`` inner updates is a
+        single numpy pass over all ``T`` tasks; the ``support_mask`` keeps
+        padded rows out of every gradient.  ``support_user`` may be the
+        broadcast-user form ``(T, 1, C)`` (see
+        :class:`~repro.meta.model.PreferenceModel`).
         """
-        adaptable = self._adaptable_keys & set(self.params)
-        fast = tile_params(self.params, n_tasks, keys=adaptable)
+        layout = self._fast_layout
+        theta = self.params
+        block = np.empty((n_tasks, layout.size), dtype=theta.flat.dtype)
+        block[...] = theta.flat[layout.start : layout.start + layout.size]
+        fast = FlatParams(layout, block, shared=theta)
+        grads = FlatParams(layout, np.empty_like(block))
+        grad = grads.flat
         n_steps = self.config.inner_steps if steps is None else steps
         # Frozen embeddings: embed every task's support set once (the
         # embedding weights are shared and never change inside the inner
@@ -164,17 +186,20 @@ class MAML:
         )
         for _ in range(n_steps):
             if joint is not None:
-                _, grads = self.model.decision_loss_and_grads(
-                    fast, joint, support_labels, mask=support_mask
+                self.model.decision_loss_and_grads(
+                    fast, joint, support_labels, mask=support_mask, out=grads
                 )
             else:
-                _, grads = self.model.loss_and_grads(
-                    fast, support_user, support_item, support_labels, mask=support_mask
+                self.model.loss_and_grads(
+                    fast,
+                    support_user,
+                    support_item,
+                    support_labels,
+                    mask=support_mask,
+                    out=grads,
                 )
-            for name in adaptable:
-                grad = grads[name]
-                grad *= self.config.inner_lr
-                fast[name] -= grad
+            grad *= self.config.inner_lr
+            block -= grad
         return fast
 
     def _adapt_gathered(self, content, batch, steps: int | None = None):
@@ -298,22 +323,17 @@ class MAML:
         chunks of at most ``max_chunk`` (bounding the stacked scratch
         memory), so every view's fast weights are bit-identical to adapting
         it alone — independent of which other views share the flush.
-        Returns one owning fast-weight dict per view (shared non-adapted
-        weights stay shared).
+        Returns one :class:`FlatParams` per view over its own copy of the
+        view's row of the chunk block (shared non-adapted weights stay
+        shared).
         """
         view_ids = np.arange(corpus.n_views)
         results: list[Params | None] = [None] * corpus.n_views
         for positions, fast in self._adapt_chunks(corpus, view_ids, steps, max_chunk):
-            # copy=True: the per-view dicts may be cached long past this
-            # chunk (serving LRU) and must not pin the stacked block alive.
-            parts = unstack_params(
-                fast,
-                positions.size,
-                stacked_keys=self._adaptable_keys & set(fast),
-                copy=True,
-            )
-            for i, part in zip(positions, parts):
-                results[int(i)] = part
+            # One owned row per view: the states may be cached long past
+            # this chunk (serving LRU) and must not pin its block alive.
+            for i, row in zip(positions, fast.flat):
+                results[int(i)] = FlatParams(fast.layout, row.copy(), shared=self.params)
         return results  # type: ignore[return-value]
 
     def refresh_from(
@@ -332,10 +352,12 @@ class MAML:
         step, first-order like the FOMAML trainer).  This is the streaming
         counterpart of :meth:`fit` — O(tail) instead of O(corpus), no
         optimizer state touched — meant to absorb freshly observed tasks
-        between full retrains.  Updated arrays are assigned *into* the
-        existing ``self.params`` dict (never a new dict), so the optimizer
-        and any aliased references see the refresh; memmap-backed artifact
-        params are replaced by in-memory arrays, not written through.
+        between full retrains.  The update is written in place into the
+        meta-parameters' flat buffer, so the optimizer and any aliased
+        references see it; entries still mapped from an artifact are
+        swapped for their in-memory views, never written through (see
+        :meth:`FlatParams.mark_written`).  A non-finite update raises
+        ``ValueError`` and leaves the parameters untouched.
 
         Returns the RMS of the applied parameter delta (0.0 when no views).
         """
@@ -348,25 +370,24 @@ class MAML:
         )
         if ids.size == 0:
             return 0.0
-        adaptable = sorted(self._adaptable_keys & set(self.params))
-        totals = {
-            key: np.zeros(self.params[key].shape, dtype=np.float64)
-            for key in adaptable
-        }
+        theta = self.params
+        layout = self._fast_layout
+        span = theta.flat[layout.start : layout.start + layout.size]
+        total = np.zeros(layout.size, dtype=np.float64)
         for _, fast in self._adapt_chunks(corpus, ids, steps, max_chunk):
-            for key in adaptable:
-                totals[key] += (fast[key] - self.params[key][None]).sum(axis=0)
-        scale = meta_lr / ids.size
-        sq_sum = 0.0
-        n_elems = 0
-        for key in adaptable:
-            delta = scale * totals[key]
-            self.params[key] = np.asarray(
-                self.params[key] + delta, dtype=self.params[key].dtype
+            total += (fast.flat - span).sum(axis=0)
+        delta = (meta_lr / ids.size) * total
+        if not np.isfinite(delta).all():
+            raise ValueError(
+                "meta-refresh produced a non-finite update; parameters unchanged"
             )
-            sq_sum += float(np.sum(delta * delta))
-            n_elems += delta.size
-        return float(np.sqrt(sq_sum / max(n_elems, 1)))
+        span += delta
+        theta.mark_written(layout.names)
+        deltas = layout.views(delta)
+        sq_sum = 0.0
+        for name in sorted(deltas):
+            sq_sum += float(np.sum(deltas[name] * deltas[name]))
+        return float(np.sqrt(sq_sum / max(layout.size, 1)))
 
     # ------------------------------------------------------------------
     def predict(

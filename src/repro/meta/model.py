@@ -5,8 +5,18 @@ content vector ``c_u`` and the item content vector ``c_i`` into dense
 embeddings ``x_u`` and ``x_i``; their concatenation feeds a multi-layer
 neural network whose sigmoid head predicts the interaction probability.
 
-The model is purely functional (parameters live in a flat dict), so MAML
-fast weights, fine-tuning and evaluation all reuse the same forward code.
+The model is purely functional — every method takes the parameters as a
+mapping — so MAML fast weights, fine-tuning and evaluation all reuse the
+same forward code.  The parameters follow one layout,
+:attr:`PreferenceModel.layout`: a static ``(name, offset, shape)`` table
+(:class:`~repro.nn.stacking.ParamLayout`) holding ``user_embed.*``,
+``item_embed.*`` and then the decision (``mlp.*``) layers as one contiguous
+tail.  A plain dict works everywhere; a
+:class:`~repro.nn.stacking.FlatParams` over that layout (MAML's
+meta-parameters, its fast weights and every cached per-user state) keeps
+each layer's views built once, so repeated passes over one parameter set
+never re-split a dict by name, and a backward pass can write its gradients
+straight into a flat gradient buffer.
 
 It follows the stacked-parameter contract of :mod:`repro.nn`: parameters may
 carry a leading task axis ``[T, ...]`` (possibly only for a subset of keys —
@@ -32,11 +42,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.nn.losses import binary_cross_entropy, binary_cross_entropy_tasks
-from repro.nn.module import Grads, Params, mlp
 from repro.nn.layers import Linear, Tanh
-from repro.nn.module import Sequential
+from repro.nn.losses import binary_cross_entropy, binary_cross_entropy_tasks
+from repro.nn.module import Grads, Module, Params, Sequential, mlp
+from repro.nn.stacking import ParamLayout
 from repro.utils.rng import ensure_rng
+
+#: Tower indices into :attr:`PreferenceModel._keys`.
+_USER, _ITEM, _MLP = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -62,16 +75,35 @@ class PreferenceModelConfig:
             raise ValueError("hidden dims must be positive")
 
 
-def _broadcast_user(xu: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Broadcast a per-task single user embedding across the item rows."""
-    if (
+def _layer_shapes(layer: Module) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes of one layer of the preference network."""
+    if isinstance(layer, Linear):
+        shapes = {"W": (layer.in_features, layer.out_features)}
+        if layer.use_bias:
+            shapes["b"] = (layer.out_features,)
+        return shapes
+    return {}
+
+
+def _joint(xu: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``[x_u; x_i]`` rows, and whether a single user row was broadcast.
+
+    A per-task single user embedding ``(..., 1, E)`` against several item
+    rows is broadcast across them as it is written into the joint array.
+    """
+    broadcast = (
         xu.ndim == xi.ndim
         and xu.ndim >= 2
         and xu.shape[-2] == 1
         and xi.shape[-2] != 1
-    ):
-        return np.broadcast_to(xu, xi.shape[:-1] + (xu.shape[-1],)), True
-    return xu, False
+    )
+    e = xu.shape[-1]
+    joint = np.empty(
+        xi.shape[:-1] + (e + xi.shape[-1],), dtype=np.result_type(xu, xi)
+    )
+    joint[..., :e] = xu
+    joint[..., e:] = xi
+    return joint, broadcast
 
 
 class PreferenceModel:
@@ -81,6 +113,8 @@ class PreferenceModel:
     ``mlp.``; :meth:`decision_params` exposes the MeLU-style split between
     embedding parameters (kept global) and decision parameters (locally
     adapted), which callers may use for partial inner-loop updates.
+    :attr:`layout` packs them in that order, so the decision parameters
+    are one contiguous tail of a flat buffer.
     """
 
     def __init__(self, config: PreferenceModelConfig):
@@ -92,29 +126,83 @@ class PreferenceModel:
             activation="relu",
             out_activation="sigmoid",
         )
+        self._towers = (
+            ("user_embed", self.user_embed),
+            ("item_embed", self.item_embed),
+            ("mlp", self.mlp),
+        )
+        #: per tower, per layer: the layer's parameter names mapped to the
+        #: model's (``{"W": "mlp.0.W", "b": "mlp.0.b"}``, ``{}`` for an
+        #: activation).
+        self._keys = tuple(
+            tuple(
+                {name: f"{prefix}.{i}.{name}" for name in _layer_shapes(layer)}
+                for i, layer in enumerate(module.layers)
+            )
+            for prefix, module in self._towers
+        )
+        self.layout = ParamLayout(
+            (f"{prefix}.{i}.{name}", shape)
+            for prefix, module in self._towers
+            for i, layer in enumerate(module.layers)
+            for name, shape in _layer_shapes(layer).items()
+        )
 
     # ------------------------------------------------------------------
     def init_params(self, rng: int | np.random.Generator | None = None) -> Params:
         gen = ensure_rng(rng)
         dtype = np.dtype(self.config.dtype)
         params: Params = {}
-        for prefix, module in (
-            ("user_embed", self.user_embed),
-            ("item_embed", self.item_embed),
-            ("mlp", self.mlp),
-        ):
+        for prefix, module in self._towers:
             for name, value in module.init_params(gen).items():
                 params[f"{prefix}.{name}"] = value.astype(dtype)
         return params
 
-    @staticmethod
-    def _sub(params: Params, prefix: str) -> Params:
-        dot = prefix + "."
-        return {k[len(dot):]: v for k, v in params.items() if k.startswith(dot)}
-
     def decision_params(self, params: Params) -> list[str]:
         """Names of the decision-layer (MLP) parameters."""
         return [name for name in params if name.startswith("mlp.")]
+
+    def _layers(self, params: Params, tower: int) -> list[Params]:
+        """One tower's per-layer parameter dicts, each a view of ``params``.
+
+        Built once per :class:`~repro.nn.stacking.FlatParams` (kept in its
+        ``layer_cache``); a plain dict is bound by direct key lookups.
+        """
+        cache = getattr(params, "layer_cache", None)
+        if cache is None:
+            return self._bind(params, tower)
+        layers = cache.get(tower)
+        if layers is None:
+            layers = cache[tower] = self._bind(params, tower)
+        return layers
+
+    def _bind(self, params: Params, tower: int) -> list[Params]:
+        return [
+            {name: params[full] for name, full in keys.items()}
+            for keys in self._keys[tower]
+        ]
+
+    def _run(self, tower: int, params: Params, x: np.ndarray) -> tuple[np.ndarray, Any]:
+        """One tower's forward pass."""
+        return self._towers[tower][1].forward_layers(self._layers(params, tower), x)
+
+    def _grads(
+        self,
+        tower: int,
+        params: Params,
+        cache: Any,
+        dy: np.ndarray,
+        out: Grads | None,
+        need_input_grad: bool = True,
+    ) -> tuple[np.ndarray | None, list[Grads]]:
+        """One tower's backward pass, writing into ``out``'s views if given."""
+        return self._towers[tower][1].backward_layers(
+            self._layers(params, tower),
+            cache,
+            dy,
+            need_input_grad=need_input_grad,
+            out=None if out is None else self._layers(out, tower),
+        )
 
     # ------------------------------------------------------------------
     def forward(
@@ -130,41 +218,43 @@ class PreferenceModel:
         each task's user once and broadcasts the embedding across the item
         rows (the packed-corpus form).
         """
-        xu, cache_u = self.user_embed.forward(self._sub(params, "user_embed"), user_content)
-        xi, cache_i = self.item_embed.forward(self._sub(params, "item_embed"), item_content)
-        xu, user_broadcast = _broadcast_user(xu, xi)
-        joint = np.concatenate([xu, xi], axis=-1)
-        out, cache_m = self.mlp.forward(self._sub(params, "mlp"), joint)
+        xu, cache_u = self._run(_USER, params, user_content)
+        xi, cache_i = self._run(_ITEM, params, item_content)
+        joint, user_broadcast = _joint(xu, xi)
+        out, cache_m = self._run(_MLP, params, joint)
         return out[..., 0], (cache_u, cache_i, cache_m, user_broadcast)
 
-    def backward(self, params: Params, cache: Any, d_preds: np.ndarray) -> Grads:
+    def backward(
+        self,
+        params: Params,
+        cache: Any,
+        d_preds: np.ndarray,
+        out: Grads | None = None,
+    ) -> Grads:
         """Gradients of a scalar loss given ``d loss / d preds``.
 
         With task-batched inputs the returned gradients carry the leading
-        task axis (per-task gradients) for every parameter.
+        task axis (per-task gradients) for every parameter.  ``out`` (a
+        :class:`~repro.nn.stacking.FlatParams` gradient buffer over this
+        model's layout) receives the gradients in place and is returned.
         """
         cache_u, cache_i, cache_m, user_broadcast = cache
-        d_out = d_preds[..., None]
-        d_joint, grads_m = self.mlp.backward(self._sub(params, "mlp"), cache_m, d_out)
+        d_joint, grads_m = self._grads(_MLP, params, cache_m, d_preds[..., None], out)
         e = self.config.embed_dim
         d_xu = d_joint[..., :e]
         if user_broadcast:
             d_xu = d_xu.sum(axis=-2, keepdims=True)
         # Content is not a parameter: neither embedding branch needs its
         # input gradient, which skips the content-wide dx GEMMs entirely.
-        _, grads_u = self.user_embed.backward(
-            self._sub(params, "user_embed"), cache_u, d_xu, need_input_grad=False
-        )
-        _, grads_i = self.item_embed.backward(
-            self._sub(params, "item_embed"),
-            cache_i,
-            d_joint[..., e:],
-            need_input_grad=False,
-        )
+        _, grads_u = self._grads(_USER, params, cache_u, d_xu, out, False)
+        _, grads_i = self._grads(_ITEM, params, cache_i, d_joint[..., e:], out, False)
+        if out is not None:
+            return out
         grads: Grads = {}
-        for prefix, sub in (("user_embed", grads_u), ("item_embed", grads_i), ("mlp", grads_m)):
-            for name, value in sub.items():
-                grads[f"{prefix}.{name}"] = value
+        for (prefix, module), layer_grads in zip(
+            self._towers, (grads_u, grads_i, grads_m)
+        ):
+            module.named_grads(layer_grads, f"{prefix}.", grads)
         return grads
 
     def predict(
@@ -185,7 +275,7 @@ class PreferenceModel:
         gather — see :mod:`repro.meta.serving`.  Returned float32
         C-contiguous, the layout the mmap artifact writer wants.
         """
-        xi = self.item_embed(self._sub(params, "item_embed"), item_content)
+        xi, _ = self._run(_ITEM, params, item_content)
         return np.ascontiguousarray(xi, dtype=np.float32)
 
     def forward_from_item_embeddings(
@@ -202,10 +292,9 @@ class PreferenceModel:
         are the ones in ``params`` — the guard enforced by
         :mod:`repro.meta.serving`.
         """
-        xu = self.user_embed(self._sub(params, "user_embed"), user_content)
-        xu, _ = _broadcast_user(xu, item_embeds)
-        joint = np.concatenate([xu, item_embeds], axis=-1)
-        out = self.mlp(self._sub(params, "mlp"), joint)
+        xu, _ = self._run(_USER, params, user_content)
+        joint, _ = _joint(xu, item_embeds)
+        out, _ = self._run(_MLP, params, joint)
         return out[..., 0]
 
     # -- frozen-embedding decision path ---------------------------------
@@ -220,10 +309,10 @@ class PreferenceModel:
         the broadcast-user form (``(T, 1, C)`` user content) like
         :meth:`forward`.
         """
-        xu = self.user_embed(self._sub(params, "user_embed"), user_content)
-        xi = self.item_embed(self._sub(params, "item_embed"), item_content)
-        xu, _ = _broadcast_user(xu, xi)
-        return np.concatenate([xu, xi], axis=-1)
+        xu, _ = self._run(_USER, params, user_content)
+        xi, _ = self._run(_ITEM, params, item_content)
+        joint, _ = _joint(xu, xi)
+        return joint
 
     def decision_loss_and_grads(
         self,
@@ -231,6 +320,7 @@ class PreferenceModel:
         joint: np.ndarray,
         labels: np.ndarray,
         mask: np.ndarray | None = None,
+        out: Grads | None = None,
     ) -> tuple[float | np.ndarray, Grads]:
         """Loss and *decision-layer* gradients from a precomputed embedding.
 
@@ -238,21 +328,19 @@ class PreferenceModel:
         loop: only the MLP head runs forward/backward (the returned grads
         hold exactly the ``mlp.``-prefixed keys), skipping the frozen
         embedding layers entirely.  Numerically identical to the full pass
-        restricted to those parameters.
+        restricted to those parameters.  ``out`` is a gradient buffer over
+        the decision layers, as in :meth:`backward`.
         """
-        out, cache_m = self.mlp.forward(self._sub(params, "mlp"), joint)
-        preds = out[..., 0]
+        pred_out, cache_m = self._run(_MLP, params, joint)
+        preds = pred_out[..., 0]
         if preds.ndim == 1 and mask is None:
             loss, d_preds = binary_cross_entropy(preds, labels)
         else:
             loss, d_preds = binary_cross_entropy_tasks(preds, labels, mask=mask)
-        _, grads_m = self.mlp.backward(
-            self._sub(params, "mlp"),
-            cache_m,
-            d_preds[..., None],
-            need_input_grad=False,
-        )
-        return loss, {f"mlp.{name}": value for name, value in grads_m.items()}
+        _, grads_m = self._grads(_MLP, params, cache_m, d_preds[..., None], out, False)
+        if out is not None:
+            return loss, out
+        return loss, self.mlp.named_grads(grads_m, "mlp.")
 
     def loss_and_grads(
         self,
@@ -261,6 +349,7 @@ class PreferenceModel:
         item_content: np.ndarray,
         labels: np.ndarray,
         mask: np.ndarray | None = None,
+        out: Grads | None = None,
     ) -> tuple[float | np.ndarray, Grads]:
         """Mean BCE over the batch and gradients for every parameter.
 
@@ -270,10 +359,11 @@ class PreferenceModel:
         and per-task gradients; each task's loss and gradient are normalized
         by that task's own element count.  ``mask`` (shape ``(T, batch)``,
         1 for real rows, 0 for padding) excludes padded rows from both.
+        ``out`` is a gradient buffer, as in :meth:`backward`.
         """
         preds, cache = self.forward(params, user_content, item_content)
         if preds.ndim == 1 and mask is None:
             loss, d_preds = binary_cross_entropy(preds, labels)
-            return loss, self.backward(params, cache, d_preds)
-        losses, d_preds = binary_cross_entropy_tasks(preds, labels, mask=mask)
-        return losses, self.backward(params, cache, d_preds)
+        else:
+            loss, d_preds = binary_cross_entropy_tasks(preds, labels, mask=mask)
+        return loss, self.backward(params, cache, d_preds, out=out)

@@ -17,15 +17,16 @@ candidates, and batched answers are bitwise equal to solo ones and to the
 sharded workers' answers.  The user row is embedded once as ``(1, C)`` and
 broadcast across the candidates.
 
-Exactness of the table is guarded, not assumed.  It carries the *identity*
-of the item-tower parameter arrays it was computed from; a request takes
-the gather only when its scoring parameter dict still holds those exact
-array objects.  The adaptation machinery makes this check sufficient:
-:func:`~repro.nn.stacking.tile_params` and
-:func:`~repro.nn.stacking.unstack_params` share non-adapted parameters *by
-reference*, so decision-only fast weights alias the meta tower arrays,
-while full adaptation (or a meta-refresh that rewrote the tower) yields
-fresh arrays and runs the item tower live.
+Exactness of the table is guarded, not assumed.  It records the item-tower
+arrays it was computed from — their identity, and their write count in the
+meta-parameters' :attr:`~repro.nn.stacking.FlatParams.versions` — and a
+request takes the gather only when its scoring parameters still hold those
+exact arrays and none of them has been written since.  Decision-only fast
+weights share the meta tower arrays by reference (their own row holds only
+the ``mlp.*`` tail), so they pass; full adaptation gives each user their
+own tower and runs it live.  A meta-refresh or optimizer step that writes
+the tower in place bumps its versions, and assigning a tower array swaps
+the object, so either way the table stops matching.
 
 The gather itself is bitwise-faithful for every multi-row request: on this
 BLAS a row of an ``(n, C) @ (C, E)`` product equals the same row computed
@@ -49,6 +50,7 @@ import numpy as np
 from repro.meta.corpus import PackedContent, PackedContentMixin
 from repro.meta.maml import MAML, adapt_task_states, stream_refresh
 from repro.nn.module import Params
+from repro.nn.stacking import FlatParams
 
 if TYPE_CHECKING:
     from repro.data.negative_sampling import EvalInstance
@@ -69,10 +71,6 @@ _ITEM_PREFIX = "item_embed."
 ITEM_TABLE_KEY = "item_embeddings"
 
 
-def _tower_refs(params: Params) -> dict[str, np.ndarray]:
-    return {k: v for k, v in params.items() if k.startswith(_ITEM_PREFIX)}
-
-
 class FrozenTowerTables:
     """The baked item-tower output plus the identity of the weights it froze.
 
@@ -81,16 +79,25 @@ class FrozenTowerTables:
     page-cache copy and never materialize the table.
     """
 
-    __slots__ = ("item", "_item_refs")
+    __slots__ = ("item", "_theta", "_refs")
 
-    def __init__(self, item: np.ndarray, item_refs: dict[str, np.ndarray]):
+    def __init__(self, item: np.ndarray, theta: FlatParams):
         self.item = item
-        self._item_refs = item_refs
+        self._theta = theta
+        self._refs = tuple(
+            (name, value, theta.versions[name])
+            for name, value in theta.items()
+            if name.startswith(_ITEM_PREFIX)
+        )
 
     def item_current(self, params: Params) -> bool:
-        """Whether ``params`` still holds the exact item-tower arrays the
-        table was baked from (object identity, not value equality)."""
-        return all(params.get(k) is v for k, v in self._item_refs.items())
+        """Whether ``params`` holds the exact item-tower arrays the table was
+        baked from (object identity), unwritten since (their versions)."""
+        versions = self._theta.versions
+        return all(
+            params.get(name) is value and versions[name] == version
+            for name, value, version in self._refs
+        )
 
 
 def build_frozen_tower_tables(
@@ -100,7 +107,7 @@ def build_frozen_tower_tables(
     params = maml.params
     return FrozenTowerTables(
         item=maml.model.precompute_item_embeddings(params, content.item),
-        item_refs=_tower_refs(params),
+        theta=params,
     )
 
 
@@ -166,11 +173,12 @@ class MAMLServingMixin(PackedContentMixin):
         self._tables = None
 
     def _scoring_tables(self) -> FrozenTowerTables:
-        """The current table, rebaked if an item-tower parameter was replaced.
+        """The current table, rebaked if an item-tower parameter changed.
 
-        Staleness is the same identity check the per-request guard uses,
-        so a meta-refresh that only moved ``mlp.*`` keys (decision-only
-        configs) keeps the baked table — nothing it changed is in it.
+        Staleness is the same identity-and-version check the per-request
+        guard uses, so a meta-refresh that only moved ``mlp.*`` keys
+        (decision-only configs) keeps the baked table — nothing it changed
+        is in it.
         """
         maml = self._require_maml()
         tables = self._tables
@@ -204,7 +212,7 @@ class MAMLServingMixin(PackedContentMixin):
             raise ValueError(
                 f"item table shape {item.shape} does not match {expected}"
             )
-        self._tables = FrozenTowerTables(item=item, item_refs=_tower_refs(maml.params))
+        self._tables = FrozenTowerTables(item=item, theta=maml.params)
 
     # -- adaptation -----------------------------------------------------
     def adapt_user(self, task: "PreferenceTask | None"):
@@ -229,7 +237,7 @@ class MAMLServingMixin(PackedContentMixin):
 
         If the refresh rewrote an item-tower parameter (full-adaptation
         configs), the baked table is dropped and rebaked on next use;
-        decision-only refreshes leave it valid — the identity guard proves
+        decision-only refreshes leave it valid — the guard proves
         nothing in it changed.
         """
         maml = self._require_maml()
@@ -276,7 +284,6 @@ class MAMLServingMixin(PackedContentMixin):
     def load_state_dict(self, state: Params) -> None:
         model = self._build_model(self.serving.user_content.shape[1])
         self.maml = MAML(model, self._maml_config, seed=self.seed)
-        self.maml.params = {
-            name: np.asarray(value) for name, value in state.items()
-        }
+        # Mapped (read-only) arrays stay the entries: see FlatParams.adopt.
+        self.maml.params = {name: np.asarray(value) for name, value in state.items()}
         self._tables = None

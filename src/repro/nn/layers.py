@@ -68,11 +68,14 @@ class Linear(Module):
         dy: np.ndarray,
         *,
         need_input_grad: bool = True,
+        out: Grads | None = None,
     ) -> tuple[np.ndarray | None, Grads]:
+        """``out`` (optional) holds the arrays to write the gradients into."""
         x = cache
-        grads: Grads = {"W": np.swapaxes(x, -1, -2) @ dy}
+        grads: Grads = {} if out is None else out
+        grads["W"] = np.matmul(x.swapaxes(-1, -2), dy, out=grads.get("W"))
         if self.use_bias:
-            grads["b"] = dy.sum(axis=-2)
+            grads["b"] = np.add.reduce(dy, axis=-2, out=grads.get("b"))
         if not need_input_grad:
             # The input-gradient GEMM matches the weight-gradient GEMM in
             # cost; callers that discard dx (a network's first layer over

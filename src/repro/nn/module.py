@@ -97,13 +97,20 @@ class Sequential(Module):
                 params[f"{i}.{name}"] = value
         return params
 
-    def _child_params(self, params: Params, i: int) -> Params:
-        prefix = f"{i}."
-        return {
-            name[len(prefix):]: value
-            for name, value in params.items()
-            if name.startswith(prefix)
-        }
+    def split(self, params: Params) -> list[Params]:
+        """Per-layer parameter dicts (``"0.W"`` → ``[{"W": ...}, ...]``).
+
+        Callers that run many passes over one parameter set split it once
+        and call :meth:`forward_layers` / :meth:`backward_layers`.
+        """
+        return [
+            {
+                name[len(prefix):]: value
+                for name, value in params.items()
+                if name.startswith(prefix)
+            }
+            for prefix in (f"{i}." for i in range(len(self.layers)))
+        ]
 
     def forward(
         self,
@@ -113,12 +120,21 @@ class Sequential(Module):
         rng: np.random.Generator | None = None,
         train: bool = False,
     ) -> tuple[np.ndarray, Any]:
+        return self.forward_layers(self.split(params), x, rng=rng, train=train)
+
+    def forward_layers(
+        self,
+        layer_params: Sequence[Params],
+        x: np.ndarray,
+        *,
+        rng: np.random.Generator | None = None,
+        train: bool = False,
+    ) -> tuple[np.ndarray, Any]:
+        """:meth:`forward` over already split per-layer parameter dicts."""
         caches = []
         out = x
-        for i, layer in enumerate(self.layers):
-            out, cache = layer.forward(
-                self._child_params(params, i), out, rng=rng, train=train
-            )
+        for layer, params in zip(self.layers, layer_params):
+            out, cache = layer.forward(params, out, rng=rng, train=train)
             caches.append(cache)
         return out, caches
 
@@ -137,24 +153,54 @@ class Sequential(Module):
         skip that GEMM entirely — e.g. an embedding branch over raw
         content, whose ``dx`` no caller consumes).
         """
-        grads: Grads = {}
+        grad_out, layer_grads = self.backward_layers(
+            self.split(params), cache, dy, need_input_grad=need_input_grad
+        )
+        return grad_out, self.named_grads(layer_grads)
+
+    def backward_layers(
+        self,
+        layer_params: Sequence[Params],
+        cache: Any,
+        dy: np.ndarray,
+        *,
+        need_input_grad: bool = True,
+        out: Sequence[Grads] | None = None,
+    ) -> tuple[np.ndarray | None, list[Grads]]:
+        """:meth:`backward` over split parameters; returns per-layer grads.
+
+        With ``out`` (one dict of destination arrays per layer), layers
+        that take an ``out`` argument write their gradients into it instead
+        of allocating — a flat gradient buffer's views, for instance.
+        """
+        layer_grads: list[Grads] = [{} for _ in self.layers]
         grad_out = dy
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
+            kwargs = {}
             if i == 0 and not need_input_grad and layer.skip_input_grad:
-                grad_out, layer_grads = layer.backward(
-                    self._child_params(params, i),
-                    cache[i],
-                    grad_out,
-                    need_input_grad=False,
-                )
-            else:
-                grad_out, layer_grads = layer.backward(
-                    self._child_params(params, i), cache[i], grad_out
-                )
-            for name, value in layer_grads.items():
-                grads[f"{i}.{name}"] = value
-        return grad_out, grads
+                kwargs["need_input_grad"] = False
+            if out is not None and out[i]:
+                kwargs["out"] = out[i]
+            grad_out, layer_grads[i] = layer.backward(
+                layer_params[i], cache[i], grad_out, **kwargs
+            )
+        return grad_out, layer_grads
+
+    @staticmethod
+    def named_grads(
+        layer_grads: Sequence[Grads], prefix: str = "", into: Grads | None = None
+    ) -> Grads:
+        """Per-layer gradients under their ``"{prefix}{i}.{name}"`` names.
+
+        Last layer first — the order a backward pass produces them, which a
+        global-norm clip summing over the dict depends on.
+        """
+        grads: Grads = {} if into is None else into
+        for i in reversed(range(len(layer_grads))):
+            for name, value in layer_grads[i].items():
+                grads[f"{prefix}{i}.{name}"] = value
+        return grads
 
 
 def mlp(

@@ -240,12 +240,3 @@ class RunStore:
 
     def is_complete(self, key: str) -> bool:
         return self.load_cell(key) is not None
-
-    def completed_keys(self) -> set[str]:
-        """Keys of every valid cell currently in the store."""
-        keys = set()
-        for path in self.cells_dir.glob("*.json"):
-            key = path.stem
-            if self.is_complete(key):
-                keys.add(key)
-        return keys

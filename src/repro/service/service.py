@@ -226,20 +226,8 @@ class RecommenderService:
         return int(self.metrics.counter("serve.requests"))
 
     @property
-    def n_adapt_batches(self) -> int:
-        return int(self.metrics.counter("serve.adapt.batches"))
-
-    @property
-    def n_adapted_users(self) -> int:
-        return int(self.metrics.counter("serve.adapt.users"))
-
-    @property
     def n_events(self) -> int:
         return int(self.metrics.counter("serve.stream.events"))
-
-    @property
-    def n_refreshes(self) -> int:
-        return int(self.metrics.counter("serve.stream.refreshes"))
 
     # ------------------------------------------------------------------
     def register_user_history(self, task: PreferenceTask) -> None:
@@ -269,7 +257,9 @@ class RecommenderService:
         weights are invalidated — re-adaptation happens lazily on their
         next request — and the item joins the user's exclusion set for
         ``exclude_seen`` serving.  Every ``refresh_every`` events (when
-        enabled) a :meth:`meta_refresh` is triggered.
+        enabled) a :meth:`meta_refresh` is triggered.  An out-of-range row
+        or a rating outside [0, 1] (non-finite included) raises
+        ``ValueError`` before any state is touched.
         """
         key = int(user_row)
         item = int(item_row)

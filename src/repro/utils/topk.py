@@ -1,18 +1,27 @@
 """Exact top-k selection matching ``np.argsort(-scores, kind="stable")[:k]``.
 
-Serving ranks a k-sized head of an ``n``-sized candidate pool, so a full
-``O(n log n)`` stable sort wastes almost all of its work.  ``top_k_order``
-selects the k winners with ``np.partition`` (``O(n)``) and only sorts those
-k, while reproducing the full stable sort's order *bit for bit* — including
-its tie-breaking (equal scores rank by ascending index) — so swapping it
-into an existing ranking site cannot change a single recommendation.
+Serving ranks a k-sized head of an ``n``-sized candidate pool, so on a
+wide pool a full ``O(n log n)`` stable sort wastes almost all of its work.
+``top_k_order`` selects the k winners with ``np.partition`` (``O(n)``) and
+only sorts those k, while reproducing the full stable sort's order *bit for
+bit* — including its tie-breaking (equal scores rank by ascending index) —
+so swapping it into an existing ranking site cannot change a single
+recommendation.  Pools below :data:`FULL_SORT_BELOW` candidates, where the
+partition's fixed cost dominates, take the full stable sort itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["top_k_order"]
+__all__ = ["FULL_SORT_BELOW", "top_k_order"]
+
+#: Pools smaller than this are ranked by one full stable sort, which beats
+#: partition-then-select there.  Median per call on a 2-core x86-64 VM
+#: (numpy 2.4, float64 scores, k=10), partition vs full sort: 100
+#: candidates 17 vs 5 µs, 600: 21 vs 16 µs, 800: 22 vs 24 µs, 16000: 71 µs
+#: vs 2.1 ms.
+FULL_SORT_BELOW = 700
 
 
 def _full_order(scores: np.ndarray, k: int) -> np.ndarray:
@@ -25,8 +34,9 @@ def top_k_order(scores: np.ndarray, k: int) -> np.ndarray:
     Exactly equivalent to ``np.argsort(-scores, kind="stable")[:k]`` for
     every 1-D ``scores`` (ties broken by ascending index, NaNs ranked
     last), but selects with ``np.partition`` first so only ``k`` elements
-    are sorted.  Falls back to the full stable sort when ``k`` covers the
-    pool or NaNs make the partition threshold unusable.
+    are sorted.  Uses the full stable sort instead for pools smaller than
+    :data:`FULL_SORT_BELOW`, when ``k`` covers the pool, or when NaNs make
+    the partition threshold unusable.
     """
     scores = np.asarray(scores)
     if scores.ndim != 1:
@@ -34,7 +44,7 @@ def top_k_order(scores: np.ndarray, k: int) -> np.ndarray:
     n = scores.size
     if k <= 0:
         return np.empty(0, dtype=np.intp)
-    if k >= n:
+    if k >= n or n < FULL_SORT_BELOW:
         return _full_order(scores, k)
     kth = np.partition(scores, n - k)[n - k]
     if np.isnan(kth):

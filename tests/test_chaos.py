@@ -327,6 +327,15 @@ class TestStartupFailure:
                 service.wait_ready(timeout=30.0)
             # Fail-fast, not a 30s hang: two load attempts at most.
             assert time.monotonic() - t0 < 20.0
+            # wait_ready raises as soon as shard 0 is marked failed, while
+            # shard 1 may still be loading: let it report ready (bounded)
+            # before the status is read.
+            give_up = time.monotonic() + 30.0
+            while time.monotonic() < give_up and not any(
+                entry["shard"] == 1 and entry["ready"]
+                for entry in service.health()["shards"]
+            ):
+                time.sleep(0.02)
             health = service.health()
             assert health["status"] == "degraded"  # shard 1 still serves
             by_shard = {entry["shard"]: entry for entry in health["shards"]}

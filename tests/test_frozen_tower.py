@@ -210,6 +210,30 @@ class TestFallbackAndInvalidation:
             method._tables = None
 
 
+class TestInPlaceTowerWrites:
+    def test_in_place_tower_write_stops_the_table(self, fitted_melu):
+        """An optimizer-style in-place write keeps the array's identity;
+        the write count still takes the table out of service."""
+        method = fitted_melu
+        params = method.maml.params
+        tables = method._scoring_tables()
+        key = next(k for k in params if k.startswith("item_embed."))
+        saved = params[key].copy()
+        try:
+            params[key] += 0.01  # same array object, new values
+            assert not tables.item_current(params)
+            rng = np.random.default_rng(5)
+            serving = method.serving
+            inst = make_instance(rng, serving.n_users, serving.n_items, 12)
+            got = score_candidates(
+                method.maml, method._packed_content(), params, inst, tables
+            )
+            assert np.array_equal(got, full_solo(method, None, inst))
+        finally:
+            params[key] = saved
+            method._tables = None
+
+
 class TestArtifactTables:
     def test_format_2_artifact_bakes_tables(self, fitted_melu, tmp_path):
         path = fitted_melu.save(tmp_path / "melu.npz")

@@ -144,6 +144,21 @@ class TestMAML:
         with pytest.raises(ValueError):
             maml.fit(_corpus(), epochs=0)
 
+    def test_refresh_rejects_non_finite_update(self):
+        """A NaN label reaching a refresh raises and leaves params untouched."""
+        maml = MAML(_model(), seed=0)
+        corpus = _corpus()
+        builder = TaskCorpusBuilder(corpus.content)
+        row, s_items, s_labels, q_items, q_labels = corpus.view_arrays(0)
+        s_labels = s_labels.copy()
+        s_labels[0] = np.nan
+        builder.add_task(PreferenceTask(int(row), s_items, s_labels, q_items, q_labels))
+        before = {k: v.copy() for k, v in maml.params.items()}
+        with pytest.raises(ValueError, match="non-finite"):
+            maml.refresh_from(builder.build(), meta_lr=0.5)
+        for name, value in before.items():
+            np.testing.assert_array_equal(maml.params[name], value)
+
     def test_finetune_steps_override(self):
         maml = MAML(_model(), MAMLConfig(inner_steps=1), seed=0)
         corpus = _corpus()

@@ -1,4 +1,5 @@
-"""Stacked-parameter helpers, dense TaskBatch padding, and artifact round-trips.
+"""Stacked-parameter helpers, the flat parameter layout, dense TaskBatch padding,
+and artifact round-trips.
 
 The dense padded ``TaskBatch`` is the reference layout in ``tests/oracles.py``
 that the packed corpus batches are checked against.
@@ -17,6 +18,7 @@ from repro.nn import (
     tree_map,
     unstack_params,
 )
+from repro.nn.stacking import FlatParams, ParamLayout
 
 from oracles import TaskBatch, TaskBatchItem
 
@@ -86,6 +88,62 @@ class TestTileParams:
         tiled = tile_params(base, 5, keys=["W"])
         assert tiled["b"] is base["b"]
         assert tiled["W"].shape == (5, 3, 2)
+
+
+class TestParamLayout:
+    def test_views_alias_one_buffer_per_copy(self):
+        layout = ParamLayout([("W", (3, 2)), ("b", (2,))])
+        assert layout.size == 8
+        flat = np.arange(2 * layout.size, dtype=float).reshape(2, layout.size)
+        views = layout.views(flat)
+        assert views["W"].shape == (2, 3, 2) and views["b"].shape == (2, 2)
+        views["b"][1] = -1.0  # a write through a view lands in the buffer
+        np.testing.assert_array_equal(flat[1, 6:], [-1.0, -1.0])
+        np.testing.assert_array_equal(views["W"][0], np.arange(6.0).reshape(3, 2))
+
+    def test_pack_validates_names_and_shapes(self):
+        layout = ParamLayout([("W", (3, 2)), ("b", (2,))])
+        params = _params(0)
+        np.testing.assert_array_equal(layout.views(layout.pack(params))["W"], params["W"])
+        with pytest.raises(ValueError, match="do not match"):
+            layout.pack({"W": params["W"]})
+        with pytest.raises(ValueError, match="shape"):
+            layout.pack({"W": params["W"].T, "b": params["b"]})
+
+    def test_sub_is_a_contiguous_run(self):
+        layout = ParamLayout([("a", (2,)), ("b", (3,)), ("c", (4,))])
+        tail = layout.sub(["b", "c"])
+        assert (tail.start, tail.size, tail.names) == (2, 7, ("b", "c"))
+        with pytest.raises(ValueError, match="contiguous"):
+            layout.sub(["a", "c"])
+        with pytest.raises(ValueError, match="unknown"):
+            layout.sub(["z"])
+
+
+class TestFlatParams:
+    def test_assignment_copies_into_the_buffer(self):
+        layout = ParamLayout([("W", (3, 2)), ("b", (2,))])
+        params = FlatParams(layout, layout.pack(_params(0)))
+        view = params["W"]
+        params["W"] = np.ones((3, 2))
+        assert params["W"] is view and params.versions["W"] == 1
+        params.update(b=np.zeros(2))
+        np.testing.assert_array_equal(params.flat, [1.0] * 6 + [0.0] * 2)
+        params["b"] -= 1.0  # the optimizers' in-place update
+        assert params.versions["b"] == 2 and params.flat[-1] == -1.0
+
+    def test_adopted_read_only_arrays_are_never_written(self):
+        arrays = _params(0)
+        for value in arrays.values():
+            value.flags.writeable = False
+        layout = ParamLayout([("W", (3, 2)), ("b", (2,))])
+        params = FlatParams.adopt(layout, arrays)
+        assert params["W"] is arrays["W"]
+        params.flat[:6] += 1.0  # W's slot, written in place
+        params.mark_written(["W"])
+        np.testing.assert_array_equal(params["W"], _params(0)["W"] + 1.0)
+        np.testing.assert_array_equal(arrays["W"], _params(0)["W"])
+        assert params["b"] is arrays["b"] and params.versions == {"W": 1, "b": 0}
 
 
 class TestStackedSerialization:

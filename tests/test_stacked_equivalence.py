@@ -433,13 +433,14 @@ class TestMAMLEquivalence:
         _assert_scores_match_dense(maml, content, states, instances)
 
     def test_adapt_corpus_states_do_not_pin_chunks(self):
-        """Cached per-user fast weights own their arrays (no chunk views)."""
+        """Cached per-user fast weights own one row each (no chunk views)."""
         rng = np.random.default_rng(0)
         maml = MAML(_model(), MAMLConfig(inner_lr=0.1), seed=0)
         states = maml.adapt_corpus(_corpus(rng, 4, min_support=1), steps=1)
         for state in states:
+            assert state.flat.ndim == 1 and state.flat.base is None
             for name, value in state.items():
-                assert value.base is None or value.base is maml.params.get(name), name
+                assert value is maml.params.get(name) or value.base is state.flat, name
 
 
 class TestStackedOptimizer:

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.interface import Recommender
 from repro.data.splits import Scenario
 from repro.data.tasks import PreferenceTask, append_interaction, task_fingerprint
 from repro.eval.temporal import compare_refresh_cadence, evaluate_stream, split_task_stream
@@ -219,6 +221,17 @@ class TestFingerprint:
         with pytest.raises(ValueError, match="user"):
             append_interaction(grown, 4, 1, 1.0)
 
+    def test_append_interaction_rejects_hostile_ratings(self):
+        """Ratings are labels in [0, 1]; anything else fails at the edge."""
+        grown = append_interaction(None, user_row=3, item_row=7, rating=0.5)
+        for rating in (float("nan"), float("inf"), -float("inf"), 1e30, -3.0, 1.5):
+            with pytest.raises(ValueError, match="rating"):
+                append_interaction(None, 3, 7, rating)
+            with pytest.raises(ValueError, match="rating"):
+                append_interaction(grown, 3, 9, rating)
+        for rating in (0.0, 1.0, np.float32(0.25)):
+            assert append_interaction(grown, 3, 9, rating).n_support == 2
+
 
 class _CountingMethod:
     """Wrap a recommender, counting expensive adaptation calls."""
@@ -364,6 +377,39 @@ class TestMetaRefresh:
         ]
         assert changed and all(k.startswith("mlp.") for k in changed)
 
+    def test_hostile_ratings_never_reach_the_meta_parameters(
+        self, melu_restored, cold_tasks
+    ):
+        """One NaN event must not poison the shard.
+
+        Accepted, ``observe(u, 5, nan)`` made the next ``meta_refresh()``
+        return ``delta_rms = nan``, turned every meta-parameter array into
+        NaN and with them every other user's scores; ``1e30`` and ``-3.0``
+        went through too.  Now each is rejected before any state changes.
+        """
+        victim, other = sorted(cold_tasks)[:2]
+        service = RecommenderService(melu_restored, cache_size=8)
+        for user in (victim, other):
+            service.register_user_history(cold_tasks[user])
+        before = {k: v.copy() for k, v in melu_restored.maml.params.items()}
+        support = cold_tasks[victim].support_labels.copy()
+        for rating in (float("nan"), float("inf"), 1e30, -3.0):
+            with pytest.raises(ValueError, match="rating"):
+                service.observe(victim, 5, rating)
+        stream = service.stats()["stream"]
+        assert stream["events"] == 0 and stream["dirty_users"] == 0
+        np.testing.assert_array_equal(service._tasks[victim].support_labels, support)
+        assert service.meta_refresh() == {"n_tasks": 0, "delta_rms": 0.0}
+        assert len(before) == 10
+        for name, value in melu_restored.maml.params.items():
+            np.testing.assert_array_equal(value, before[name])
+        assert np.isfinite(service.recommend(other, k=5).scores).all()
+        # A valid event still refreshes, to finite parameters.
+        service.observe(victim, 5, 1.0)
+        assert np.isfinite(service.meta_refresh()["delta_rms"])
+        for value in melu_restored.maml.params.values():
+            assert np.isfinite(value).all()
+
     def test_refresh_every_requires_meta_method(self, bench_experiment):
         popularity = build_method({"name": "Popularity"}, seed=0)
         popularity.fit(bench_experiment.ctx)
@@ -419,6 +465,27 @@ def stream_artifact(bench_experiment, tmp_path_factory):
     path = method.save(tmp_path_factory.mktemp("stream") / "metadpa.npz")
     tasks = {int(t.user_row): t for t in bench_experiment.task_sets[Scenario.C_U]}
     return str(path), tasks
+
+
+class TestMappedRefresh:
+    def test_refresh_of_a_mapped_artifact_never_writes_through(self, stream_artifact):
+        """Refreshing a memory-mapped model moves its weights in memory only.
+
+        The refreshed weights equal an eagerly loaded model refreshed the
+        same way, and the artifact's bytes are unchanged.
+        """
+        path, tasks = stream_artifact
+        before = Path(path).read_bytes()
+        observed = [tasks[user] for user in sorted(tasks)[:3]]
+        mapped = Recommender.load(path, mmap_mode="r")
+        eager = Recommender.load(path, mmap_mode=None)
+        assert not any(v.flags.writeable for v in mapped.maml.params.values())
+        for method in (mapped, eager):
+            assert method.meta_refresh(observed, meta_lr=0.5)["delta_rms"] > 0
+        for name, value in mapped.maml.params.items():
+            assert value.flags.writeable, name  # an in-memory copy now
+            np.testing.assert_array_equal(value, eager.maml.params[name])
+        assert Path(path).read_bytes() == before
 
 
 class TestShardedStreaming:

@@ -5,8 +5,10 @@ The serving sites it replaced ranked with
 is only admissible because it returns the *exact* same index order —
 including tie-breaking by ascending index and NaNs ranked last — for every
 input.  These tests pin that equivalence on the adversarial shapes
-(heavy ties, infinities, NaNs, degenerate k) plus a hypothesis sweep, and
-pin the MetaCF potential-neighbour fix that rides on it.
+(heavy ties, infinities, NaNs, degenerate k) plus a hypothesis sweep, each
+both below ``FULL_SORT_BELOW`` (the full-sort path) and above it (the
+partition path), and pin the MetaCF potential-neighbour fix that rides on
+it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.metacf import MetaCF
-from repro.utils.topk import top_k_order
+from repro.utils.topk import FULL_SORT_BELOW, top_k_order
 
 
 def reference(scores: np.ndarray, k: int) -> np.ndarray:
@@ -32,10 +34,26 @@ def assert_matches(scores, k) -> None:
     assert np.array_equal(got, expected), (scores, k, got, expected)
 
 
+#: Pools below ``FULL_SORT_BELOW`` take the full sort, pools at or above it
+#: the partition path: every adversarial case runs once in each.
+REGIMES = ("below", "above")
+
+
+def sized(scores, regime: str) -> np.ndarray:
+    """``scores`` as given (below the threshold) or tiled past it (above)."""
+    scores = np.asarray(scores)
+    if regime == "above":
+        scores = np.tile(scores, -(-FULL_SORT_BELOW // scores.size))
+        assert scores.size >= FULL_SORT_BELOW
+    else:
+        assert scores.size < FULL_SORT_BELOW
+    return scores
+
+
 class TestTopKOrder:
     def test_random_vectors(self):
         rng = np.random.default_rng(0)
-        for n in (1, 2, 5, 100, 1000):
+        for n in (1, 2, 5, 100, FULL_SORT_BELOW - 1, FULL_SORT_BELOW, 1000):
             for k in (1, 2, 3, n // 2, n - 1, n, n + 5):
                 if k <= 0:
                     continue
@@ -43,40 +61,50 @@ class TestTopKOrder:
 
     def test_heavily_tied(self):
         rng = np.random.default_rng(1)
-        for n in (10, 100, 1000):
-            # Integer-valued scores from a tiny alphabet: nearly every
-            # element ties, the regime where the unstable reversal breaks.
-            scores = rng.integers(0, 4, size=n).astype(float)
-            for k in (1, 3, n // 2, n):
-                assert_matches(scores, k)
+        for regime in REGIMES:
+            sizes = (10, 100) if regime == "below" else (FULL_SORT_BELOW, 1000)
+            for n in sizes:
+                # Integer-valued scores from a tiny alphabet: nearly every
+                # element ties, the regime where the unstable reversal breaks.
+                scores = sized(rng.integers(0, 4, size=n).astype(float), regime)
+                for k in (1, 3, n // 2, n):
+                    assert_matches(scores, k)
 
     def test_all_equal(self):
-        scores = np.full(50, 3.25)
-        for k in (1, 10, 50):
-            assert np.array_equal(top_k_order(scores, k), np.arange(k))
+        for regime in REGIMES:
+            scores = sized(np.full(50, 3.25), regime)
+            for k in (1, 10, 50):
+                assert np.array_equal(top_k_order(scores, k), np.arange(k))
 
     def test_float32_scores(self):
         rng = np.random.default_rng(2)
-        scores = rng.integers(0, 5, size=200).astype(np.float32)
-        assert_matches(scores, 17)
+        for regime in REGIMES:
+            scores = sized(rng.integers(0, 5, size=200).astype(np.float32), regime)
+            assert_matches(scores, 17)
 
     def test_infinities(self):
-        scores = np.array([1.0, -np.inf, np.inf, 0.0, np.inf, -np.inf])
-        for k in range(1, 7):
-            assert_matches(scores, k)
+        for regime in REGIMES:
+            scores = sized([1.0, -np.inf, np.inf, 0.0, np.inf, -np.inf], regime)
+            for k in (*range(1, 7), scores.size - 1):
+                assert_matches(scores, k)
 
     def test_nans_rank_last(self):
-        scores = np.array([0.5, np.nan, 2.0, np.nan, 1.0, -1.0])
-        for k in range(1, 7):
-            assert_matches(scores, k)
+        for regime in REGIMES:
+            scores = sized([0.5, np.nan, 2.0, np.nan, 1.0, -1.0], regime)
+            for k in (*range(1, 7), scores.size - 1):
+                assert_matches(scores, k)
 
     def test_all_nan(self):
-        assert_matches(np.full(5, np.nan), 3)
+        for regime in REGIMES:
+            scores = sized(np.full(5, np.nan), regime)
+            for k in (3, scores.size - 1):
+                assert_matches(scores, k)
 
     def test_k_degenerate(self):
-        scores = np.array([2.0, 1.0, 3.0])
-        assert top_k_order(scores, 0).size == 0
-        assert_matches(scores, len(scores) + 10)
+        for regime in REGIMES:
+            scores = sized([2.0, 1.0, 3.0], regime)
+            assert top_k_order(scores, 0).size == 0
+            assert_matches(scores, len(scores) + 10)
         assert top_k_order(np.array([]), 3).size == 0
 
     def test_rejects_2d(self):
@@ -96,7 +124,8 @@ class TestTopKOrder:
         k=st.integers(min_value=1, max_value=80),
     )
     def test_hypothesis_matches_stable_argsort(self, scores, k):
-        assert_matches(np.array(scores), k)
+        for regime in REGIMES:
+            assert_matches(sized(scores, regime), k)
 
 
 class TestMetaCFTieBreak:
