@@ -274,10 +274,11 @@ class Recommender(abc.ABC):
     ) -> list[np.ndarray]:
         """Score many instances with per-instance adapted states.
 
-        The batch entry point of the service's micro-batch flushes,
-        ``recommend_many`` and ``score_instances``.  Each instance is scored
-        alone through :meth:`score_with_state`, so a batched answer is
-        bitwise equal to the solo one.
+        The scoring call of the service's request core
+        (``RecommenderService.recommend_batch``, which every serving entry
+        point goes through) and of ``score_instances``.  Each instance is
+        scored alone through :meth:`score_with_state`, so a batched answer
+        is bitwise equal to the solo one.
         """
         if len(states) != len(instances):
             raise ValueError("states and instances must align")

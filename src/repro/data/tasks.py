@@ -83,6 +83,18 @@ def task_fingerprint(task: PreferenceTask) -> bytes:
     return h.digest()
 
 
+def check_rating(rating: float) -> float:
+    """``rating`` as a float; ``ValueError`` unless it is finite and in [0, 1].
+
+    [0, 1] is the label range of every task, so one hostile event cannot
+    reach the meta-parameters through a refresh.
+    """
+    rating = float(rating)
+    if not 0.0 <= rating <= 1.0:
+        raise ValueError(f"rating must be a finite value in [0, 1], got {rating!r}")
+    return rating
+
+
 def append_interaction(
     task: PreferenceTask | None,
     user_row: int,
@@ -97,13 +109,10 @@ def append_interaction(
     appended.  The query side is never touched — observed events are
     training signal, not held-out evaluation rows.
 
-    ``rating`` must be a finite value in [0, 1], the label range of every
-    task; anything else raises ``ValueError`` before a task is built, so
-    one hostile event cannot reach the meta-parameters through a refresh.
+    A rating :func:`check_rating` rejects raises ``ValueError`` before a
+    task is built.
     """
-    rating = float(rating)
-    if not 0.0 <= rating <= 1.0:
-        raise ValueError(f"rating must be a finite value in [0, 1], got {rating!r}")
+    rating = check_rating(rating)
     if task is None:
         return PreferenceTask(
             user_row=int(user_row),

@@ -329,7 +329,6 @@ def _metrics_dumper(service, path: Path, interval: float):
 def _run_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.core.interface import Recommender
     from repro.service import RecommenderService
     from repro.serve import ShardedService, mixed_zipfian_stream, zipfian_users
     from repro.utils.timing import Timer
@@ -363,7 +362,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
         )
         service.wait_ready(timeout=120.0)
-        serving = Recommender.load(args.artifact, mmap_mode="r").serving
+        n_users, n_items = service.n_users, service.n_items
     else:
         service = RecommenderService.from_artifact(
             args.artifact,
@@ -372,7 +371,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             refresh_every=args.refresh_every,
         )
         serving = service.method.serving
-    n_users, n_items = serving.n_users, serving.n_items
+        n_users, n_items = serving.n_users, serving.n_items
     rng = np.random.default_rng(args.seed)
     users = rng.integers(0, n_users, size=min(args.distinct_users, n_users))
     if args.write_frac > 0:

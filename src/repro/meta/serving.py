@@ -9,12 +9,14 @@ scoring becomes a gather plus the MLP head.
 
 Candidate scoring has one implementation, :func:`score_candidates`, and it
 is per request: each user is scored with their own locally adapted
-preference model (one task per user), so every batch entry point —
-``score_with_state_batch``, and through it ``recommend_many``,
-``score_instances``, evaluation and in-process micro-batch flushes — loops
-over it.  A request's scores therefore depend only on its own state and
-candidates, and batched answers are bitwise equal to solo ones and to the
-sharded workers' answers.  The user row is embedded once as ``(1, C)`` and
+preference model (one task per user).  ``score_with_state_batch`` loops
+over it, and it is the scoring call of evaluation and of the service's
+request core, ``RecommenderService.recommend_batch``, which every serving
+entry point (``recommend``, ``recommend_many``, micro-batch flushes, the
+shard workers' ``batch`` RPC) and ``score_instances`` go through.  A
+request's scores therefore depend only on its own state and candidates,
+and batched answers are bitwise equal to solo ones and to the sharded
+workers' answers.  The user row is embedded once as ``(1, C)`` and
 broadcast across the candidates.
 
 Exactness of the table is guarded, not assumed.  It records the item-tower

@@ -4,19 +4,21 @@ Layout
 ------
 Requests are routed by ``user_row % n_workers``, so each worker's
 adaptation LRU owns a disjoint slice of the user base — no cross-worker
-cache duplication.  Every shard gets its own
-:class:`~repro.service.MicroBatcher` on the parent side, which flushes
-on idle: a request reaching a shard with no RPC in flight leaves at once,
-and requests submitted while one is in flight coalesce (up to
+cache duplication.  The front-end checks every request and event against
+the artifact's shape before queueing it (:func:`~repro.service.service
+.check_request`), so a bad one fails at its own call.  Every shard gets
+its own :class:`~repro.service.MicroBatcher` on the parent side, which
+flushes on idle: a request reaching a shard with no RPC in flight leaves
+at once, and requests submitted while one is in flight coalesce (up to
 ``max_batch``) into the next micro-batch.  A flush crosses the process
-boundary as **one** ``batch`` RPC, and the worker resolves the whole
-flush's cold-start users with one ``adapt_users`` call.
+boundary as **one** ``batch`` RPC, and the worker answers it with
+``RecommenderService.recommend_batch``, the request core of the
+in-process tier: one adaptation pass for the flush's cold-start users,
+per-request scoring.
 
-Because the workers memory-map one shared artifact and score each request
-through the same solo path the single-process facade uses (see
-``RecommenderService.recommend_batch``), the sharded answers are
-bit-identical to sequential single-process serving for the same request
-stream.
+Because the workers memory-map one shared artifact and run the same core
+the single-process facade runs, the sharded answers are bit-identical to
+sequential single-process serving for the same request stream.
 
 Supervision
 -----------
@@ -35,6 +37,7 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -42,9 +45,16 @@ import numpy as np
 
 from repro.core.interface import Recommendation
 from repro.data.tasks import PreferenceTask
+from repro.nn.serialization import load_params
 from repro.obs import MetricsRegistry, merge_snapshots, strip_gauges
 from repro.service.batching import MicroBatcher
-from repro.service.service import DeadlineSkipped, ServeRequest, service_stats_view
+from repro.service.service import (
+    DeadlineSkipped,
+    ServeRequest,
+    check_event,
+    check_request,
+    service_stats_view,
+)
 from repro.serve.faults import FaultPlan
 from repro.serve.resilience import (
     BREAKER_OPEN,
@@ -181,6 +191,10 @@ class ShardedService:
     fault_plan:
         optional :class:`~repro.serve.faults.FaultPlan` armed inside every
         worker, for chaos tests; ``None`` injects nothing.
+
+    ``n_users`` and ``n_items`` are the artifact's user and item counts,
+    read once from its ``serving.seen`` shape; the front-end checks every
+    request and event against them.
     """
 
     def __init__(
@@ -213,6 +227,10 @@ class ShardedService:
         if not path.exists():
             raise FileNotFoundError(f"artifact not found: {path}")
         self._artifact = str(path)
+        seen = load_params(path, mmap_mode="r")[0].get("serving.seen")
+        if seen is None:
+            raise ValueError(f"{path} is not a recommender artifact")
+        self.n_users, self.n_items = seen.shape
         if fault_plan is not None and not fault_plan:
             fault_plan = None  # an empty plan arms nothing
         self._options = WorkerOptions(
@@ -259,7 +277,7 @@ class ShardedService:
             with shard.lock:
                 self._spawn_worker(shard)
             shard.batcher = MicroBatcher(
-                self._make_flush(shard),
+                partial(self._rpc, shard, "batch"),
                 max_batch=max_batch,
                 metrics=self.metrics,
             )
@@ -503,12 +521,6 @@ class ShardedService:
         self.metrics.observe("serve.rpc.seconds", perf_counter() - t0)
         return result
 
-    def _make_flush(self, shard: _Shard):
-        def flush(requests, _instances) -> list[Recommendation]:
-            return self._rpc(shard, "batch", list(requests))
-
-        return flush
-
     # -- serving --------------------------------------------------------
     def shard_of(self, user_row: int) -> int:
         return int(user_row) % len(self._shards)
@@ -523,8 +535,11 @@ class ShardedService:
     ) -> Future:
         """Enqueue one request; resolves to a :class:`Recommendation`.
 
-        The request rides its shard's next micro-batch: one coalesced RPC,
-        one batched adaptation pass in the worker.
+        A request :func:`~repro.service.service.check_request` rejects (a
+        row outside the artifact, ``k <= 0``) raises ``ValueError`` here,
+        before it is counted or queued.  A valid one rides its shard's next
+        micro-batch: one coalesced RPC, one batched adaptation pass in the
+        worker.
 
         With a resilience config armed the future additionally passes
         through admission control, the shard's circuit breaker, retries,
@@ -534,6 +549,7 @@ class ShardedService:
         ``deadline`` is absolute ``time.time()``; when omitted the
         config's default budget applies.
         """
+        check_request(user_row, k, self.n_users)
         if self._resilience is not None:
             return self._submit_resilient(user_row, k, task, exclude_seen, deadline)
         if deadline is not None:
@@ -545,9 +561,9 @@ class ShardedService:
         request = ServeRequest(int(user_row), int(k), task, bool(exclude_seen))
         self.metrics.inc("serve.requests")
         if not self.metrics.enabled:
-            return shard.batcher.submit(request, None)
+            return shard.batcher.submit(request)
         t0 = perf_counter()
-        future = shard.batcher.submit(request, None)
+        future = shard.batcher.submit(request)
         future.add_done_callback(
             lambda _f: self.metrics.observe(
                 "serve.request.seconds", perf_counter() - t0
@@ -622,7 +638,7 @@ class ShardedService:
             self._finish_degraded(call, "breaker")
             return
         call.attempts += 1
-        inner = shard.batcher.submit(call.request, None)
+        inner = shard.batcher.submit(call.request)
         inner.add_done_callback(lambda f, c=call: self._settle(c, f))
 
     def _settle(self, call: _ResilientCall, inner: Future) -> None:
@@ -797,7 +813,13 @@ class ShardedService:
     def observe_async(
         self, user_row: int, item_row: int, rating: float = 1.0
     ) -> Future:
-        """Fire-and-track variant of :meth:`observe` for write streams."""
+        """Fire-and-track variant of :meth:`observe` for write streams.
+
+        An event :func:`~repro.service.service.check_event` rejects (a row
+        outside the artifact, a rating outside [0, 1]) raises
+        ``ValueError`` here, before the RPC.
+        """
+        check_event(user_row, item_row, rating, self.n_users, self.n_items)
         shard = self._shards[self.shard_of(user_row)]
         payload = (int(user_row), int(item_row), float(rating))
         _, future = self._call(shard, "observe", payload)

@@ -10,8 +10,8 @@ private counters — and then answers a tiny RPC protocol::
     worker -> parent:  (req_id, ok, result_or_error)
 
 Kinds: ``batch`` (a flush of :class:`~repro.service.ServeRequest`, answered
-by ``recommend_batch`` — one ``adapt_users`` call per flush, solo scoring
-for bit-identical results), ``register`` / ``invalidate`` / ``observe``
+by the request core ``recommend_batch`` — one adaptation pass per flush,
+per-request scoring), ``register`` / ``invalidate`` / ``observe``
 (history bookkeeping and event-log ingest), ``refresh`` (reptile
 meta-refresh from observed tasks), ``stats``, ``ping`` and ``shutdown``.  Any per-request
 exception is reported back as ``(req_id, False, message)``; the worker only

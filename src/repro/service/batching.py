@@ -1,16 +1,21 @@
-"""Micro-batching request queue for the serving facade.
+"""Micro-batching request queue for the serving tiers.
 
 The :class:`MicroBatcher` flushes on idle: its worker thread takes the
 oldest queued request plus whatever else is already queued (up to
 ``max_batch``) and flushes at once.  The worker blocks on each flush, so
 requests that arrive meanwhile pile up and leave together in the next one:
 coalescing happens exactly when the flush target is busy, and a lone
-request never waits (Nagle's algorithm, RFC 896).  The batcher is
-payload-agnostic.  The work a flush shares is adaptation: the serving
-facade's flush callback fine-tunes every pending cold-start user in the
-flush through one batched ``adapt_users`` call (and the sharded front-end
-sends the whole flush as one RPC).  Scoring stays per request — each
-request's scores are exactly the ones a solo call would return.
+request never waits (Nagle's algorithm, RFC 896).
+
+The batcher carries one opaque payload per request: ``submit(item)``
+returns a future, and ``flush(items)`` must return one result per item, in
+order.  Both serving tiers queue :class:`~repro.service.ServeRequest`
+objects.  In-process the flush is ``RecommenderService.recommend_batch``,
+the request core, which fine-tunes every cache-missed user in the flush
+with one adaptation pass; the sharded front-end's flush sends the items to
+a worker as one RPC, which the worker answers with the same core.  Scoring
+stays per request — each request's answer is exactly the one a solo call
+returns.
 
 The batching loop is factored into :meth:`process_once` so tests can drive
 it deterministically (``autostart=False``); in production a daemon worker
@@ -26,33 +31,29 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from repro.data.negative_sampling import EvalInstance
 from repro.obs import MetricsRegistry
 
-#: signature of the batched scorer: (states, instances) -> list of score arrays
-BatchScoreFn = Callable[[Sequence[Any], Sequence[EvalInstance]], list[np.ndarray]]
+#: signature of the flush: one result per queued item, in order
+FlushFn = Callable[[list[Any]], Sequence[Any]]
 
 
 @dataclass
 class _Request:
-    state: Any
-    instance: EvalInstance
+    item: Any
     future: Future = field(default_factory=Future)
     submitted: float = field(default_factory=time.perf_counter)
 
 
 class MicroBatcher:
-    """Coalesce concurrent scoring requests into batched calls.
+    """Coalesce concurrent requests into batched flushes.
 
     Each flush holds every request queued when the worker became idle;
     requests submitted during a flush ride the next one together.
 
     Parameters
     ----------
-    score_fn:
-        the batched scorer, typically a method's ``score_with_state_batch``.
+    flush:
+        called with a list of queued items; returns one result per item.
     max_batch:
         largest number of requests folded into one call.
     autostart:
@@ -67,14 +68,14 @@ class MicroBatcher:
 
     def __init__(
         self,
-        score_fn: BatchScoreFn,
+        flush: FlushFn,
         max_batch: int = 32,
         autostart: bool = True,
         metrics: MetricsRegistry | None = None,
     ):
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        self._score_fn = score_fn
+        self._flush = flush
         self.max_batch = max_batch
         self._queue: queue.Queue[_Request | None] = queue.Queue()
         self._closed = False
@@ -90,18 +91,14 @@ class MicroBatcher:
             self._worker.start()
 
     # ------------------------------------------------------------------
-    def submit(self, state: Any, instance: EvalInstance) -> Future:
-        """Enqueue one request; the future resolves to its score array."""
+    def submit(self, item: Any) -> Future:
+        """Enqueue one item; the future resolves to its flush result."""
         if self._closed:
             raise RuntimeError("batcher is closed")
-        request = _Request(state=state, instance=instance)
+        request = _Request(item)
         self.n_requests += 1
         self._queue.put(request)
         return request.future
-
-    def score(self, state: Any, instance: EvalInstance) -> np.ndarray:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(state, instance).result()
 
     # ------------------------------------------------------------------
     def _collect(self, block: bool) -> list[_Request]:
@@ -125,7 +122,7 @@ class MicroBatcher:
         return batch
 
     def process_once(self, block: bool = False) -> int:
-        """Collect and score one batch; returns how many requests it served."""
+        """Collect and flush one batch; returns how many requests it served."""
         batch = self._collect(block=block)
         if not batch:
             return 0
@@ -139,15 +136,13 @@ class MicroBatcher:
                 )
             self._metrics.observe("serve.batch.size", len(batch))
         try:
-            scores = self._score_fn(
-                [r.state for r in batch], [r.instance for r in batch]
-            )
-            if len(scores) != len(batch):
+            results = self._flush([r.item for r in batch])
+            if len(results) != len(batch):
                 raise RuntimeError(
-                    f"scorer returned {len(scores)} results for {len(batch)} requests"
+                    f"flush returned {len(results)} results for {len(batch)} requests"
                 )
-            for request, score in zip(batch, scores):
-                request.future.set_result(score)
+            for request, result in zip(batch, results):
+                request.future.set_result(result)
         except Exception as exc:  # propagate to every waiting caller
             for request in batch:
                 if not request.future.done():

@@ -12,14 +12,17 @@ artifact:
 - an optional micro-batching queue coalescing concurrent ``recommend``
   calls into one flush.
 
-Cold-start adaptation is batched wherever more than one user needs it at
-once: :meth:`RecommenderService.recommend_many` and every micro-batch
-flush route uncached users through the method's ``adapt_users`` — for
-MAML-based methods one vectorized inner loop over the whole batch of
-support sets (``MAML.adapt_corpus``) — instead of fine-tuning them one by
-one.  Scoring is per request on every path: each user is scored with their
-own adapted state, so every entry point returns the same bits as a solo
-:meth:`RecommenderService.recommend`.
+Every request is answered by one core, :meth:`RecommenderService
+.recommend_batch`.  It validates the flush, replays the per-user cache
+protocol, adapts every cache-missed user in one pass (for MAML-based
+methods one vectorized inner loop, ``MAML.adapt_corpus``), scores the live
+requests with one ``score_with_state_batch`` call and ranks each with
+``top_k_order``.  ``recommend`` is a batch of one (with batching it rides
+the micro-batcher, whose flush is the core), ``recommend_many`` is a batch
+of users, ``score_instances`` shares the core's cache-and-adapt step, and
+the shard worker answers each ``batch`` RPC with the core.  Scoring is per
+request inside that one call: each user is scored with their own adapted
+state, so every entry point returns the same bits.
 
 A user's support set enters through ``recommend(..., task=...)`` or
 :meth:`register_user_history`; users without history are served from the
@@ -39,13 +42,45 @@ import numpy as np
 
 from repro.core.interface import Recommendation, Recommender
 from repro.data.negative_sampling import EvalInstance
-from repro.data.tasks import PreferenceTask, append_interaction, task_fingerprint
+from repro.data.tasks import (
+    PreferenceTask,
+    append_interaction,
+    check_rating,
+    task_fingerprint,
+)
 from repro.obs import MetricsRegistry
 from repro.service.batching import MicroBatcher
 from repro.service.cache import LRUCache
 from repro.utils.topk import top_k_order
 
 _MISS = object()
+
+
+def _check_row(name: str, row: int, n_rows: int) -> None:
+    if not 0 <= row < n_rows:
+        raise ValueError(f"{name} {row} out of range [0, {n_rows})")
+
+
+def check_request(user_row: int, k: int, n_users: int) -> None:
+    """Raise ``ValueError`` for a ``recommend`` request no tier can answer.
+
+    The one request check of both serving tiers: the core runs it over a
+    whole flush before touching any state, and the sharded front-end runs
+    it before enqueueing, so a bad request fails at its own call instead of
+    failing the flush it would have shared.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    _check_row("user_row", user_row, n_users)
+
+
+def check_event(
+    user_row: int, item_row: int, rating: float, n_users: int, n_items: int
+) -> None:
+    """Raise ``ValueError`` for an ``observe`` event no tier may ingest."""
+    _check_row("user_row", user_row, n_users)
+    _check_row("item_row", item_row, n_items)
+    check_rating(rating)
 
 
 def service_stats_view(snapshot: dict) -> dict:
@@ -84,16 +119,16 @@ def service_stats_view(snapshot: dict) -> dict:
 
 @dataclass(frozen=True)
 class ServeRequest:
-    """One ``recommend`` call as data, for batch and cross-process serving.
+    """One ``recommend`` call as data: the unit of the request core.
 
-    The wire unit of the sharded front-end: a flush of these is resolved by
+    Both tiers queue these, and a flush of them is resolved by
     :meth:`RecommenderService.recommend_batch` with one batched adaptation
-    pass and per-request solo scoring.
+    pass and per-request scoring.
 
     ``deadline`` is an absolute wall-clock time (``time.time()``, the one
-    clock processes share): past it the worker skips the request instead of
-    adapting/scoring it, returning a :class:`DeadlineSkipped` marker in its
-    slot so the front-end can answer degraded.
+    clock processes share): past it the core skips the request instead of
+    adapting or scoring it, returning a :class:`DeadlineSkipped` marker in
+    its slot so the front-end can answer degraded.
     """
 
     user_row: int
@@ -114,19 +149,6 @@ class DeadlineSkipped:
     """
 
     user_row: int
-
-
-@dataclass
-class _PendingAdaptation:
-    """A cache-missed user riding into a micro-batch flush un-adapted.
-
-    The flush resolves all pending entries with one ``adapt_users`` call,
-    so a burst of cold-start users pays one vectorized inner loop instead
-    of one fine-tuning run per request.
-    """
-
-    user_row: int
-    task: PreferenceTask | None
 
 
 class RecommenderService:
@@ -184,7 +206,7 @@ class RecommenderService:
         self._batcher: MicroBatcher | None = None
         if batching:
             self._batcher = MicroBatcher(
-                self._score_flush,
+                self.recommend_batch,
                 max_batch=max_batch,
                 metrics=self.metrics,
             )
@@ -264,10 +286,7 @@ class RecommenderService:
         key = int(user_row)
         item = int(item_row)
         serving = self.method.serving
-        if not 0 <= key < serving.n_users:
-            raise ValueError(f"user_row {key} out of range [0, {serving.n_users})")
-        if not 0 <= item < serving.n_items:
-            raise ValueError(f"item_row {item} out of range [0, {serving.n_items})")
+        check_event(key, item, rating, serving.n_users, serving.n_items)
         self._tasks[key] = append_interaction(
             self._tasks.get(key), key, item, float(rating)
         )
@@ -325,9 +344,8 @@ class RecommenderService:
         task pickled across a shard Pipe is a new object with the same
         bytes and must still hit.
         """
-        key = int(user_row)
         with self._cache_lock:
-            entry = self._cache.get(key, _MISS)
+            entry = self._cache.get(user_row, _MISS)
         if entry is not _MISS:
             cached_fp, state = entry
             # A caller explicitly passing *different* history is announcing
@@ -336,77 +354,74 @@ class RecommenderService:
                 cached_fp is not None and task_fingerprint(task) == cached_fp
             ):
                 return True, state, cached_fp
-        return False, None, task if task is not None else self._tasks.get(key)
+        return False, None, task if task is not None else self._tasks.get(user_row)
 
-    def _store_state(self, user_row: int, task: PreferenceTask | None, state) -> None:
-        fingerprint = task_fingerprint(task) if task is not None else None
-        with self._cache_lock:
-            self._cache.put(int(user_row), (fingerprint, state))
+    def _adapted_states(self, keys: list[tuple[int, PreferenceTask | None]]) -> list:
+        """One adapted state per ``(user_row, task)`` key: the core's
+        cache-and-adapt step.
 
-    def _count_adaptation(self, n_users: int) -> None:
-        self.metrics.inc("serve.adapt.batches")
-        self.metrics.inc("serve.adapt.users", n_users)
-
-    def _adapt_users(self, tasks: list[PreferenceTask | None]) -> list:
-        """Every batched ``adapt_users`` call funnels through here."""
-        if self._adapt_hook is not None:
-            self._adapt_hook(len(tasks))
-        return self.method.adapt_users(tasks)
-
-    def _adapted_state(self, user_row: int, task: PreferenceTask | None):
-        hit, state, effective = self._cached_state(user_row, task)
-        if hit:
-            return state
-        if self._adapt_hook is not None:
-            self._adapt_hook(1)
-        with self.metrics.span("serve.adapt", size=1):
-            state = self.method.adapt_user(effective)
-        self._count_adaptation(1)
-        self._store_state(user_row, effective, state)
-        return state
-
-    def _score_flush(self, states, instances):
-        """Micro-batch scorer: batch-adapt pending users, then score.
-
-        Entries arriving as :class:`_PendingAdaptation` (cache misses at
-        submit time) are resolved here with a single ``adapt_users`` call —
-        the whole flush's cold-start fine-tuning in one vectorized inner
-        loop — and the fresh states are written back to the LRU cache
-        before scoring.
+        First the sequential cache protocol is replayed without adapting
+        anything: per user, an explicit task whose value fingerprint
+        differs from the freshest one replaces the earlier state, and later
+        keys reuse the freshest adaptation.  Then every distinct adaptation
+        the replay needs runs in one pass, and each fresh state is written
+        back to the LRU.  ``serve.adapt.pending`` counts the users of the
+        pass in flight.
         """
-        pending = [
-            (i, entry)
-            for i, entry in enumerate(states)
-            if isinstance(entry, _PendingAdaptation)
-        ]
-        if pending:
-            # The decrement rides a finally so a raising adapt_users (the
-            # exception lands on every waiter's future) cannot leak backlog
-            # depth into the stats forever.
+        states: list = []  # distinct states, in first-need order
+        slots: list[int] = []  # per key, its index in ``states``
+        misses: list[tuple[int, int, PreferenceTask | None, bytes | None]] = []
+        latest: dict[int, tuple[bytes | None, int]] = {}
+        for user, task in keys:
+            if user in latest:
+                prior_fp, slot = latest[user]
+                if task is None or (
+                    prior_fp is not None and task_fingerprint(task) == prior_fp
+                ):
+                    slots.append(slot)
+                    continue
+            else:
+                hit, state, extra = self._cached_state(user, task)
+                if hit:
+                    latest[user] = (extra, len(states))
+                    slots.append(len(states))
+                    states.append(state)
+                    continue
+                task = extra
+            fingerprint = task_fingerprint(task) if task is not None else None
+            latest[user] = (fingerprint, len(states))
+            slots.append(len(states))
+            misses.append((len(states), user, task, fingerprint))
+            states.append(None)
+        if misses:
+            tasks = [task for _, _, task, _ in misses]
+            self.metrics.inc_gauge("serve.adapt.pending", len(tasks))
             try:
-                with self.metrics.span("serve.adapt", size=len(pending)):
-                    adapted = self._adapt_users(
-                        [entry.task for _, entry in pending]
+                with self.metrics.span("serve.adapt", size=len(tasks)):
+                    if self._adapt_hook is not None:
+                        self._adapt_hook(len(tasks))
+                    # One user adapts through the per-user hook, several
+                    # through the batched one; every method returns the same
+                    # state from both, so the choice never changes an answer.
+                    fresh = (
+                        [self.method.adapt_user(tasks[0])]
+                        if len(tasks) == 1
+                        else self.method.adapt_users(tasks)
                     )
-                self._count_adaptation(len(pending))
-                states = list(states)
-                for (i, entry), state in zip(pending, adapted):
-                    states[i] = state
-                    self._store_state(entry.user_row, entry.task, state)
             finally:
-                self.metrics.inc_gauge("serve.adapt.pending", -len(pending))
-        with self.metrics.span("serve.score", size=len(instances)):
-            return self.method.score_with_state_batch(states, instances)
+                self.metrics.inc_gauge("serve.adapt.pending", -len(tasks))
+            self.metrics.inc("serve.adapt.batches")
+            self.metrics.inc("serve.adapt.users", len(tasks))
+            for (slot, user, _, fingerprint), state in zip(misses, fresh):
+                states[slot] = state
+                with self._cache_lock:
+                    self._cache.put(user, (fingerprint, state))
+        return [states[slot] for slot in slots]
 
     def _candidates_for(self, user_row: int, exclude_seen: bool) -> np.ndarray:
-        serving = self.method.serving
-        if not 0 <= user_row < serving.n_users:
-            raise ValueError(
-                f"user_row {user_row} out of range [0, {serving.n_users})"
-            )
         pool = self._pool
         if exclude_seen:
-            pool = pool[~serving.seen[user_row, pool]]
+            pool = pool[~self.method.serving.seen[user_row, pool]]
             observed = self._observed.get(user_row)
             if observed:
                 pool = pool[~np.isin(pool, np.fromiter(observed, dtype=int))]
@@ -420,189 +435,113 @@ class RecommenderService:
         task: PreferenceTask | None = None,
         exclude_seen: bool = True,
     ) -> Recommendation:
-        """Top-``k`` unseen items for one user, with cached adaptation.
+        """Top-``k`` unseen items for one user: a batch of one.
 
-        The first call for a user pays the method's ``adapt_user`` cost;
-        subsequent calls reuse the cached state and only pay one forward.
+        The first call for a user pays the method's adaptation; subsequent
+        calls reuse the cached state and only pay one forward.  With
+        batching the request rides the micro-batcher, whose flush is
+        :meth:`recommend_batch`, so concurrent callers share one adaptation
+        pass.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        pool = self._candidates_for(int(user_row), exclude_seen)
-        self.metrics.inc("serve.requests")
-        if pool.size == 0:
-            empty = np.array([], dtype=int)
-            return Recommendation(int(user_row), empty, np.array([], dtype=float))
-        instance = EvalInstance(
-            user_row=int(user_row), pos_item=int(pool[0]), neg_items=pool[1:]
-        )
-        self.metrics.observe("serve.score.candidates", pool.size)
-        if self._batcher is not None:
-            # Defer cache-missed adaptation into the flush so concurrent
-            # cold-start users are fine-tuned together by adapt_users.
-            hit, state, effective = self._cached_state(user_row, task)
-            if not hit:
-                state = _PendingAdaptation(int(user_row), effective)
-                self.metrics.inc_gauge("serve.adapt.pending", 1)
-            scores = self._batcher.score(state, instance)
-        else:
-            adapted = self._adapted_state(user_row, task)
-            with self.metrics.span("serve.score", size=1):
-                scores = self.method.score_with_state(adapted, instance)
-        scores = np.asarray(scores, dtype=float)
-        order = top_k_order(scores, k)
-        return Recommendation(int(user_row), pool[order], scores[order])
+        request = ServeRequest(int(user_row), k, task, exclude_seen)
+        if self._batcher is None:
+            return self.recommend_batch([request])[0]
+        check_request(request.user_row, k, self.method.serving.n_users)
+        return self._batcher.submit(request).result()
 
     def recommend_batch(
         self, requests: list[ServeRequest]
     ) -> list[Recommendation | DeadlineSkipped]:
-        """Serve a flush of requests: batched adaptation, solo scoring.
+        """The request core: answer a flush of requests.
 
-        Cache-missed users are fine-tuned *together* through one
-        ``adapt_users`` call (for MAML methods one vectorized inner loop
-        over same-width chunks), but every request is then scored through
-        the same ``score_with_state`` call :meth:`recommend` uses — so the
-        results are bit-identical to serving the requests one at a time,
-        and to :meth:`recommend_many` for the same users.  This is the
-        shard worker's entry point.
+        Every in-process entry point and the shard worker's ``batch`` RPC
+        resolve here, in four steps:
 
-        Requests whose :attr:`ServeRequest.deadline` already passed are not
-        adapted or scored; their slot holds a :class:`DeadlineSkipped`
-        marker instead.  Deadline-free requests take the exact historical
-        path — skipping a stale neighbour cannot change their scores, since
-        adaptations are independent per (user, task).
+        1. Validate every request (:func:`check_request`) before any
+           adaptation, cache write or counter bump — one bad request fails
+           the call with no partial state left behind.
+        2. Set aside requests whose :attr:`ServeRequest.deadline` already
+           passed (their slot holds a :class:`DeadlineSkipped` marker) and
+           requests whose candidate pool is empty (answered empty, their
+           user not adapted).
+        3. Adapt the rest through :meth:`_adapted_states`: one adaptation
+           pass for every cache-missed user of the flush.
+        4. Check the deadlines once more, then score every live request
+           with one ``score_with_state_batch`` call and rank each with
+           ``top_k_order``.
+
+        Each request is scored with its own adapted state, so the answers
+        are bitwise equal to serving the requests one at a time.  Skipping
+        an expired neighbour cannot change them either, since adaptations
+        are independent per (user, task).
         """
-        # Validate the whole flush (and compute candidate pools) before any
-        # adaptation, cache write, or counter bump — one bad request fails
-        # the call with *no* partial state left behind.
+        n_users = self.method.serving.n_users
         for request in requests:
-            if request.k <= 0:
-                raise ValueError("k must be positive")
-        pools = [
-            self._candidates_for(int(r.user_row), r.exclude_seen)
-            for r in requests
-        ]
-        expired = [
-            r.deadline is not None and time.time() >= r.deadline
-            for r in requests
-        ]
-        # Replay the sequential cache protocol: per user, an explicit new
-        # task (by value fingerprint) invalidates earlier state, later
-        # requests reuse the freshest adaptation — without adapting anything
-        # yet.  ``plan`` holds one ("state", s) or ("slot", i) entry per
-        # request; ``slots`` lists the distinct (user, task) adaptations in
-        # first-need order; ``latest`` maps each user to their freshest
-        # task fingerprint.
-        plan: list[tuple[str, object]] = []
-        slots: list[tuple[int, PreferenceTask | None]] = []
-        latest: dict[int, tuple[bytes | None, tuple[str, object]]] = {}
-        for request, skip in zip(requests, expired):
-            if skip:
-                plan.append(("skip", None))
-                continue
-            key = int(request.user_row)
-            task = request.task
-            if key in latest:
-                prior_fp, entry = latest[key]
-                if task is None or (
-                    prior_fp is not None and task_fingerprint(task) == prior_fp
-                ):
-                    plan.append(entry)
-                    continue
-            else:
-                hit, state, extra = self._cached_state(key, task)
-                if hit:
-                    entry = ("state", state)
-                    latest[key] = (extra, entry)
-                    plan.append(entry)
-                    continue
-                task = extra
-            entry = ("slot", len(slots))
-            slots.append((key, task))
-            latest[key] = (
-                task_fingerprint(task) if task is not None else None,
-                entry,
-            )
-            plan.append(entry)
-        adapted: list = []
-        if slots:
-            with self.metrics.span("serve.adapt", size=len(slots)):
-                adapted = self._adapt_users([task for _, task in slots])
-            self._count_adaptation(len(slots))
-            for (user, task), state in zip(slots, adapted):
-                self._store_state(user, task, state)
+            check_request(request.user_row, request.k, n_users)
         self.metrics.inc("serve.requests", len(requests))
-        results: list[Recommendation | DeadlineSkipped] = []
-        empty = np.array([], dtype=int)
-        n_skipped = sum(expired)
-        self.metrics.observe_many(
-            "serve.score.candidates",
-            [pool.size for pool, skip in zip(pools, expired) if not skip],
+        results: list = []
+        live: list[tuple[int, ServeRequest, np.ndarray]] = []
+        now = time.time()
+        for request in requests:
+            user = int(request.user_row)
+            if request.deadline is not None and now >= request.deadline:
+                results.append(DeadlineSkipped(user))
+                continue
+            pool = self._candidates_for(user, request.exclude_seen)
+            if pool.size:
+                live.append((len(results), request, pool))
+                results.append(None)
+            else:
+                results.append(Recommendation(user, pool, np.array([], dtype=float)))
+        states = self._adapted_states(
+            [(int(request.user_row), request.task) for _, request, _ in live]
         )
-        with self.metrics.span("serve.score", size=len(requests)):
-            for request, pool, (kind, value) in zip(requests, pools, plan):
-                user = int(request.user_row)
-                if kind == "skip" or (
-                    request.deadline is not None
-                    and time.time() >= request.deadline
-                ):
-                    # Expired at entry, or while earlier requests in this
-                    # flush were being adapted/scored.
-                    if kind != "skip":
-                        n_skipped += 1
-                    results.append(DeadlineSkipped(user))
-                    continue
-                if pool.size == 0:
-                    results.append(
-                        Recommendation(user, empty, np.array([], dtype=float))
-                    )
-                    continue
-                instance = EvalInstance(
-                    user_row=user, pos_item=int(pool[0]), neg_items=pool[1:]
-                )
-                state = value if kind == "state" else adapted[value]
-                scores = np.asarray(
-                    self.method.score_with_state(state, instance), dtype=float
-                )
-                order = top_k_order(scores, request.k)
-                results.append(Recommendation(user, pool[order], scores[order]))
+        now = time.time()
+        batch = []
+        for (slot, request, pool), state in zip(live, states):
+            if request.deadline is not None and now >= request.deadline:
+                results[slot] = DeadlineSkipped(int(request.user_row))
+            else:
+                batch.append((slot, request, pool, state))
+        n_skipped = sum(isinstance(result, DeadlineSkipped) for result in results)
         if n_skipped:
             self.metrics.inc("serve.deadline_skipped", n_skipped)
+        if not batch:
+            return results
+        self.metrics.observe_many(
+            "serve.score.candidates", [pool.size for _, _, pool, _ in batch]
+        )
+        instances = [
+            EvalInstance(
+                user_row=int(request.user_row),
+                pos_item=int(pool[0]),
+                neg_items=pool[1:],
+            )
+            for _, request, pool, _ in batch
+        ]
+        with self.metrics.span("serve.score", size=len(batch)):
+            score_lists = self.method.score_with_state_batch(
+                [state for *_, state in batch], instances
+            )
+            for (slot, request, pool, _), scores in zip(batch, score_lists):
+                scores = np.asarray(scores, dtype=float)
+                order = top_k_order(scores, request.k)
+                results[slot] = Recommendation(
+                    int(request.user_row), pool[order], scores[order]
+                )
         return results
 
-    def _states_for(self, user_rows: list[int]) -> list:
-        """Adapted state per user: cached where possible, batch-adapted else.
-
-        The shared backend of :meth:`recommend_many` and
-        :meth:`score_instances` — cache misses are fine-tuned together with
-        one ``adapt_users`` call and written back to the LRU.
-        """
-        lookups = [self._cached_state(u, None) for u in user_rows]
-        misses: dict[int, PreferenceTask | None] = {}
-        for user, (hit, _, effective) in zip(user_rows, lookups):
-            if not hit and int(user) not in misses:
-                misses[int(user)] = effective
-        fresh: dict[int, object] = {}
-        if misses:
-            with self.metrics.span("serve.adapt", size=len(misses)):
-                adapted = self._adapt_users(list(misses.values()))
-            self._count_adaptation(len(misses))
-            fresh = dict(zip(misses, adapted))
-            for user, task in misses.items():
-                self._store_state(user, task, fresh[user])
-        return [
-            state if hit else fresh[int(user)]
-            for user, (hit, state, _) in zip(user_rows, lookups)
-        ]
-
     def score_instances(self, instances: list[EvalInstance]) -> list[np.ndarray]:
-        """Score eval instances through the full serving path.
+        """Score eval instances through the core's cache-and-adapt step.
 
         Each instance's user is served with their current adaptation state
         (cached, or batch-adapted from registered + observed history), so
         offline evaluation measures exactly what the service would return —
         the temporal-split protocol's entry point.
         """
-        states = self._states_for([int(inst.user_row) for inst in instances])
+        states = self._adapted_states(
+            [(int(inst.user_row), None) for inst in instances]
+        )
         self.metrics.inc("serve.requests", len(instances))
         self.metrics.observe_many(
             "serve.score.candidates", [inst.candidates.size for inst in instances]
@@ -616,44 +555,15 @@ class RecommenderService:
         k: int = 10,
         exclude_seen: bool = True,
     ) -> list[Recommendation]:
-        """Serve a batch of users through one ``score_with_state_batch``.
+        """Serve a batch of users as one flush of the core.
 
-        Users without a cached adaptation are fine-tuned *together* through
-        the method's ``adapt_users`` (one vectorized inner loop for the
-        whole batch) before scoring, which is per user: the answers equal
+        Users without a cached adaptation are fine-tuned *together* in one
+        pass before scoring, which is per user: the answers equal
         :meth:`recommend` bit for bit.
         """
-        states = self._states_for(user_rows)
-        pools = [self._candidates_for(int(u), exclude_seen) for u in user_rows]
-        kept = [i for i, pool in enumerate(pools) if pool.size > 0]
-        instances = [
-            EvalInstance(
-                user_row=int(user_rows[i]),
-                pos_item=int(pools[i][0]),
-                neg_items=pools[i][1:],
-            )
-            for i in kept
-        ]
-        self.metrics.inc("serve.requests", len(user_rows))
-        self.metrics.observe_many(
-            "serve.score.candidates", [pools[i].size for i in kept]
+        return self.recommend_batch(
+            [ServeRequest(int(user), k, None, exclude_seen) for user in user_rows]
         )
-        with self.metrics.span("serve.score", size=len(instances)):
-            score_lists = self.method.score_with_state_batch(
-                [states[i] for i in kept], instances
-            )
-        empty = np.array([], dtype=int)
-        results = [
-            Recommendation(int(u), empty, np.array([], dtype=float))
-            for u in user_rows
-        ]
-        for i, scores in zip(kept, score_lists):
-            scores = np.asarray(scores, dtype=float)
-            order = top_k_order(scores, k)
-            results[i] = Recommendation(
-                int(user_rows[i]), pools[i][order], scores[order]
-            )
-        return results
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -662,9 +572,9 @@ class RecommenderService:
         A pure view over ``self.metrics.snapshot()`` (see
         :func:`service_stats_view` for the name mapping); histograms ride
         along in the snapshot itself for callers that want latencies.
-        ``adaptation.pending`` is the number of cache-missed requests
-        currently waiting for a micro-batch flush to fine-tune them — the
-        cold-start backlog depth at this instant.
+        ``adaptation.pending`` is the number of users the core is adapting
+        at this instant (the users of an adaptation pass in flight); it
+        reads 0 at rest.
         """
         out = service_stats_view(self.metrics.snapshot())
         if self._batcher is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from repro.data.negative_sampling import EvalInstance
 from repro.data.splits import Scenario
 from repro.meta.serving import build_frozen_tower_tables, score_candidates
 from repro.registry import build_method
-from repro.service import RecommenderService
+from repro.service import RecommenderService, ServeRequest
+from repro.utils.topk import top_k_order
 
 
 @pytest.fixture(scope="module")
@@ -351,13 +353,18 @@ class TestBatchedEqualsSolo:
     def test_batch_entry_points_equal_sequential_serving(
         self, fitted_method, cold_tasks, data
     ):
-        """Every batch entry point answers bitwise like solo serving.
+        """Every entry point of the request core answers bitwise like solo
+        scoring.
 
-        ``recommend_many``, ``score_instances`` and concurrent ``recommend``
-        calls coalesced by the micro-batcher must equal sequential
-        ``recommend`` / ``score_with_state``.  Batches mix un-adapted users,
-        distinct adapted users and repeated users; pools run from a single
-        candidate upwards.
+        Sequential ``recommend``, ``recommend_many``, concurrent
+        ``recommend`` calls coalesced by the micro-batcher, ``recommend_batch``
+        over ``ServeRequest``s and ``score_instances`` all run the service's
+        one core, so the reference is built from the method alone:
+        ``adapt_user`` + ``score_with_state`` + ``top_k_order`` over the
+        service's sorted pool.  Batches mix un-adapted users, distinct
+        adapted users and repeated users; the ``recommend_batch`` flush also
+        repeats a user and re-sends one user's history as an equal-value
+        ``task=``; pools run from a single candidate upwards.
         """
         method = fitted_method
         serving = method.serving
@@ -371,6 +378,14 @@ class TestBatchedEqualsSolo:
         seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
         pool = np.random.default_rng(seed).choice(serving.n_items, n_pool, replace=False)
         k = n_pool  # rank the whole pool: every score is compared
+        ranked = np.unique(pool)
+
+        def reference(user):
+            state = method.adapt_user(tasks.get(user))
+            inst = EvalInstance(user_row=user, pos_item=int(ranked[0]), neg_items=ranked[1:])
+            scores = np.asarray(method.score_with_state(state, inst), dtype=float)
+            order = top_k_order(scores, k)
+            return ranked[order], scores[order]
 
         def service(**kwargs):
             svc = RecommenderService(method, candidate_pool=pool, cache_size=32, **kwargs)
@@ -379,7 +394,7 @@ class TestBatchedEqualsSolo:
             return svc
 
         sequential = service()
-        want = [sequential.recommend(u, k=k, exclude_seen=False) for u in users]
+        solo = [sequential.recommend(u, k=k, exclude_seen=False) for u in users]
         many = service().recommend_many(users, k=k, exclude_seen=False)
         with service(batching=True) as batching:
             with ThreadPoolExecutor(max_workers=len(users)) as executor:
@@ -388,10 +403,25 @@ class TestBatchedEqualsSolo:
                         lambda u: batching.recommend(u, k=k, exclude_seen=False), users
                     )
                 )
-        for expected, *answers in zip(want, many, coalesced):
+        for user, *answers in zip(users, solo, many, coalesced):
+            items, scores = reference(user)
             for got in answers:
-                assert np.array_equal(got.items, expected.items)
-                assert np.array_equal(got.scores, expected.scores)
+                assert np.array_equal(got.items, items)
+                assert np.array_equal(got.scores, scores)
+
+        resent = registered[data.draw(st.integers(0, len(registered) - 1))]
+        requests = [ServeRequest(u, k=k, exclude_seen=False) for u in users]
+        requests.append(ServeRequest(users[0], k=k, exclude_seen=False))
+        requests.append(
+            ServeRequest(
+                int(resent.user_row), k=k, task=replace(resent), exclude_seen=False
+            )
+        )
+        batched = service().recommend_batch(requests)
+        for request, got in zip(requests, batched, strict=True):
+            items, scores = reference(request.user_row)
+            assert np.array_equal(got.items, items)
+            assert np.array_equal(got.scores, scores)
 
         instances = [
             EvalInstance(user_row=u, pos_item=int(pool[0]), neg_items=pool[1:])

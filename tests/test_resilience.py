@@ -395,6 +395,24 @@ class TestDeadlineSkipping:
         assert np.array_equal(mixed[2].items, clean[1].items)
         assert np.array_equal(mixed[2].scores, clean[1].scores)
 
+    def test_deadline_passing_during_adaptation_skips_scoring(self, bench_experiment):
+        """The core checks deadlines again once the flush's adaptation ran."""
+        import time
+
+        from repro.service import RecommenderService
+
+        service = RecommenderService(
+            Popularity().fit(bench_experiment.ctx),
+            adapt_hook=lambda n: time.sleep(0.8),
+        )
+        results = service.recommend_batch(
+            [ServeRequest(0, k=3), ServeRequest(1, k=3, deadline=time.time() + 0.5)]
+        )
+        assert len(results[0]) == 3
+        assert results[1] == DeadlineSkipped(1)
+        assert service.metrics.counter("serve.deadline_skipped") == 1
+        assert service.metrics.counter("serve.adapt.users") == 2
+
 
 class TestAdaptHook:
     def test_hook_sees_every_batched_adaptation(self, bench_experiment):

@@ -20,7 +20,7 @@ import pytest
 from repro.core.interface import Recommender
 from repro.data.splits import Scenario
 from repro.registry import build_method
-from repro.serve import ShardedService, run_open_loop, zipfian_users
+from repro.serve import ResilienceConfig, ShardedService, run_open_loop, zipfian_users
 from repro.serve.loadgen import zipf_probabilities
 from repro.service import RecommenderService
 
@@ -213,6 +213,65 @@ class TestColdStartBatching:
             service.recommend(user, k=5)  # re-adapts
             after = service.stats()["shards"][0]["worker"]["adaptation"]["users"]
         assert after - before == 1
+
+
+class TestFrontEndValidation:
+    @pytest.mark.parametrize(
+        "resilience", [None, ResilienceConfig(fallback=False)], ids=["plain", "resilient"]
+    )
+    def test_bad_request_fails_at_its_call_not_its_flush(self, artifact, resilience):
+        """One bad request must not fail its flush neighbours or open a breaker.
+
+        Unchecked at the front-end, an out-of-range ``user_row`` rode a
+        flush to the worker, whose ``recommend_batch`` rejected the whole
+        flush: every valid read queued with it failed, and under
+        ``ResilienceConfig(fallback=False)`` the shard's breaker opened.
+        """
+        path, tasks = artifact
+        users = sorted(tasks)[:6]
+        reference = RecommenderService.from_artifact(path)
+        with ShardedService(path, n_workers=1, resilience=resilience) as service:
+            assert service.wait_ready(timeout=60.0)
+            assert (service.n_users, service.n_items) == reference.method.serving.seen.shape
+            futures = [service.submit(u, k=5) for u in users[:3]]
+            with pytest.raises(ValueError, match="out of range"):
+                service.submit(service.n_users, k=5)
+            with pytest.raises(ValueError, match="k must be positive"):
+                service.submit(users[0], k=0)
+            futures += [service.submit(u, k=5) for u in users[3:]]
+            results = [f.result(timeout=60.0) for f in futures]
+            stats = service.stats()
+            breaker = service.health()["shards"][0]["breaker"]
+        for user, got in zip(users, results):
+            want = reference.recommend(user, k=5)
+            assert not got.degraded
+            assert np.array_equal(got.items, want.items)
+            assert np.array_equal(got.scores, want.scores)
+        counters = stats["metrics"]["counters"]
+        assert stats["requests"] == len(users)
+        assert counters.get("serve.breaker.opened", 0) == 0
+        assert counters.get("serve.responses.error", 0) == 0
+        assert breaker == (None if resilience is None else "closed")
+
+    def test_bad_event_fails_before_the_rpc(self, artifact):
+        path, _ = artifact
+        with ShardedService(path, n_workers=1) as service:
+            with pytest.raises(ValueError, match="user_row"):
+                service.observe(service.n_users, 0)
+            with pytest.raises(ValueError, match="item_row"):
+                service.observe_async(0, service.n_items)
+            with pytest.raises(ValueError, match="rating"):
+                service.observe(0, 0, float("nan"))
+            service.observe(0, 0, 1.0)
+            events = service.stats()["shards"][0]["worker"]["stream"]["events"]
+        assert events == 1
+
+    def test_non_artifact_rejected_at_construction(self, tmp_path):
+        from repro.nn.serialization import save_params
+
+        path = save_params(tmp_path / "weights.npz", {"w": np.zeros(3)})
+        with pytest.raises(ValueError, match="not a recommender artifact"):
+            ShardedService(path, n_workers=1)
 
 
 class TestSupervision:

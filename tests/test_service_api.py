@@ -496,13 +496,13 @@ class TestRecommendBatch:
 
 class TestMicroBatcher:
     @staticmethod
-    def _echo_scorer(states, instances):
+    def _echo_scorer(instances):
         return [np.asarray(i.candidates, dtype=float) for i in instances]
 
     def test_coalesces_queued_requests(self):
         batcher = MicroBatcher(self._echo_scorer, autostart=False)
         futures = [
-            batcher.submit(None, EvalInstance(u, 0, np.array([1, 2])))
+            batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
             for u in range(5)
         ]
         served = batcher.process_once()
@@ -514,16 +514,16 @@ class TestMicroBatcher:
     def test_respects_max_batch(self):
         batcher = MicroBatcher(self._echo_scorer, max_batch=2, autostart=False)
         for u in range(5):
-            batcher.submit(None, EvalInstance(u, 0, np.array([1])))
+            batcher.submit(EvalInstance(u, 0, np.array([1])))
         sizes = [batcher.process_once() for _ in range(3)]
         assert sizes == [2, 2, 1]
 
     def test_error_propagates_to_futures(self):
-        def broken(states, instances):
+        def broken(instances):
             raise RuntimeError("model exploded")
 
         batcher = MicroBatcher(broken, autostart=False)
-        future = batcher.submit(None, EvalInstance(0, 0, np.array([1])))
+        future = batcher.submit(EvalInstance(0, 0, np.array([1])))
         batcher.process_once()
         with pytest.raises(RuntimeError, match="model exploded"):
             future.result()
@@ -534,7 +534,7 @@ class TestMicroBatcher:
         lock = threading.Lock()
 
         def client(user):
-            future = batcher.submit(None, EvalInstance(user, 0, np.array([1, 2])))
+            future = batcher.submit(EvalInstance(user, 0, np.array([1, 2])))
             with lock:
                 futures.append(future)
 
@@ -554,7 +554,7 @@ class TestMicroBatcher:
         # is still queued, and never drop one.
         batcher = MicroBatcher(self._echo_scorer, max_batch=64)
         futures = [
-            batcher.submit(None, EvalInstance(u, 0, np.array([1, 2])))
+            batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
             for u in range(3)
         ]
         batcher.close()
@@ -564,12 +564,12 @@ class TestMicroBatcher:
             )
         assert batcher.stats()["requests"] == 3
         with pytest.raises(RuntimeError, match="closed"):
-            batcher.submit(None, EvalInstance(9, 0, np.array([1])))
+            batcher.submit(EvalInstance(9, 0, np.array([1])))
 
     def test_close_without_worker_drains_queue(self):
         batcher = MicroBatcher(self._echo_scorer, autostart=False)
         futures = [
-            batcher.submit(None, EvalInstance(u, 0, np.array([1, 2])))
+            batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
             for u in range(3)
         ]
         batcher.close()  # no worker thread ever ran: close itself drains
@@ -582,18 +582,18 @@ class TestMicroBatcher:
         batcher = MicroBatcher(self._echo_scorer, autostart=False)
         batcher.close()
         with pytest.raises(RuntimeError):
-            batcher.submit(None, EvalInstance(0, 0, np.array([1])))
+            batcher.submit(EvalInstance(0, 0, np.array([1])))
 
     def test_shutdown_with_raising_scorer_resolves_pending(self):
         # A flush callable that raises during shutdown must not deadlock
         # close(): every pending future resolves with the error instead of
         # waiting forever on a batch that can never succeed.
-        def broken(states, instances):
+        def broken(instances):
             raise RuntimeError("artifact vanished")
 
         batcher = MicroBatcher(broken, max_batch=64)
         futures = [
-            batcher.submit(None, EvalInstance(u, 0, np.array([1, 2])))
+            batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
             for u in range(3)
         ]
         batcher.close()  # returns promptly despite the raising scorer
@@ -610,17 +610,17 @@ class TestMicroBatcher:
         flushing = threading.Event()
         flushed: list[int] = []
 
-        def held(states, instances):
+        def held(instances):
             flushed.append(len(instances))
             flushing.set()
             assert release.wait(timeout=30.0)
-            return self._echo_scorer(states, instances)
+            return self._echo_scorer(instances)
 
         batcher = MicroBatcher(held, max_batch=max_batch)
-        futures = [batcher.submit(None, EvalInstance(0, 0, np.array([1])))]
+        futures = [batcher.submit(EvalInstance(0, 0, np.array([1])))]
         assert flushing.wait(timeout=30.0)
         futures += [
-            batcher.submit(None, EvalInstance(u, 0, np.array([1])))
+            batcher.submit(EvalInstance(u, 0, np.array([1])))
             for u in range(1, 6)
         ]
         release.set()

@@ -440,6 +440,31 @@ class TestServingCacheCorrectness:
         assert stats["requests"] == 0
         assert stats["cache"]["size"] == 0
 
+    def test_empty_pool_answers_empty_without_adapting(self, melu, cold_tasks):
+        """A user who has seen every candidate is answered empty, unadapted.
+
+        Every entry point runs the same core, so none of them pays the
+        fine-tuning for a request it cannot rank anything for.
+        """
+        from repro.service import ServeRequest
+
+        user = sorted(cold_tasks)[0]
+        counting = _CountingMethod(melu)
+        service = RecommenderService(counting, candidate_pool=np.array([3, 5]))
+        service.register_user_history(cold_tasks[user])
+        service.observe(user, 3)
+        service.observe(user, 5)
+        answers = [
+            service.recommend(user, k=5),
+            *service.recommend_many([user, user], k=5),
+            *service.recommend_batch([ServeRequest(user, 5)]),
+        ]
+        assert [len(answer) for answer in answers] == [0, 0, 0, 0]
+        assert all(answer.scores.size == 0 for answer in answers)
+        assert counting.adapt_calls == 0
+        assert service.stats()["adaptation"]["users"] == 0
+        assert service.stats()["requests"] == 4
+
     def test_failed_flush_releases_pending(self, melu, cold_tasks):
         user = sorted(cold_tasks)[0]
         exploding = _ExplodingMethod(melu)
