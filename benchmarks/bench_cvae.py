@@ -92,7 +92,7 @@ def _best_fit_times(dataset, rounds: int = ROUNDS) -> tuple[float, float]:
         trainers = _augmenter(dataset)._build_trainers()
         with Timer() as t_seq:
             for trainer in trainers:
-                trainer.train()
+                oracles.train_sequential(trainer)
         best_seq = min(best_seq, t_seq.elapsed)
 
         trainers = _augmenter(dataset)._build_trainers()

@@ -1,10 +1,11 @@
 """Inspect the diverse preference augmentation block in isolation.
 
 Trains the three Dual-CVAEs (Electronics/Movies/Music -> CDs), generates
-the k rating matrices for the target domain and reports:
+the k rating matrices for the target domain and prints the augmentation
+diagnostics report (:func:`repro.cvae.diagnostics.diagnose_augmentation`):
 
 - how informative each source's generations are (per-user AUC against the
-  training-visible ratings),
+  training-visible ratings) and the range of the generated values,
 - how diverse the k generations are (mean pairwise L2),
 - the InfoNCE mutual-information estimates that the MDI constraint
   maximizes.
@@ -12,21 +13,8 @@ the k rating matrices for the target domain and reports:
 Usage:  python examples/diverse_augmentation.py
 """
 
-import numpy as np
-
-from repro.cvae import DiversePreferenceAugmenter, TrainerConfig, rating_diversity
+from repro.cvae import DiversePreferenceAugmenter, TrainerConfig, diagnose_augmentation
 from repro.data import make_amazon_like_benchmark, prepare_experiment
-from repro.nn.losses import info_nce_mi_estimate
-
-
-def per_user_auc(scores: np.ndarray, truth: np.ndarray) -> float:
-    positives = scores[truth > 0]
-    negatives = scores[truth == 0]
-    if positives.size == 0 or negatives.size == 0:
-        return float("nan")
-    wins = (positives[:, None] > negatives[None, :]).mean()
-    ties = (positives[:, None] == negatives[None, :]).mean()
-    return float(wins + 0.5 * ties)
 
 
 def main() -> None:
@@ -42,30 +30,15 @@ def main() -> None:
     )
     augmented = augmenter.fit_generate()
 
-    visible = experiment.ctx.visible_ratings
-    warm_users = experiment.splits.existing_users
-    print("\nGeneration quality (per-user AUC vs training-visible ratings):")
-    for name, matrix in zip(augmented.source_names, augmented.matrices):
-        aucs = [
-            a
-            for a in (per_user_auc(matrix[u], visible[u]) for u in warm_users)
-            if not np.isnan(a)
-        ]
-        print(
-            f"  {name:<12} AUC={np.mean(aucs):.3f}  "
-            f"range=[{matrix.min():.3f}, {matrix.max():.3f}]"
-        )
-
-    print(f"\nCross-source diversity (mean pairwise L2): {rating_diversity(augmented):.4f}")
-
-    print("\nLatent mutual information (InfoNCE lower bound) per Dual-CVAE:")
-    for trainer in augmenter.trainers:
-        pair = trainer.pair
-        model = trainer.model
-        mu_s, _, _ = model.encode("s", pair.ratings_source, pair.content_source)
-        mu_t, _, _ = model.encode("t", pair.ratings_target, pair.content_target)
-        mi = info_nce_mi_estimate(mu_s, mu_t)
-        print(f"  {pair.source_name:<12} I(z_s, z_t) >= {mi:.3f} nats")
+    report = diagnose_augmentation(
+        augmenter.trainers,
+        augmented,
+        reference_ratings=experiment.ctx.visible_ratings,
+        user_rows=experiment.splits.existing_users,
+    )
+    print()
+    print(report.format_table())
+    print(f"healthy: {report.healthy}")
 
 
 if __name__ == "__main__":

@@ -6,12 +6,10 @@ domain, producing k continuous rating vectors per user.  Those vectors,
 together with the original binary ratings, become the label sets of the
 augmented meta-learning tasks (Eq. 10).
 
-Training the k Dual-CVAEs is fused whenever the inputs allow it: their
-parameters are stacked along a leading domain axis and all k train in one
-numpy pass per step (:class:`~repro.cvae.trainer.MultiDomainCVAETrainer`).
-A single source domain, or softmax decoders over unequal item widths (which
-cannot be zero-padded), train through the sequential
-:class:`~repro.cvae.trainer.DualCVAETrainer` loop instead.
+The k Dual-CVAEs always train fused: their parameters are stacked along a
+leading domain axis and all k train in one numpy pass per step
+(:class:`~repro.cvae.trainer.MultiDomainCVAETrainer`), whatever k, item
+widths and decoder output activation.
 """
 
 from __future__ import annotations
@@ -68,11 +66,11 @@ class DiversePreferenceAugmenter:
         augmenter.fit()
         augmented = augmenter.generate()
 
-    All k CVAEs train jointly on a stacked domain axis when they can (see
-    :meth:`_can_fuse`).  An optional :class:`~repro.cvae.cache
-    .AugmentationCache` short-circuits :meth:`fit_generate` entirely when
-    an identical augmentation (same target, seed, CVAE hyper-parameters and
-    dataset ``cache_token``) was computed before.
+    All k CVAEs train jointly on a stacked domain axis.  An optional
+    :class:`~repro.cvae.cache.AugmentationCache` short-circuits
+    :meth:`fit_generate` entirely when an identical augmentation (same
+    target, seed, CVAE hyper-parameters and dataset ``cache_token``) was
+    computed before.
     """
 
     def __init__(
@@ -122,29 +120,15 @@ class DiversePreferenceAugmenter:
             )
         return trainers
 
-    def _can_fuse(self, trainers: list[DualCVAETrainer]) -> bool:
-        """Whether the k models can share one stacked training pass."""
-        if len(trainers) < 2:
-            return False
-        if trainers[0].model.config.out_activation == "sigmoid":
-            return True
-        # Softmax normalizes over the item axis and cannot be zero-padded.
-        widths = {t.model.config.n_items_source for t in trainers}
-        widths |= {t.model.config.n_items_target for t in trainers}
-        return len(widths) == 1
-
     def fit(self) -> "DiversePreferenceAugmenter":
-        """Train one Dual-CVAE per (source → target) pair.
+        """Train one Dual-CVAE per (source → target) pair, all k in one
+        stacked pass per step.
 
-        The k models are statistically independent either way; fusing only
-        changes how the arithmetic is batched, not what is computed.
+        The k models stay statistically independent: fusing only changes
+        how the arithmetic is batched, not what is computed.
         """
         trainers = self._build_trainers()
-        if self._can_fuse(trainers):
-            MultiDomainCVAETrainer(trainers).train()
-        else:
-            for trainer in trainers:
-                trainer.train()
+        MultiDomainCVAETrainer(trainers).train()
         self.trainers = trainers
         self.n_trained += len(trainers)
         return self

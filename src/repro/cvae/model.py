@@ -18,8 +18,11 @@ We default to sigmoid (independent per-item probabilities in [0, 1], exactly
 the range the paper requires for augmented ratings) and keep softmax as an
 option for ablation.
 
-All gradients are derived by hand on top of :mod:`repro.nn`; the test suite
-checks them against numerical differentiation.
+Training runs through :class:`FusedDualCVAE`, which stacks the branches of
+one or more Dual-CVAEs and computes Eq. (8) for all of them in one pass.
+Its gradients are derived by hand on top of :mod:`repro.nn`; the test suite
+checks them against numerical differentiation of the fused loss, and checks
+the fused loss against a scalar per-model reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,16 +32,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.nn.layers import Softmax
 from repro.nn.losses import (
-    _EPS as _BCE_EPS,  # the fused BCE must round exactly like the scalar one
-    binary_cross_entropy,
-    gaussian_kl_to_code,
+    _EPS as _BCE_EPS,  # the fused BCE clips like binary_cross_entropy
     gaussian_kl_to_code_stacked,
-    info_nce,
     info_nce_stacked,
 )
 from repro.nn.module import Grads, Module, Params, mlp
-from repro.nn.optim import add_grads
 from repro.nn.stacking import ParamLayout, pad_axis, stack_params
 from repro.utils.rng import ensure_rng
 
@@ -109,7 +109,9 @@ class DualCVAE:
 
     Parameters are stored flat in :attr:`params` with component prefixes
     (``enc_s.``, ``enc_x_s.``, ``dec_s.``, ``crit_s.`` and the ``_t``
-    counterparts), so a single optimizer drives the whole model.
+    counterparts).  The model holds the parameters and the inference paths;
+    training stacks it into a :class:`FusedDualCVAE` (alone or with the
+    other source domains' models) and writes the result back.
 
     Parameters and activations default to ``float32`` — the matrices only
     ever hold ratings in [0, 1] and O(1) activations, and the narrower dtype
@@ -160,10 +162,6 @@ class DualCVAE:
         dot = prefix + "."
         return {k[len(dot):]: v for k, v in src.items() if k.startswith(dot)}
 
-    @staticmethod
-    def _merge(total: Grads, prefix: str, grads: Grads) -> None:
-        add_grads(total, {f"{prefix}.{k}": v for k, v in grads.items()})
-
     # ------------------------------------------------------------------
     # forward pieces
     # ------------------------------------------------------------------
@@ -205,303 +203,6 @@ class DualCVAE:
         """
         z = self.encode_content("t", content)
         return self.decode("t", z, content)
-
-    # ------------------------------------------------------------------
-    # training: loss and gradients for one batch of shared users
-    # ------------------------------------------------------------------
-    def loss_and_grads(
-        self,
-        ratings_source: np.ndarray,
-        ratings_target: np.ndarray,
-        content_source: np.ndarray,
-        content_target: np.ndarray,
-        rng: int | np.random.Generator | None = None,
-    ) -> tuple[dict[str, float], Grads]:
-        """Compute all five loss terms of Eq. (8) and their gradients.
-
-        Returns ``(losses, grads)`` where ``losses`` holds each named term
-        plus ``"total"`` and ``grads`` matches :attr:`params`.
-        """
-        gen = ensure_rng(rng)
-        cfg = self.config
-        grads: Grads = {}
-
-        ratings_source, content_source = self._cast(ratings_source, content_source)
-        ratings_target, content_target = self._cast(ratings_target, content_target)
-        sides = {
-            "s": (ratings_source, content_source),
-            "t": (ratings_target, content_target),
-        }
-        state: dict[str, dict[str, Any]] = {}
-
-        # ---- forward: encoders, reparameterization, content encoders ----
-        for side, (ratings, content) in sides.items():
-            br = self._branches[side]
-            mu, log_var_raw, enc_cache = self.encode(side, ratings, content)
-            log_var = np.clip(log_var_raw, -8.0, 8.0)
-            clip_mask = np.abs(log_var_raw) < 8.0
-            eps = gen.normal(size=mu.shape).astype(mu.dtype, copy=False)
-            sigma = np.exp(0.5 * log_var)
-            z = mu + sigma * eps
-            zx, zx_cache = br.content_encoder.forward(
-                self._sub(f"enc_x_{side}"), content
-            )
-            state[side] = {
-                "ratings": ratings,
-                "content": content,
-                "mu": mu,
-                "log_var": log_var,
-                "clip_mask": clip_mask,
-                "eps": eps,
-                "sigma": sigma,
-                "z": z,
-                "zx": zx,
-                "enc_cache": enc_cache,
-                "zx_cache": zx_cache,
-                # gradient accumulators
-                "d_mu": np.zeros_like(mu),
-                "d_log_var": np.zeros_like(log_var),
-                "d_z": np.zeros_like(z),
-                "d_zx": np.zeros_like(zx),
-            }
-
-        # ---- decoders: self reconstruction and cross reconstruction ----
-        # self: D_s(z_s, x_s) vs r_s ;  cross: D_s(z_t, x_s) vs r_s
-        recon: dict[tuple[str, str], dict[str, Any]] = {}
-        for dec_side in ("s", "t"):
-            for z_side in ("s", "t"):
-                br = self._branches[dec_side]
-                x_in = np.concatenate(
-                    [state[z_side]["z"], state[dec_side]["content"]], axis=1
-                )
-                out, cache = br.decoder.forward(self._sub(f"dec_{dec_side}"), x_in)
-                recon[(dec_side, z_side)] = {
-                    "out": out,
-                    "cache": cache,
-                    "d_out": np.zeros_like(out),
-                }
-
-        losses: dict[str, float] = {}
-
-        # ---- ELBO reconstruction (self paths) ----
-        elbo_rec = 0.0
-        for side in ("s", "t"):
-            r = recon[(side, side)]
-            loss, d_out = binary_cross_entropy(r["out"], state[side]["ratings"])
-            elbo_rec += loss
-            r["d_out"] += d_out
-        losses["elbo_recon"] = elbo_rec
-
-        # ---- content-conditioned KL (Eq. 3) ----
-        kl_total = 0.0
-        for side in ("s", "t"):
-            st = state[side]
-            kl, d_mu, d_log_var, d_code = gaussian_kl_to_code(
-                st["mu"], st["log_var"], st["zx"]
-            )
-            kl_total += kl
-            st["d_mu"] += d_mu
-            st["d_log_var"] += d_log_var
-            st["d_zx"] += d_code
-        losses["kl"] = kl_total
-
-        # ---- latent/content alignment MSE (Eq. 4) ----
-        mse_total = 0.0
-        for side in ("s", "t"):
-            st = state[side]
-            diff = st["z"] - st["zx"]
-            n = diff.size
-            mse_total += float((diff * diff).sum() / n)
-            st["d_z"] += 2.0 * diff / n
-            st["d_zx"] += -2.0 * diff / n
-        losses["mse"] = mse_total
-
-        # ---- cross-domain reconstruction (Eq. 5) ----
-        rec_total = 0.0
-        for dec_side, z_side in (("s", "t"), ("t", "s")):
-            r = recon[(dec_side, z_side)]
-            loss, d_out = binary_cross_entropy(r["out"], state[dec_side]["ratings"])
-            rec_total += loss
-            r["d_out"] += d_out
-        losses["cross_recon"] = rec_total
-
-        # ---- MDI: InfoNCE on latent codes (Eq. 6) ----
-        if cfg.beta1 > 0:
-            mdi, d_zs, d_zt = info_nce(
-                state["s"]["z"], state["t"]["z"], temperature=cfg.infonce_temperature
-            )
-            losses["mdi"] = mdi
-            state["s"]["d_z"] += cfg.beta1 * d_zs
-            state["t"]["d_z"] += cfg.beta1 * d_zt
-        else:
-            losses["mdi"] = 0.0
-
-        # ---- ME: InfoNCE on decoder outputs through critics (Eq. 7) ----
-        if cfg.beta2 > 0:
-            crit_caches = {}
-            proj = {}
-            for side in ("s", "t"):
-                br = self._branches[side]
-                p, cache = br.critic.forward(
-                    self._sub(f"crit_{side}"), recon[(side, side)]["out"]
-                )
-                proj[side] = p
-                crit_caches[side] = cache
-            me, d_ps, d_pt = info_nce(
-                proj["s"], proj["t"], temperature=cfg.infonce_temperature
-            )
-            losses["me"] = me
-            for side, d_p in (("s", d_ps), ("t", d_pt)):
-                br = self._branches[side]
-                d_out, crit_grads = br.critic.backward(
-                    self._sub(f"crit_{side}"), crit_caches[side], cfg.beta2 * d_p
-                )
-                self._merge(grads, f"crit_{side}", crit_grads)
-                recon[(side, side)]["d_out"] += d_out
-        else:
-            losses["me"] = 0.0
-
-        losses["total"] = (
-            losses["elbo_recon"]
-            + losses["kl"]
-            + losses["mse"]
-            + losses["cross_recon"]
-            + cfg.beta1 * losses["mdi"]
-            + cfg.beta2 * losses["me"]
-        )
-
-        # ---- backward: decoders → latent codes ----
-        latent = cfg.latent_dim
-        for (dec_side, z_side), r in recon.items():
-            if not np.any(r["d_out"]):
-                continue
-            br = self._branches[dec_side]
-            d_in, dec_grads = br.decoder.backward(
-                self._sub(f"dec_{dec_side}"), r["cache"], r["d_out"]
-            )
-            self._merge(grads, f"dec_{dec_side}", dec_grads)
-            state[z_side]["d_z"] += d_in[:, :latent]
-
-        # ---- backward: reparameterization → encoders; content encoders ----
-        for side in ("s", "t"):
-            st = state[side]
-            br = self._branches[side]
-            # z = mu + exp(0.5*log_var) * eps
-            d_mu = st["d_mu"] + st["d_z"]
-            d_log_var = st["d_log_var"] + st["d_z"] * 0.5 * st["sigma"] * st["eps"]
-            # The clip on log_var zeroes the gradient where it saturated.
-            d_log_var = d_log_var * st["clip_mask"]
-            d_enc_out = np.concatenate([d_mu, d_log_var], axis=1)
-            _, enc_grads = br.encoder.backward(
-                self._sub(f"enc_{side}"), st["enc_cache"], d_enc_out
-            )
-            self._merge(grads, f"enc_{side}", enc_grads)
-
-            _, zx_grads = br.content_encoder.backward(
-                self._sub(f"enc_x_{side}"), st["zx_cache"], st["d_zx"]
-            )
-            self._merge(grads, f"enc_x_{side}", zx_grads)
-
-        # Ensure every parameter has a gradient entry (zero where unused).
-        for name, value in self.params.items():
-            if name not in grads:
-                grads[name] = np.zeros_like(value)
-        return losses, grads
-
-    def loss_only(
-        self,
-        ratings_source: np.ndarray,
-        ratings_target: np.ndarray,
-        content_source: np.ndarray,
-        content_target: np.ndarray,
-        rng: int | np.random.Generator | None = None,
-    ) -> dict[str, float]:
-        """All loss terms of Eq. (8) without any backward pass.
-
-        Evaluation used to go through :meth:`loss_and_grads` and throw the
-        gradients away — roughly doubling the cost of every monitoring pass.
-        This is the forward-only path; it consumes the reparameterization
-        noise in exactly the same order, so given the same ``rng`` it
-        reproduces :meth:`loss_and_grads`'s loss values bit for bit.
-        """
-        gen = ensure_rng(rng)
-        cfg = self.config
-        ratings_source, content_source = self._cast(ratings_source, content_source)
-        ratings_target, content_target = self._cast(ratings_target, content_target)
-        sides = {
-            "s": (ratings_source, content_source),
-            "t": (ratings_target, content_target),
-        }
-        state: dict[str, dict[str, Any]] = {}
-        for side, (ratings, content) in sides.items():
-            br = self._branches[side]
-            mu, log_var_raw, _ = self.encode(side, ratings, content)
-            log_var = np.clip(log_var_raw, -8.0, 8.0)
-            eps = gen.normal(size=mu.shape).astype(mu.dtype, copy=False)
-            z = mu + np.exp(0.5 * log_var) * eps
-            zx = br.content_encoder(self._sub(f"enc_x_{side}"), content)
-            state[side] = {
-                "ratings": ratings, "content": content,
-                "mu": mu, "log_var": log_var, "z": z, "zx": zx,
-            }
-
-        recon = {
-            (dec_side, z_side): self.decode(
-                dec_side, state[z_side]["z"], state[dec_side]["content"]
-            )
-            for dec_side in ("s", "t")
-            for z_side in ("s", "t")
-        }
-
-        losses: dict[str, float] = {}
-        losses["elbo_recon"] = sum(
-            binary_cross_entropy(recon[(side, side)], state[side]["ratings"])[0]
-            for side in ("s", "t")
-        )
-        losses["kl"] = sum(
-            gaussian_kl_to_code(
-                state[side]["mu"], state[side]["log_var"], state[side]["zx"]
-            )[0]
-            for side in ("s", "t")
-        )
-        mse_total = 0.0
-        for side in ("s", "t"):
-            diff = state[side]["z"] - state[side]["zx"]
-            mse_total += float((diff * diff).sum() / diff.size)
-        losses["mse"] = mse_total
-        losses["cross_recon"] = sum(
-            binary_cross_entropy(
-                recon[(dec_side, z_side)], state[dec_side]["ratings"]
-            )[0]
-            for dec_side, z_side in (("s", "t"), ("t", "s"))
-        )
-        if cfg.beta1 > 0:
-            losses["mdi"] = info_nce(
-                state["s"]["z"], state["t"]["z"], temperature=cfg.infonce_temperature
-            )[0]
-        else:
-            losses["mdi"] = 0.0
-        if cfg.beta2 > 0:
-            proj = {
-                side: self._branches[side].critic(
-                    self._sub(f"crit_{side}"), recon[(side, side)]
-                )
-                for side in ("s", "t")
-            }
-            losses["me"] = info_nce(
-                proj["s"], proj["t"], temperature=cfg.infonce_temperature
-            )[0]
-        else:
-            losses["me"] = 0.0
-        losses["total"] = (
-            losses["elbo_recon"]
-            + losses["kl"]
-            + losses["mse"]
-            + losses["cross_recon"]
-            + cfg.beta1 * losses["mdi"]
-            + cfg.beta2 * losses["me"]
-        )
-        return losses
 
 
 # ----------------------------------------------------------------------
@@ -554,7 +255,7 @@ _COMPONENTS = ("enc", "enc_x", "dec", "crit")
 
 
 class FusedDualCVAE:
-    """``k`` Dual-CVAEs trained as one stacked model (the fused hot path).
+    """``k`` Dual-CVAEs trained as one stacked model.
 
     The 2k domain branches (k source + k target) share one architecture and
     differ only in item-axis width, so their parameters are padded to the
@@ -563,15 +264,15 @@ class FusedDualCVAE:
     *target* branch.  One stacked forward/backward per step then trains
     every branch of every domain at once — encoders in one pass, all four
     decoder reconstructions of every domain in one pass (self and cross
-    reconstructions ride a doubled batch axis) — instead of k sequential
-    per-domain epoch loops.
+    reconstructions ride a doubled batch axis).  ``k = 1`` is one Dual-CVAE
+    trained as two stacked branches.
 
-    Padding contract: inputs are zero-padded to the common item width and
-    losses are masked, so padded parameter regions receive exactly zero
-    gradients and never drift from zero; :meth:`write_back` therefore
-    recovers each scalar model's parameters by slicing.  Softmax output
-    activations normalize over the item axis and would see the padded
-    columns, so fusion requires sigmoid outputs (or equal widths).
+    Padding contract: inputs are zero-padded to the common item width,
+    losses are masked, and a softmax decoder normalizes each branch over its
+    own items only (:attr:`out_mask` is the softmax's ``valid`` mask), so
+    padded output columns are exactly 0.  Padded parameter regions therefore
+    receive exactly zero gradients and never drift from zero, and
+    :meth:`write_back` recovers each scalar model's parameters by slicing.
     """
 
     def __init__(self, models: Sequence[DualCVAE]):
@@ -606,12 +307,12 @@ class FusedDualCVAE:
         widths += [m.config.n_items_target for m in self.models]
         self.widths = np.asarray(widths, dtype=np.int64)
         self.n_items_max = int(self.widths.max())
-        if ref.out_activation == "softmax" and len(set(widths)) > 1:
-            raise ValueError(
-                "softmax outputs normalize over the item axis and cannot be "
-                "zero-padded; fuse only equal-width domains or use sigmoid"
-            )
         self.n_stack = 2 * self.k
+        cols = np.arange(self.n_items_max)
+        self.out_mask = (
+            cols[None, :] < self.widths[:, None]
+        ).astype(self.dtype)[:, None, :]  # (2k, 1, n_items_max)
+        self._widths_f = self.widths.astype(self.dtype)
         self.branch = build_branch(
             self.n_items_max,
             ref.content_dim,
@@ -619,6 +320,8 @@ class FusedDualCVAE:
             ref.hidden_dim,
             ref.out_activation,
         )
+        if ref.out_activation == "softmax":
+            self.branch.decoder.layers[-1] = Softmax(valid=self.out_mask > 0)
         #: maps each stacked slice to its domain (source and target branches
         #: of one domain share a gradient-clipping group / Adam schedule).
         self.group_index = np.concatenate([np.arange(self.k), np.arange(self.k)])
@@ -636,20 +339,18 @@ class FusedDualCVAE:
             for name, value in stack_params(per_slice).items():
                 self.params[f"{comp}.{name}"] = value
         # Repack every parameter as a view into one contiguous slice-major
-        # ``(2k, S)`` buffer: the stacked optimizer then updates the whole
+        # ``(2k, P)`` buffer: the stacked optimizer then updates the whole
         # model in a dozen vector ops, and per-domain gradient norms become
         # one contraction over the matching gradient buffer.
-        layout = ParamLayout(
+        self.layout = ParamLayout(
             (name, self.params[name].shape[1:]) for name in sorted(self.params)
         )
-        self.flat_params = np.empty((self.n_stack, layout.size), dtype=self.dtype)
-        for name, view in layout.views(self.flat_params).items():
+        self.flat_params = np.empty(
+            (self.n_stack, self.layout.size), dtype=self.dtype
+        )
+        for name, view in self.layout.views(self.flat_params).items():
             view[...] = self.params[name]
             self.params[name] = view
-        self.flat_slices: dict[str, tuple[int, int, tuple[int, ...]]] = {
-            name: (offset, size, (self.n_stack, *shape))
-            for name, offset, size, shape in layout.entries
-        }
         # Sub-dict views are stable: optimizers update arrays in place, so
         # both the per-component dicts and the per-layer split are built
         # once — the hot loop never rebuilds a parameter dict.
@@ -663,11 +364,6 @@ class FusedDualCVAE:
                 ("crit", self.branch.critic),
             )
         }
-        cols = np.arange(self.n_items_max)
-        self.out_mask = (
-            cols[None, :] < self.widths[:, None]
-        ).astype(self.dtype)[:, None, :]  # (2k, 1, n_items_max)
-        self._widths_f = self.widths.astype(self.dtype)
 
     def _forward(self, comp: str, module, x: np.ndarray):
         """Sequential forward over prebuilt per-layer parameter dicts."""
@@ -702,7 +398,22 @@ class FusedDualCVAE:
         row_mask: np.ndarray | None = None,
         row_counts: np.ndarray | None = None,
     ) -> tuple[dict[str, np.ndarray], Grads]:
-        """Per-domain losses of Eq. (8) and stacked gradients for one step.
+        """Per-domain losses of Eq. (8) and stacked gradients for one step:
+        :meth:`forward`, then :meth:`backward` over its tape."""
+        losses, tape = self.forward(
+            ratings, content, eps, row_mask=row_mask, row_counts=row_counts
+        )
+        return losses, self.backward(tape)
+
+    def forward(
+        self,
+        ratings: np.ndarray,
+        content: np.ndarray,
+        eps: np.ndarray,
+        row_mask: np.ndarray | None = None,
+        row_counts: np.ndarray | None = None,
+    ) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+        """Per-domain losses of Eq. (8) for one stacked batch.
 
         Parameters
         ----------
@@ -720,9 +431,9 @@ class FusedDualCVAE:
         row_counts:
             ``(2k,)`` real row counts (defaults to the full batch).
 
-        Returns ``(losses, grads)`` where every loss term is a ``(k,)``
-        array of per-domain values summed over the domain's two branches,
-        matching the scalar :meth:`DualCVAE.loss_and_grads` terms.
+        Returns ``(losses, tape)``: every loss term is a ``(k,)`` array of
+        per-domain values summed over the domain's two branches, and
+        ``tape`` is what :meth:`backward` needs.  Evaluation stops here.
         """
         cfg = self.config
         k, latent = self.k, self.latent_dim
@@ -734,12 +445,11 @@ class FusedDualCVAE:
         # masked zeros, not 0/0.
         elem_counts = np.maximum(counts_f * self._widths_f, 1.0)
 
-        # ---- forward: encoders, reparameterization, content encoders ----
+        # ---- encoders, reparameterization, content encoders -------------
         enc_in = np.concatenate([ratings, content], axis=2)
         enc_out, enc_cache = self._forward("enc", self.branch.encoder, enc_in)
         mu, log_var_raw = enc_out[..., :latent], enc_out[..., latent:]
         log_var = np.clip(log_var_raw, -8.0, 8.0)
-        clip_mask = np.abs(log_var_raw) < 8.0
         sigma = np.exp(0.5 * log_var)
         z = mu + sigma * eps
         zx, zx_cache = self._forward("enc_x", self.branch.content_encoder, content)
@@ -747,7 +457,7 @@ class FusedDualCVAE:
         # ---- decoders: self and cross reconstruction in one pass --------
         # Each branch decodes its own latent code (rows [:batch]) and its
         # partner branch's (rows [batch:]); both compare against the
-        # branch's own ratings, exactly the four paths of the scalar model.
+        # branch's own ratings: the four reconstruction paths of Eq. (8).
         dec_in = np.concatenate(
             [
                 np.concatenate([z, content], axis=2),
@@ -761,27 +471,23 @@ class FusedDualCVAE:
 
         # ---- BCE over self and cross reconstructions in one pass --------
         # Both halves compare against the branch's own ratings with the
-        # same per-slice normalization, so one clipped-log pass covers the
-        # four reconstruction losses of the scalar model.
+        # same per-slice normalization, so one clipped-log pass covers all
+        # four reconstruction losses.
         target = np.concatenate([ratings, ratings], axis=1)
         pred = np.clip(dec_out, _BCE_EPS, 1.0 - _BCE_EPS)
         per_elem = -(target * np.log(pred) + (1.0 - target) * np.log(1.0 - pred))
-        d_bce = (pred - target) / (pred * (1.0 - pred))
         if row_mask is not None:
             elem_mask = self.out_mask * row_mask[:, :, None]
             mask2 = np.concatenate([elem_mask, elem_mask], axis=1)
         else:
             mask2 = self.out_mask  # broadcasts over the doubled batch
         per_elem = per_elem * mask2
-        d_bce = d_bce * mask2
-        d_bce = d_bce / elem_counts[:, None, None]
         losses_self = (
             per_elem[:, :batch].reshape(self.n_stack, -1).sum(axis=1) / elem_counts
         )
         losses_cross = (
             per_elem[:, batch:].reshape(self.n_stack, -1).sum(axis=1) / elem_counts
         )
-        d_self, d_cross = d_bce[:, :batch], d_bce[:, batch:]
         kl_d, d_mu, d_log_var, d_zx = gaussian_kl_to_code_stacked(
             mu, log_var, zx, row_mask=row_mask, counts=counts_f
         )
@@ -793,16 +499,15 @@ class FusedDualCVAE:
         mse_counts = counts_f * np.asarray(latent, dtype=self.dtype)
         mse_counts = np.maximum(mse_counts, 1.0)
         mse_d = (diff * diff).reshape(self.n_stack, -1).sum(axis=1) / mse_counts
-        d_z = 2.0 * diff / mse_counts[:, None, None]
-        d_zx = d_zx + (-2.0 * diff / mse_counts[:, None, None])
-
-        mask_k = None if row_mask is None else row_mask[:k]
 
         # ---- MDI and ME InfoNCE terms (Eqs. 6-7) ------------------------
         # Latent codes and critic projections share the latent width, so
         # both contrastive terms ride one stacked call when both are on.
-        grads: Grads = {}
-        d_proj = None
+        # Each call returns its gradients too; the tape keeps them for the
+        # backward half.
+        mask_k = None if row_mask is None else row_mask[:k]
+        mdi = me = np.zeros(k, dtype=self.dtype)
+        d_mdi = d_me = crit_cache = None
         if cfg.beta2 > 0:
             proj, crit_cache = self._forward("crit", self.branch.critic, out_self)
         if cfg.beta1 > 0 and cfg.beta2 > 0:
@@ -813,29 +518,19 @@ class FusedDualCVAE:
                 temperature=cfg.infonce_temperature,
             )
             mdi, me = both[:k], both[k:]
-            d_z = d_z + cfg.beta1 * np.concatenate([d_a[:k], d_b[:k]], axis=0)
-            d_proj = cfg.beta2 * np.concatenate([d_a[k:], d_b[k:]], axis=0)
+            d_mdi = np.concatenate([d_a[:k], d_b[:k]], axis=0)
+            d_me = np.concatenate([d_a[k:], d_b[k:]], axis=0)
         elif cfg.beta1 > 0:
             mdi, d_zs, d_zt = info_nce_stacked(
                 z[:k], z[k:], row_mask=mask_k, temperature=cfg.infonce_temperature
             )
-            d_z = d_z + cfg.beta1 * np.concatenate([d_zs, d_zt], axis=0)
-            me = np.zeros(k, dtype=self.dtype)
+            d_mdi = np.concatenate([d_zs, d_zt], axis=0)
         elif cfg.beta2 > 0:
-            mdi = np.zeros(k, dtype=self.dtype)
             me, d_ps, d_pt = info_nce_stacked(
                 proj[:k], proj[k:], row_mask=mask_k,
                 temperature=cfg.infonce_temperature,
             )
-            d_proj = cfg.beta2 * np.concatenate([d_ps, d_pt], axis=0)
-        else:
-            mdi = np.zeros(k, dtype=self.dtype)
-            me = np.zeros(k, dtype=self.dtype)
-        if cfg.beta2 > 0:
-            d_out_crit = self._backward(
-                "crit", self.branch.critic, crit_cache, d_proj, grads
-            )
-            d_self = d_self + d_out_crit
+            d_me = np.concatenate([d_ps, d_pt], axis=0)
 
         fold = lambda arr: arr[:k] + arr[k:]  # noqa: E731 — sum both branches
         losses = {
@@ -854,129 +549,78 @@ class FusedDualCVAE:
             + cfg.beta1 * losses["mdi"]
             + cfg.beta2 * losses["me"]
         )
+        tape = {
+            "batch": batch,
+            "eps": eps,
+            "sigma": sigma,
+            "clip_mask": np.abs(log_var_raw) < 8.0,
+            "enc_cache": enc_cache,
+            "zx_cache": zx_cache,
+            "dec_cache": dec_cache,
+            "crit_cache": crit_cache,
+            "pred": pred,
+            "target": target,
+            "mask2": mask2,
+            "elem_counts": elem_counts,
+            "d_mu": d_mu,
+            "d_log_var": d_log_var,
+            "d_zx": d_zx,
+            "diff": diff,
+            "mse_counts": mse_counts,
+            "d_mdi": d_mdi,
+            "d_me": d_me,
+        }
+        return losses, tape
 
-        # ---- backward: decoders -> latent codes -------------------------
+    def backward(self, tape: dict[str, Any]) -> Grads:
+        """Stacked gradients of every domain's total loss, from a
+        :meth:`forward` tape; padded parameter regions get exact zeros."""
+        cfg = self.config
+        batch, latent = tape["batch"], self.latent_dim
+        pred, target = tape["pred"], tape["target"]
+        d_bce = (pred - target) / (pred * (1.0 - pred))
+        d_bce = d_bce * tape["mask2"]
+        d_bce = d_bce / tape["elem_counts"][:, None, None]
+        d_self, d_cross = d_bce[:, :batch], d_bce[:, batch:]
+
+        diff, mse_counts = tape["diff"], tape["mse_counts"]
+        d_z = 2.0 * diff / mse_counts[:, None, None]
+        d_zx = tape["d_zx"] + (-2.0 * diff / mse_counts[:, None, None])
+        if tape["d_mdi"] is not None:
+            d_z = d_z + cfg.beta1 * tape["d_mdi"]
+
+        grads: Grads = {}
+        if tape["d_me"] is not None:
+            d_out_crit = self._backward(
+                "crit", self.branch.critic, tape["crit_cache"],
+                cfg.beta2 * tape["d_me"], grads,
+            )
+            d_self = d_self + d_out_crit
+
+        # ---- decoders -> latent codes -----------------------------------
         d_out = np.concatenate([d_self, d_cross], axis=1)
-        d_dec_in = self._backward("dec", self.branch.decoder, dec_cache, d_out, grads)
+        d_dec_in = self._backward(
+            "dec", self.branch.decoder, tape["dec_cache"], d_out, grads
+        )
         d_z = d_z + d_dec_in[:, :batch, :latent] + self._swap(
             d_dec_in[:, batch:, :latent]
         )
 
-        # ---- backward: reparameterization -> encoders -------------------
-        d_mu = d_mu + d_z
-        d_log_var = (d_log_var + d_z * 0.5 * sigma * eps) * clip_mask
+        # ---- reparameterization -> encoders -----------------------------
+        d_mu = tape["d_mu"] + d_z
+        d_log_var = (
+            tape["d_log_var"] + d_z * 0.5 * tape["sigma"] * tape["eps"]
+        ) * tape["clip_mask"]
         d_enc_out = np.concatenate([d_mu, d_log_var], axis=2)
-        self._backward("enc", self.branch.encoder, enc_cache, d_enc_out, grads)
-        self._backward("enc_x", self.branch.content_encoder, zx_cache, d_zx, grads)
+        self._backward("enc", self.branch.encoder, tape["enc_cache"], d_enc_out, grads)
+        self._backward(
+            "enc_x", self.branch.content_encoder, tape["zx_cache"], d_zx, grads
+        )
 
         for name, value in self.params.items():
             if name not in grads:
                 grads[name] = np.zeros_like(value)
-        return losses, grads
-
-    def loss_only(
-        self,
-        ratings: np.ndarray,
-        content: np.ndarray,
-        eps: np.ndarray,
-        row_mask: np.ndarray | None = None,
-        row_counts: np.ndarray | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Per-domain loss terms without any backward pass (evaluation)."""
-        cfg = self.config
-        k, latent = self.k, self.latent_dim
-        batch = ratings.shape[1]
-        if row_counts is None:
-            row_counts = np.full(self.n_stack, batch, dtype=np.int64)
-        counts_f = np.asarray(row_counts).astype(self.dtype)
-        elem_counts = np.maximum(counts_f * self._widths_f, 1.0)
-
-        enc_in = np.concatenate([ratings, content], axis=2)
-        enc_out, _ = self._forward("enc", self.branch.encoder, enc_in)
-        mu, log_var_raw = enc_out[..., :latent], enc_out[..., latent:]
-        log_var = np.clip(log_var_raw, -8.0, 8.0)
-        z = mu + np.exp(0.5 * log_var) * eps
-        zx, _ = self._forward("enc_x", self.branch.content_encoder, content)
-
-        dec_in = np.concatenate(
-            [
-                np.concatenate([z, content], axis=2),
-                np.concatenate([self._swap(z), content], axis=2),
-            ],
-            axis=1,
-        )
-        dec_out, _ = self._forward("dec", self.branch.decoder, dec_in)
-        dec_out = dec_out * self.out_mask
-        out_self = dec_out[:, :batch]
-
-        target = np.concatenate([ratings, ratings], axis=1)
-        pred = np.clip(dec_out, _BCE_EPS, 1.0 - _BCE_EPS)
-        per_elem = -(target * np.log(pred) + (1.0 - target) * np.log(1.0 - pred))
-        if row_mask is not None:
-            elem_mask = self.out_mask * row_mask[:, :, None]
-            per_elem = per_elem * np.concatenate([elem_mask, elem_mask], axis=1)
-        else:
-            per_elem = per_elem * self.out_mask
-        losses_self = (
-            per_elem[:, :batch].reshape(self.n_stack, -1).sum(axis=1) / elem_counts
-        )
-        losses_cross = (
-            per_elem[:, batch:].reshape(self.n_stack, -1).sum(axis=1) / elem_counts
-        )
-        kl_d, _, _, _ = gaussian_kl_to_code_stacked(
-            mu, log_var, zx, row_mask=row_mask, counts=counts_f
-        )
-        diff = z - zx
-        if row_mask is not None:
-            diff = diff * row_mask[:, :, None]
-        mse_counts = np.maximum(counts_f * np.asarray(latent, dtype=self.dtype), 1.0)
-        mse_d = (diff * diff).reshape(self.n_stack, -1).sum(axis=1) / mse_counts
-
-        mask_k = None if row_mask is None else row_mask[:k]
-        if cfg.beta2 > 0:
-            proj, _ = self._forward("crit", self.branch.critic, out_self)
-        if cfg.beta1 > 0 and cfg.beta2 > 0:
-            both, _, _ = info_nce_stacked(
-                np.concatenate([z[:k], proj[:k]], axis=0),
-                np.concatenate([z[k:], proj[k:]], axis=0),
-                row_mask=None if mask_k is None else np.tile(mask_k, (2, 1)),
-                temperature=cfg.infonce_temperature,
-            )
-            mdi, me = both[:k], both[k:]
-        else:
-            if cfg.beta1 > 0:
-                mdi, _, _ = info_nce_stacked(
-                    z[:k], z[k:], row_mask=mask_k,
-                    temperature=cfg.infonce_temperature,
-                )
-            else:
-                mdi = np.zeros(k, dtype=self.dtype)
-            if cfg.beta2 > 0:
-                me, _, _ = info_nce_stacked(
-                    proj[:k], proj[k:], row_mask=mask_k,
-                    temperature=cfg.infonce_temperature,
-                )
-            else:
-                me = np.zeros(k, dtype=self.dtype)
-
-        fold = lambda arr: arr[:k] + arr[k:]  # noqa: E731
-        losses = {
-            "elbo_recon": fold(losses_self),
-            "kl": fold(kl_d),
-            "mse": fold(mse_d),
-            "cross_recon": fold(losses_cross),
-            "mdi": mdi,
-            "me": me,
-        }
-        losses["total"] = (
-            losses["elbo_recon"]
-            + losses["kl"]
-            + losses["mse"]
-            + losses["cross_recon"]
-            + cfg.beta1 * losses["mdi"]
-            + cfg.beta2 * losses["me"]
-        )
-        return losses
+        return grads
 
     # ------------------------------------------------------------------
     def write_back(self) -> None:

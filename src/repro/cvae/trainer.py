@@ -1,18 +1,18 @@
 """Training loops for Dual-CVAEs on shared-user domain pairs.
 
-Two trainers share one contract:
+- :class:`DualCVAETrainer` holds one domain pair's training state: its
+  model, train/eval split of shared users, rngs and loss history.
+- :class:`MultiDomainCVAETrainer` trains any number of them.  It stacks
+  their models along a leading domain axis
+  (:class:`~repro.cvae.model.FusedDualCVAE`) and drives each through its
+  *own* batch schedule in one ``(2k, batch, ...)`` numpy pass per step,
+  with per-domain Adam state and per-domain gradient clipping on the same
+  stacked axis.  Each trainer's rngs, split, history and final parameters
+  come out as if it had been trained alone, to float32 rounding.
 
-- :class:`DualCVAETrainer` — the scalar reference: one model, one domain
-  pair, a Python loop over epochs and minibatches.
-- :class:`MultiDomainCVAETrainer` — the fused hot path: it takes k scalar
-  trainers, stacks their models along a leading domain axis
-  (:class:`~repro.cvae.model.FusedDualCVAE`) and drives all k of them
-  through their *own* batch schedules in one ``(2k, batch, ...)`` numpy
-  pass per step, with per-domain Adam state and per-domain gradient
-  clipping on the same stacked axis.  Each scalar trainer's rngs, splits,
-  histories and final model parameters end up the same (to float32
-  rounding) as if it had been trained alone — the sequential path stays
-  available as the bitwise reference for equivalence tests.
+This is the one training implementation: :meth:`DualCVAETrainer.train` is a
+one-domain :class:`MultiDomainCVAETrainer`.  The per-domain sequential loop
+the fused trainer is checked against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import numpy as np
 
 from repro.cvae.model import CVAEConfig, DualCVAE, FusedDualCVAE
 from repro.data.domain import DomainPair
-from repro.nn.optim import Adam, StackedAdam, clip_grad_norm
+from repro.nn.optim import StackedAdam, require_finite
 from repro.obs import metrics as obs_metrics
-from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -50,6 +49,9 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
+        require_finite("lr", self.lr)
+        require_finite("weight_decay", self.weight_decay, positive=False)
+        require_finite("grad_clip", self.grad_clip)
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ValueError("eval_fraction must be in [0, 1)")
         if self.eval_every <= 0:
@@ -73,10 +75,11 @@ class DualCVAETrainer:
     """Trains one :class:`DualCVAE` on a :class:`DomainPair`.
 
     The paper trains the k Dual-CVAEs independently (one per source domain);
-    callers construct k trainers and either loop over them or hand them to
-    :class:`MultiDomainCVAETrainer` to train jointly.  Ratings are split
-    80/20 into a train/eval partition of shared *users* for monitoring,
-    mirroring the paper's domain-adaptation phase split.
+    callers construct k trainers and hand them to
+    :class:`MultiDomainCVAETrainer`, which trains them jointly while keeping
+    each one's trajectory its own.  Ratings are split 80/20 into a
+    train/eval partition of shared *users* for monitoring, mirroring the
+    paper's domain-adaptation phase split.
     """
 
     def __init__(
@@ -126,44 +129,10 @@ class DualCVAETrainer:
         if config.content_dim != self.pair.content_source.shape[1]:
             raise ValueError("cvae_config.content_dim does not match the pair")
 
-    def _batch(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(arr[rows] for arr in self._data)
-
-    def _eval_due(self, epoch: int) -> bool:
-        return (epoch + 1) % self.trainer_config.eval_every == 0
-
     def train(self) -> TrainingHistory:
-        """Run the configured number of epochs; returns the loss history."""
-        cfg = self.trainer_config
-        optimizer = Adam(self.model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-        for epoch in range(cfg.epochs):
-            epoch_loss = 0.0
-            n_batches = 0
-            for batch_idx in iter_batches(
-                self._train_rows.size, cfg.batch_size, rng=self._batch_rng
-            ):
-                rows = self._train_rows[batch_idx]
-                losses, grads = self.model.loss_and_grads(
-                    *self._batch(rows), rng=self._noise_rng
-                )
-                clip_grad_norm(grads, cfg.grad_clip)
-                optimizer.step(grads)
-                epoch_loss += losses["total"]
-                n_batches += 1
-                self.history.record_terms(losses)
-            self.history.train_loss.append(epoch_loss / max(n_batches, 1))
-            if self._eval_due(epoch):
-                self.history.eval_loss.append(self.evaluate())
-        return self.history
-
-    def evaluate(self) -> float:
-        """Total loss on the held-out shared users (loss-only forward)."""
-        if self._eval_rows.size == 0:
-            return float("nan")
-        losses = self.model.loss_only(
-            *self._batch(self._eval_rows), rng=np.random.default_rng(0)
-        )
-        return losses["total"]
+        """Run the configured number of epochs as a one-domain
+        :class:`MultiDomainCVAETrainer`; returns the loss history."""
+        return MultiDomainCVAETrainer([self]).train()[0]
 
 
 class MultiDomainCVAETrainer:
@@ -261,12 +230,10 @@ class MultiDomainCVAETrainer:
         fused = self.fused
         k = fused.k
         optimizer = StackedAdam(
-            fused.params,
-            n_stack=fused.n_stack,
+            fused.layout,
+            fused.flat_params,
             lr=cfg.lr,
             weight_decay=cfg.weight_decay,
-            flat_params=fused.flat_params,
-            flat_slices=fused.flat_slices,
         )
         noise_rngs = [t._noise_rng for t in self.trainers]
         n_train = np.array([t._train_rows.size for t in self.trainers])
@@ -345,7 +312,8 @@ class MultiDomainCVAETrainer:
         return [t.history for t in self.trainers]
 
     def evaluate(self) -> list[float]:
-        """Held-out loss per domain, matching each scalar ``evaluate()``."""
+        """Held-out loss per domain: the loss-only forward on each domain's
+        eval rows, with noise from a fresh ``default_rng(0)`` per domain."""
         rows_per_domain = [t._eval_rows for t in self.trainers]
         if all(rows.size == 0 for rows in rows_per_domain):
             return [float("nan")] * len(self.trainers)
@@ -354,7 +322,7 @@ class MultiDomainCVAETrainer:
         )
         rngs = [np.random.default_rng(0) for _ in self.trainers]
         eps = self._draw_eps(sizes, rngs, ratings.shape[1])
-        losses = self.fused.loss_only(
+        losses, _ = self.fused.forward(
             ratings, content, eps, row_mask=row_mask, row_counts=row_counts
         )
         return [

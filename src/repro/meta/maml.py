@@ -43,7 +43,7 @@ from repro.meta.corpus import (
 )
 from repro.meta.model import PreferenceModel
 from repro.nn.module import Params
-from repro.nn.optim import Adam, clip_grad_norm, mean_task_grads
+from repro.nn.optim import Adam, clip_grad_norm, mean_task_grads, require_finite
 from repro.nn.stacking import FlatParams
 from repro.obs import metrics as obs_metrics
 from repro.utils.rng import ensure_rng
@@ -65,8 +65,9 @@ class MAMLConfig:
     local_only_decision: bool = False
 
     def __post_init__(self) -> None:
-        if self.inner_lr <= 0 or self.outer_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        require_finite("inner_lr", self.inner_lr)
+        require_finite("outer_lr", self.outer_lr)
+        require_finite("grad_clip", self.grad_clip)
         if self.inner_steps <= 0 or self.meta_batch_size <= 0:
             raise ValueError("inner_steps and meta_batch_size must be positive")
 

@@ -66,6 +66,11 @@ class MetaDPAConfig:
             raise ValueError("meta_epochs must be positive, finetune_steps >= 0")
         if not 0.0 <= self.augmentation_weight <= 1.0:
             raise ValueError("augmentation_weight must be in [0, 1]")
+        self.cvae_trainer_config()  # rejects bad cvae_epochs / cvae_lr now
+
+    def cvae_trainer_config(self) -> TrainerConfig:
+        """The Dual-CVAE optimization settings of blocks 1 + 2."""
+        return TrainerConfig(epochs=self.cvae_epochs, lr=self.cvae_lr)
 
 
 def _sharpen_per_user(matrix: np.ndarray) -> np.ndarray:
@@ -144,7 +149,7 @@ class MetaDPA(MAMLServingMixin, Recommender):
                     "latent_dim": cfg.latent_dim,
                     "hidden_dim": cfg.cvae_hidden_dim,
                 },
-                trainer_config=TrainerConfig(epochs=cfg.cvae_epochs, lr=cfg.cvae_lr),
+                trainer_config=cfg.cvae_trainer_config(),
                 seed=int(aug_rng.integers(0, 2**31 - 1)),
                 cache=self._aug_cache,
                 cache_token=self._aug_cache_token,

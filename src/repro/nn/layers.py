@@ -297,7 +297,15 @@ class Tanh(Module):
 
 
 class Softmax(Module):
-    """Softmax over the last axis."""
+    """Softmax over the last axis.
+
+    ``valid`` (boolean, broadcastable to the input) restricts it to the true
+    entries, as :func:`softmax` does: the others output exactly 0, so no
+    gradient flows back through them either.
+    """
+
+    def __init__(self, valid: np.ndarray | None = None):
+        self.valid = valid
 
     def init_params(self, rng: np.random.Generator) -> Params:
         return {}
@@ -310,7 +318,7 @@ class Softmax(Module):
         rng: np.random.Generator | None = None,
         train: bool = False,
     ) -> tuple[np.ndarray, Any]:
-        y = softmax(x)
+        y = softmax(x, valid=self.valid)
         return y, y
 
     def backward(
@@ -336,8 +344,23 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax usable outside the layer API."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
+def softmax(
+    x: np.ndarray, axis: int = -1, valid: np.ndarray | None = None
+) -> np.ndarray:
+    """Numerically stable softmax usable outside the layer API.
+
+    ``valid`` (boolean, broadcastable to ``x``) restricts the softmax over
+    ``axis`` to its true entries; the others get exactly 0, and a slice with
+    no valid entry is all 0.  With every entry valid the result is bitwise
+    the unmasked one: the mask multiplies by 1 and the denominator is at
+    least 1, so the floor on it never applies.
+    """
+    if valid is None:
+        shifted = x - x.max(axis=axis, keepdims=True)
+        ex = np.exp(shifted)
+        return ex / ex.sum(axis=axis, keepdims=True)
+    info = np.finfo(x.dtype)
+    shifted = np.where(valid, x, info.min)
+    shifted = shifted - shifted.max(axis=axis, keepdims=True)
+    ex = np.exp(shifted) * valid
+    return ex / np.maximum(ex.sum(axis=axis, keepdims=True), info.tiny)

@@ -111,16 +111,6 @@ def gaussian_kl_to_code_stacked(
     return kl, grad_mu / c, grad_log_var / c, grad_code / c
 
 
-def _masked_softmax(logits: np.ndarray, valid: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax over ``axis`` restricted to ``valid`` entries (0 elsewhere)."""
-    neg = np.finfo(logits.dtype).min
-    x = np.where(valid, logits, neg)
-    x = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(x) * valid
-    denom = e.sum(axis=axis, keepdims=True)
-    return e / np.maximum(denom, np.finfo(logits.dtype).tiny)
-
-
 def info_nce_stacked(
     a: np.ndarray,
     b: np.ndarray,
@@ -163,8 +153,8 @@ def info_nce_stacked(
     else:
         counts = row_mask.sum(axis=1)
         pair = (row_mask[:, :, None] * row_mask[:, None, :]) > 0
-        p_rows = _masked_softmax(logits, pair, axis=2)
-        p_cols = _masked_softmax(logits, pair, axis=1)
+        p_rows = softmax(logits, axis=2, valid=pair)
+        p_cols = softmax(logits, axis=1, valid=pair)
         eye = np.zeros_like(p_rows)
         eye[:, idx, idx] = row_mask
         row_weight = row_mask

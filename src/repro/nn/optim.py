@@ -7,24 +7,40 @@ Every update is elementwise, so the optimizers are shape-agnostic: a stacked
 parameter dict (leading task axis, see :mod:`repro.nn.stacking`) trains ``T``
 independent copies in one step with per-copy Adam moments.  When a batched
 backward pass returns *per-task* gradients for unstacked meta parameters,
-reduce them first with :func:`mean_task_grads`.
+reduce them first with :func:`mean_task_grads`.  :class:`StackedAdam` is
+the flat form: ``D`` models in one slice-major buffer, each with its own
+Adam state and step count.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.module import Grads, Params
+from repro.nn.stacking import ParamLayout
+
+
+def require_finite(name: str, value: float, *, positive: bool = True) -> None:
+    """Reject an optimization setting that is not finite, or not positive
+    (negative, with ``positive=False``).
+
+    NaN fails every comparison, so a bare ``value <= 0`` check lets it
+    through: a NaN learning rate then turns every parameter into NaN, and a
+    NaN clip norm silently turns clipping off.
+    """
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 class Optimizer:
     """Base optimizer over a parameter dictionary."""
 
     def __init__(self, params: Params, lr: float, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
+        require_finite("learning rate", lr)
+        require_finite("weight decay", weight_decay, positive=False)
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
@@ -110,82 +126,54 @@ class Adam(Optimizer):
 
 
 class StackedAdam(Optimizer):
-    """Adam over parameters stacked along a leading ``[D, ...]`` axis.
+    """Adam over ``D`` models stacked in one slice-major ``(D, P)`` buffer.
 
-    Every array in ``params`` carries the same leading stack axis; each slice
-    is an independent model trained with its *own* Adam state, including its
-    own step counter — so ``D`` models whose batch schedules differ (some
-    slices sit a step out) stay on the trajectory a per-model :class:`Adam`
-    would have produced.  ``step`` takes an optional boolean ``active`` mask
-    of shape ``(D,)``: inactive slices advance neither their moments nor
-    their step count nor their weights.
+    ``flat`` row ``d`` holds every parameter of model ``d`` at ``layout``'s
+    offsets, as :class:`~repro.cvae.model.FusedDualCVAE` builds it, and
+    :attr:`params` maps each layout name to its ``(D, ...)`` view.  Each
+    slice is an independent model trained with its *own* Adam state,
+    including its own step counter, so ``D`` models whose batch schedules
+    differ (some slices sit a step out) stay on the trajectory a per-model
+    :class:`Adam` would have produced.  ``step`` takes an optional boolean
+    ``active`` mask of shape ``(D,)``: inactive slices advance neither their
+    moments nor their step count nor their weights.
 
-    Flat mode: when every value of ``params`` is a view into one contiguous
-    slice-major ``(D, S)`` buffer (``flat_params``/``flat_slices``, as built
-    by :class:`~repro.cvae.model.FusedDualCVAE`), updates run as ~a dozen
-    whole-model vector ops against preallocated moment buffers — the
-    optimizer all but vanishes from the fused training profile — and
-    :meth:`clipped_step` folds per-group gradient clipping into the same
-    gathered pass.  The arithmetic keeps the scalar optimizer's operation
-    order, so flat, dict and per-model updates agree element for element.
+    An update is ~a dozen whole-buffer vector ops against preallocated
+    moment buffers, and :meth:`clipped_step` folds per-group gradient
+    clipping into the same gathered pass.  The arithmetic keeps
+    :class:`Adam`'s operation order, so the stacked and per-model updates
+    agree element for element.
     """
 
     def __init__(
         self,
-        params: Params,
-        n_stack: int,
+        layout: ParamLayout,
+        flat: np.ndarray,
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        flat_params: np.ndarray | None = None,
-        flat_slices: dict[str, tuple[int, int, tuple[int, ...]]] | None = None,
     ):
-        super().__init__(params, lr, weight_decay)
-        if n_stack <= 0:
-            raise ValueError("n_stack must be positive")
+        if flat.ndim != 2 or flat.shape[0] == 0 or flat.shape[1] != layout.size:
+            raise ValueError(
+                f"flat must be a slice-major (D >= 1, {layout.size}) buffer, "
+                f"got shape {flat.shape}"
+            )
+        super().__init__(layout.views(flat), lr, weight_decay)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("betas must be in [0, 1)")
-        for name, value in params.items():
-            if value.shape[:1] != (n_stack,):
-                raise ValueError(
-                    f"parameter {name!r} has leading dim {value.shape[:1]}, "
-                    f"expected the stack axis ({n_stack},)"
-                )
-        self.n_stack = n_stack
+        self.layout = layout
+        self.n_stack = flat.shape[0]
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._buf: dict[str, np.ndarray] = {}
-        self._t = np.zeros(n_stack, dtype=np.int64)
-        self._flat = None
-        if flat_params is not None:
-            if flat_slices is None:
-                raise ValueError("flat_params requires flat_slices")
-            if flat_params.ndim != 2 or flat_params.shape[0] != n_stack:
-                raise ValueError(
-                    "flat_params must be a slice-major (n_stack, S) buffer"
-                )
-            for name, (offset, size, shape) in flat_slices.items():
-                view = flat_params[:, offset : offset + size].reshape(shape)
-                if not np.shares_memory(params[name], view):
-                    raise ValueError(
-                        f"parameter {name!r} is not a view into flat_params"
-                    )
-            self._flat = flat_params
-            self._slices = dict(flat_slices)
-            self._fm = np.zeros_like(flat_params)
-            self._fv = np.zeros_like(flat_params)
-            self._fbuf = np.empty_like(flat_params)
-            self._fgrad = np.empty_like(flat_params)
-
-    @staticmethod
-    def _expand(vec: np.ndarray, ndim: int) -> np.ndarray:
-        """Reshape a per-slice ``(D,)`` vector to broadcast over slice dims."""
-        return vec.reshape(vec.shape[0], *([1] * (ndim - 1)))
+        self._t = np.zeros(self.n_stack, dtype=np.int64)
+        self._flat = flat
+        self._m = np.zeros_like(flat)
+        self._v = np.zeros_like(flat)
+        self._buf = np.empty_like(flat)
+        self._grad = np.empty_like(flat)
 
     def _normalize_active(self, active: np.ndarray | None) -> np.ndarray | None:
         if active is None:
@@ -196,23 +184,12 @@ class StackedAdam(Optimizer):
         return None if active.all() else active
 
     def step(self, grads: Grads, active: np.ndarray | None = None) -> None:
-        """Advance every (active) slice one Adam step.
-
-        ``grads`` may be consumed as scratch space — callers must not rely
-        on the arrays afterwards.
-        """
+        """Advance every (active) slice one Adam step."""
         active = self._normalize_active(active)
         if active is not None and not active.any():
             return
-        if self._flat is not None:
-            self._gather(grads)
-            self._flat_update(active)
-            return
-        if active is None and self._t.min() == self._t.max():
-            self._t += 1
-            self._step_inplace(grads, int(self._t[0]))
-            return
-        self._step_dict(grads, active)
+        self._gather(grads)
+        self._update(active)
 
     def clipped_step(
         self,
@@ -221,46 +198,38 @@ class StackedAdam(Optimizer):
         group_index: np.ndarray,
         active: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Per-group clip + Adam step in one gathered pass (flat mode).
+        """Per-group clip + Adam step in one gathered pass.
 
-        Folding the clip into the optimizer lets the per-group norms come
-        from a single contraction over the slice-major gradient buffer
-        instead of one reduction per parameter.  Returns the per-group
-        pre-clip L2 norms.  Without flat storage this degrades gracefully
-        to :func:`clip_grad_norm_grouped` followed by :meth:`step`.
+        Slice ``d`` belongs to group ``group_index[d]``, and each group is
+        clipped to ``max_norm`` over all of its slices, as
+        :func:`clip_grad_norm_grouped` does; the norms come from a single
+        contraction over the slice-major gradient buffer instead of one
+        reduction per parameter.  Returns the per-group pre-clip L2 norms.
         """
-        if self._flat is None:
-            norms = clip_grad_norm_grouped(grads, max_norm, group_index)
-            self.step(grads, active=active)
-            return norms
-        if max_norm <= 0:
-            raise ValueError("max_norm must be positive")
+        require_finite("max_norm", max_norm)
         active = self._normalize_active(active)
         group_index = np.asarray(group_index, dtype=np.int64)
         self._gather(grads)
-        sq = np.einsum("ij,ij->i", self._fgrad, self._fgrad).astype(np.float64)
+        sq = np.einsum("ij,ij->i", self._grad, self._grad).astype(np.float64)
         n_groups = int(group_index.max()) + 1
         group_sq = np.zeros(n_groups, dtype=np.float64)
         np.add.at(group_sq, group_index, sq)
         norms = np.sqrt(group_sq)
         scales = np.where(norms > max_norm, max_norm / (norms + 1e-12), 1.0)
         if np.any(scales < 1.0):
-            per_slice = scales[group_index][:, None].astype(self._fgrad.dtype)
-            self._fgrad *= per_slice
+            per_slice = scales[group_index][:, None].astype(self._grad.dtype)
+            self._grad *= per_slice
         if active is None or active.any():
-            self._flat_update(active)
+            self._update(active)
         return norms
 
-    # ------------------------------------------------------------------
-    # flat (slice-major) paths
-    # ------------------------------------------------------------------
     def _gather(self, grads: Grads) -> None:
-        for name, (offset, size, _) in self._slices.items():
-            self._fgrad[:, offset : offset + size] = grads[name].reshape(
+        for name, offset, size, _ in self.layout.entries:
+            self._grad[:, offset : offset + size] = grads[name].reshape(
                 self.n_stack, -1
             )
 
-    def _flat_update(self, active: np.ndarray | None) -> None:
+    def _update(self, active: np.ndarray | None) -> None:
         """In-place whole-model Adam over the flat buffers.
 
         Masked slices are handled by stash-and-restore: the update runs over
@@ -274,8 +243,8 @@ class StackedAdam(Optimizer):
             stash = (
                 idx,
                 self._flat[idx].copy(),
-                self._fm[idx].copy(),
-                self._fv[idx].copy(),
+                self._m[idx].copy(),
+                self._v[idx].copy(),
             )
             self._t += active
         else:
@@ -285,12 +254,12 @@ class StackedAdam(Optimizer):
             bias1 = 1.0 - self.beta1**t_max
             bias2 = 1.0 - self.beta2**t_max
         else:
+            # Never-stepped slices (t=0, only reachable while masked out)
+            # use t=1 to avoid a 0/0; their update is restored away below.
             t_safe = np.maximum(self._t, 1)
             bias1 = (1.0 - self.beta1**t_safe).astype(self._flat.dtype)[:, None]
             bias2 = (1.0 - self.beta2**t_safe).astype(self._flat.dtype)[:, None]
-        flat, m, v, buf, grad = (
-            self._flat, self._fm, self._fv, self._fbuf, self._fgrad,
-        )
+        flat, m, v, buf, grad = self._flat, self._m, self._v, self._buf, self._grad
         if self.weight_decay:
             np.multiply(flat, self.weight_decay, out=buf)
             grad += buf
@@ -315,81 +284,13 @@ class StackedAdam(Optimizer):
         if stash is not None:
             idx, flat_rows, m_rows, v_rows = stash
             self._flat[idx] = flat_rows
-            self._fm[idx] = m_rows
-            self._fv[idx] = v_rows
-
-    # ------------------------------------------------------------------
-    # dict paths (no flat storage attached)
-    # ------------------------------------------------------------------
-    def _step_dict(self, grads: Grads, active: np.ndarray | None) -> None:
-        self._t = self._t + (1 if active is None else active.astype(np.int64))
-        for name, grad in grads.items():
-            grad = self._decayed(name, grad)
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(grad)
-                v = np.zeros_like(grad)
-            m_new = self.beta1 * m + (1.0 - self.beta1) * grad
-            v_new = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            # Bias corrections are per slice; cast to the parameter dtype so
-            # a float32 model updates in float32 exactly like scalar Adam.
-            # Never-stepped slices (t=0, only reachable while masked out)
-            # use t=1 to avoid a 0/0 — their update is discarded below.
-            t_safe = np.maximum(self._t, 1)
-            bias1 = (1.0 - self.beta1**t_safe).astype(grad.dtype)
-            bias2 = (1.0 - self.beta2**t_safe).astype(grad.dtype)
-            update = (
-                self.lr
-                * (m_new / self._expand(bias1, m_new.ndim))
-                / (np.sqrt(v_new / self._expand(bias2, v_new.ndim)) + self.eps)
-            )
-            if active is not None:
-                keep = self._expand(active, m_new.ndim)
-                m_new = np.where(keep, m_new, m)
-                v_new = np.where(keep, v_new, v)
-                update = np.where(keep, update, 0.0)
-            self._m[name] = m_new
-            self._v[name] = v_new
-            self.params[name] -= update
-
-    def _step_inplace(self, grads: Grads, t: int) -> None:
-        """Allocation-free per-parameter update (dict mode, all active)."""
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
-        for name, grad in grads.items():
-            param = self.params[name]
-            buf = self._buf.get(name)
-            if buf is None:
-                buf = self._buf[name] = np.empty_like(grad)
-            m = self._m.get(name)
-            if m is None:
-                m = self._m[name] = np.zeros_like(grad)
-                self._v[name] = np.zeros_like(grad)
-            v = self._v[name]
-            if self.weight_decay:
-                np.multiply(param, self.weight_decay, out=buf)
-                grad += buf
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=buf)
-            m += buf
-            np.multiply(grad, 1.0 - self.beta2, out=buf)
-            buf *= grad
-            v *= self.beta2
-            v += buf
-            np.divide(v, bias2, out=grad)
-            np.sqrt(grad, out=grad)
-            grad += self.eps
-            np.divide(m, bias1, out=buf)
-            buf *= self.lr
-            buf /= grad
-            param -= buf
+            self._m[idx] = m_rows
+            self._v[idx] = v_rows
 
 
 def clip_grad_norm(grads: Grads, max_norm: float) -> float:
     """Clip gradients in place to a global L2 norm; returns the pre-clip norm."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
+    require_finite("max_norm", max_norm)
     total = 0.0
     for grad in grads.values():
         total += float((grad * grad).sum())
@@ -409,11 +310,11 @@ def clip_grad_norm_grouped(
     ``group_index[d]`` names the group slice ``d`` belongs to; each group's
     norm is taken over *all* of its slices across every gradient array (the
     fused Dual-CVAE folds a domain's source and target branches into one
-    group, reproducing the sequential trainer's whole-model clip).  Clipping
-    happens in place per group; returns the per-group pre-clip norms.
+    group, reproducing one whole-model clip per domain).  Clipping happens
+    in place per group; returns the per-group pre-clip norms.
+    :meth:`StackedAdam.clipped_step` is the same clip over a flat buffer.
     """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
+    require_finite("max_norm", max_norm)
     group_index = np.asarray(group_index, dtype=np.int64)
     n_groups = int(group_index.max()) + 1
     sq_per_slice = np.zeros(group_index.shape[0], dtype=np.float64)

@@ -1,9 +1,10 @@
 """Reference implementations the equivalence suites and benchmarks check against.
 
-``src/`` computes meta-learning one way: packed, task-batched and
-vectorized (:mod:`repro.meta.maml`).  This module holds the plain forms of
-the same math, written once, for the tests that pin the fast paths to them
-and for the benchmarks that time the fast paths against them:
+``src/`` computes meta-learning one way, packed, task-batched and
+vectorized (:mod:`repro.meta.maml`), and trains Dual-CVAEs one way, fused
+on a stacked domain axis (:mod:`repro.cvae.trainer`).  This module holds the
+plain forms of the same math, written once, for the tests that pin the fast
+paths to them and for the benchmarks that time the fast paths against them:
 
 - **Per-view scalar MAML** — the inner loop of Eq. (1), the FOMAML outer
   step, the Reptile refresh and a full ``fit``, each adapting one corpus
@@ -17,27 +18,36 @@ and for the benchmarks that time the fast paths against them:
   meta-training used before the packed corpus, kept so the packed meta
   step and chunked adaptation can be checked against it and
   ``benchmarks/bench_meta_corpus.py`` can time the seed pipeline.
-- **The sequential Dual-CVAE loop** — the k augmentation models trained one
-  after another instead of fused.
+- **The scalar Dual-CVAE loss and the sequential loop** — Eq. (8) for one
+  model with its two branches run one after another, the per-domain epoch
+  loop around it (a per-model :class:`~repro.nn.optim.Adam` and a
+  whole-model clip), and ``fit_generate`` with the k augmentation models
+  trained one after another instead of fused.
 
-The functions drive a live :class:`~repro.meta.maml.MAML` instance (its
-parameters, config and optimizer), so a reference run and a fast run seeded
-alike start from identical state.
+The MAML functions drive a live :class:`~repro.meta.maml.MAML` instance (its
+parameters, config and optimizer), and the Dual-CVAE ones a live
+:class:`~repro.cvae.trainer.DualCVAETrainer` (its model, split and rngs), so
+a reference run and a fast run seeded alike start from identical state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.cvae.augment import AugmentedRatings, DiversePreferenceAugmenter
+from repro.cvae.model import DualCVAE
+from repro.cvae.trainer import DualCVAETrainer, TrainingHistory
 from repro.meta.corpus import TaskCorpus
 from repro.meta.maml import MAML, uniform_width_chunks
+from repro.nn.losses import binary_cross_entropy, gaussian_kl_to_code, info_nce
 from repro.nn.module import Grads, Params
-from repro.nn.optim import add_grads, clip_grad_norm, mean_task_grads
+from repro.nn.optim import Adam, add_grads, clip_grad_norm, mean_task_grads
 from repro.nn.stacking import pad_axis, unstack_params
+from repro.utils.batching import iter_batches
+from repro.utils.rng import ensure_rng
 
 
 # ----------------------------------------------------------------------
@@ -298,11 +308,360 @@ def dense_adapt_many(
 
 
 # ----------------------------------------------------------------------
-# The sequential Dual-CVAE loop
+# The scalar Dual-CVAE loss and the sequential loop
 # ----------------------------------------------------------------------
+def _merge(total: Grads, prefix: str, grads: Grads) -> None:
+    add_grads(total, {f"{prefix}.{k}": v for k, v in grads.items()})
+
+
+def cvae_loss_and_grads(
+    model: DualCVAE,
+    ratings_source: np.ndarray,
+    ratings_target: np.ndarray,
+    content_source: np.ndarray,
+    content_target: np.ndarray,
+    rng: int | np.random.Generator | None = None,
+) -> tuple[dict[str, float], Grads]:
+    """All five loss terms of Eq. (8) for one model and their gradients.
+
+    The scalar form of :meth:`FusedDualCVAE.loss_and_grads
+    <repro.cvae.model.FusedDualCVAE.loss_and_grads>`: the two branches run
+    one after another, each of the four reconstruction paths is its own
+    decoder pass, and the noise is drawn from ``rng`` side s first.
+    Returns ``(losses, grads)`` where ``losses`` holds each named term plus
+    ``"total"`` and ``grads`` matches ``model.params``.
+    """
+    gen = ensure_rng(rng)
+    cfg = model.config
+    grads: Grads = {}
+
+    ratings_source, content_source = model._cast(ratings_source, content_source)
+    ratings_target, content_target = model._cast(ratings_target, content_target)
+    sides = {
+        "s": (ratings_source, content_source),
+        "t": (ratings_target, content_target),
+    }
+    state: dict[str, dict[str, Any]] = {}
+
+    # ---- forward: encoders, reparameterization, content encoders ----
+    for side, (ratings, content) in sides.items():
+        br = model._branches[side]
+        mu, log_var_raw, enc_cache = model.encode(side, ratings, content)
+        log_var = np.clip(log_var_raw, -8.0, 8.0)
+        clip_mask = np.abs(log_var_raw) < 8.0
+        eps = gen.normal(size=mu.shape).astype(mu.dtype, copy=False)
+        sigma = np.exp(0.5 * log_var)
+        z = mu + sigma * eps
+        zx, zx_cache = br.content_encoder.forward(
+            model._sub(f"enc_x_{side}"), content
+        )
+        state[side] = {
+            "ratings": ratings,
+            "content": content,
+            "mu": mu,
+            "log_var": log_var,
+            "clip_mask": clip_mask,
+            "eps": eps,
+            "sigma": sigma,
+            "z": z,
+            "zx": zx,
+            "enc_cache": enc_cache,
+            "zx_cache": zx_cache,
+            # gradient accumulators
+            "d_mu": np.zeros_like(mu),
+            "d_log_var": np.zeros_like(log_var),
+            "d_z": np.zeros_like(z),
+            "d_zx": np.zeros_like(zx),
+        }
+
+    # ---- decoders: self reconstruction and cross reconstruction ----
+    # self: D_s(z_s, x_s) vs r_s ;  cross: D_s(z_t, x_s) vs r_s
+    recon: dict[tuple[str, str], dict[str, Any]] = {}
+    for dec_side in ("s", "t"):
+        for z_side in ("s", "t"):
+            br = model._branches[dec_side]
+            x_in = np.concatenate(
+                [state[z_side]["z"], state[dec_side]["content"]], axis=1
+            )
+            out, cache = br.decoder.forward(model._sub(f"dec_{dec_side}"), x_in)
+            recon[(dec_side, z_side)] = {
+                "out": out,
+                "cache": cache,
+                "d_out": np.zeros_like(out),
+            }
+
+    losses: dict[str, float] = {}
+
+    # ---- ELBO reconstruction (self paths) ----
+    elbo_rec = 0.0
+    for side in ("s", "t"):
+        r = recon[(side, side)]
+        loss, d_out = binary_cross_entropy(r["out"], state[side]["ratings"])
+        elbo_rec += loss
+        r["d_out"] += d_out
+    losses["elbo_recon"] = elbo_rec
+
+    # ---- content-conditioned KL (Eq. 3) ----
+    kl_total = 0.0
+    for side in ("s", "t"):
+        st = state[side]
+        kl, d_mu, d_log_var, d_code = gaussian_kl_to_code(
+            st["mu"], st["log_var"], st["zx"]
+        )
+        kl_total += kl
+        st["d_mu"] += d_mu
+        st["d_log_var"] += d_log_var
+        st["d_zx"] += d_code
+    losses["kl"] = kl_total
+
+    # ---- latent/content alignment MSE (Eq. 4) ----
+    mse_total = 0.0
+    for side in ("s", "t"):
+        st = state[side]
+        diff = st["z"] - st["zx"]
+        n = diff.size
+        mse_total += float((diff * diff).sum() / n)
+        st["d_z"] += 2.0 * diff / n
+        st["d_zx"] += -2.0 * diff / n
+    losses["mse"] = mse_total
+
+    # ---- cross-domain reconstruction (Eq. 5) ----
+    rec_total = 0.0
+    for dec_side, z_side in (("s", "t"), ("t", "s")):
+        r = recon[(dec_side, z_side)]
+        loss, d_out = binary_cross_entropy(r["out"], state[dec_side]["ratings"])
+        rec_total += loss
+        r["d_out"] += d_out
+    losses["cross_recon"] = rec_total
+
+    # ---- MDI: InfoNCE on latent codes (Eq. 6) ----
+    if cfg.beta1 > 0:
+        mdi, d_zs, d_zt = info_nce(
+            state["s"]["z"], state["t"]["z"], temperature=cfg.infonce_temperature
+        )
+        losses["mdi"] = mdi
+        state["s"]["d_z"] += cfg.beta1 * d_zs
+        state["t"]["d_z"] += cfg.beta1 * d_zt
+    else:
+        losses["mdi"] = 0.0
+
+    # ---- ME: InfoNCE on decoder outputs through critics (Eq. 7) ----
+    if cfg.beta2 > 0:
+        crit_caches = {}
+        proj = {}
+        for side in ("s", "t"):
+            br = model._branches[side]
+            p, cache = br.critic.forward(
+                model._sub(f"crit_{side}"), recon[(side, side)]["out"]
+            )
+            proj[side] = p
+            crit_caches[side] = cache
+        me, d_ps, d_pt = info_nce(
+            proj["s"], proj["t"], temperature=cfg.infonce_temperature
+        )
+        losses["me"] = me
+        for side, d_p in (("s", d_ps), ("t", d_pt)):
+            br = model._branches[side]
+            d_out, crit_grads = br.critic.backward(
+                model._sub(f"crit_{side}"), crit_caches[side], cfg.beta2 * d_p
+            )
+            _merge(grads, f"crit_{side}", crit_grads)
+            recon[(side, side)]["d_out"] += d_out
+    else:
+        losses["me"] = 0.0
+
+    losses["total"] = (
+        losses["elbo_recon"]
+        + losses["kl"]
+        + losses["mse"]
+        + losses["cross_recon"]
+        + cfg.beta1 * losses["mdi"]
+        + cfg.beta2 * losses["me"]
+    )
+
+    # ---- backward: decoders → latent codes ----
+    latent = cfg.latent_dim
+    for (dec_side, z_side), r in recon.items():
+        if not np.any(r["d_out"]):
+            continue
+        br = model._branches[dec_side]
+        d_in, dec_grads = br.decoder.backward(
+            model._sub(f"dec_{dec_side}"), r["cache"], r["d_out"]
+        )
+        _merge(grads, f"dec_{dec_side}", dec_grads)
+        state[z_side]["d_z"] += d_in[:, :latent]
+
+    # ---- backward: reparameterization → encoders; content encoders ----
+    for side in ("s", "t"):
+        st = state[side]
+        br = model._branches[side]
+        # z = mu + exp(0.5*log_var) * eps
+        d_mu = st["d_mu"] + st["d_z"]
+        d_log_var = st["d_log_var"] + st["d_z"] * 0.5 * st["sigma"] * st["eps"]
+        # The clip on log_var zeroes the gradient where it saturated.
+        d_log_var = d_log_var * st["clip_mask"]
+        d_enc_out = np.concatenate([d_mu, d_log_var], axis=1)
+        _, enc_grads = br.encoder.backward(
+            model._sub(f"enc_{side}"), st["enc_cache"], d_enc_out
+        )
+        _merge(grads, f"enc_{side}", enc_grads)
+
+        _, zx_grads = br.content_encoder.backward(
+            model._sub(f"enc_x_{side}"), st["zx_cache"], st["d_zx"]
+        )
+        _merge(grads, f"enc_x_{side}", zx_grads)
+
+    # Ensure every parameter has a gradient entry (zero where unused).
+    for name, value in model.params.items():
+        if name not in grads:
+            grads[name] = np.zeros_like(value)
+    return losses, grads
+
+
+def cvae_loss_only(
+    model: DualCVAE,
+    ratings_source: np.ndarray,
+    ratings_target: np.ndarray,
+    content_source: np.ndarray,
+    content_target: np.ndarray,
+    rng: int | np.random.Generator | None = None,
+) -> dict[str, float]:
+    """All loss terms of Eq. (8) without any backward pass.
+
+    It consumes the reparameterization noise in the same order as
+    :func:`cvae_loss_and_grads`, so given the same ``rng`` it reproduces
+    that function's loss values bit for bit.
+    """
+    gen = ensure_rng(rng)
+    cfg = model.config
+    ratings_source, content_source = model._cast(ratings_source, content_source)
+    ratings_target, content_target = model._cast(ratings_target, content_target)
+    sides = {
+        "s": (ratings_source, content_source),
+        "t": (ratings_target, content_target),
+    }
+    state: dict[str, dict[str, Any]] = {}
+    for side, (ratings, content) in sides.items():
+        br = model._branches[side]
+        mu, log_var_raw, _ = model.encode(side, ratings, content)
+        log_var = np.clip(log_var_raw, -8.0, 8.0)
+        eps = gen.normal(size=mu.shape).astype(mu.dtype, copy=False)
+        z = mu + np.exp(0.5 * log_var) * eps
+        zx = br.content_encoder(model._sub(f"enc_x_{side}"), content)
+        state[side] = {
+            "ratings": ratings, "content": content,
+            "mu": mu, "log_var": log_var, "z": z, "zx": zx,
+        }
+
+    recon = {
+        (dec_side, z_side): model.decode(
+            dec_side, state[z_side]["z"], state[dec_side]["content"]
+        )
+        for dec_side in ("s", "t")
+        for z_side in ("s", "t")
+    }
+
+    losses: dict[str, float] = {}
+    losses["elbo_recon"] = sum(
+        binary_cross_entropy(recon[(side, side)], state[side]["ratings"])[0]
+        for side in ("s", "t")
+    )
+    losses["kl"] = sum(
+        gaussian_kl_to_code(
+            state[side]["mu"], state[side]["log_var"], state[side]["zx"]
+        )[0]
+        for side in ("s", "t")
+    )
+    mse_total = 0.0
+    for side in ("s", "t"):
+        diff = state[side]["z"] - state[side]["zx"]
+        mse_total += float((diff * diff).sum() / diff.size)
+    losses["mse"] = mse_total
+    losses["cross_recon"] = sum(
+        binary_cross_entropy(
+            recon[(dec_side, z_side)], state[dec_side]["ratings"]
+        )[0]
+        for dec_side, z_side in (("s", "t"), ("t", "s"))
+    )
+    if cfg.beta1 > 0:
+        losses["mdi"] = info_nce(
+            state["s"]["z"], state["t"]["z"], temperature=cfg.infonce_temperature
+        )[0]
+    else:
+        losses["mdi"] = 0.0
+    if cfg.beta2 > 0:
+        proj = {
+            side: model._branches[side].critic(
+                model._sub(f"crit_{side}"), recon[(side, side)]
+            )
+            for side in ("s", "t")
+        }
+        losses["me"] = info_nce(
+            proj["s"], proj["t"], temperature=cfg.infonce_temperature
+        )[0]
+    else:
+        losses["me"] = 0.0
+    losses["total"] = (
+        losses["elbo_recon"]
+        + losses["kl"]
+        + losses["mse"]
+        + losses["cross_recon"]
+        + cfg.beta1 * losses["mdi"]
+        + cfg.beta2 * losses["me"]
+    )
+    return losses
+
+
+def batch_rows(trainer: DualCVAETrainer, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The trainer's ``(ratings_s, ratings_t, content_s, content_t)`` rows."""
+    return tuple(arr[rows] for arr in trainer._data)
+
+
+def evaluate_sequential(trainer: DualCVAETrainer) -> float:
+    """Total loss on the trainer's held-out shared users (loss-only forward,
+    noise from a fresh ``default_rng(0)``)."""
+    if trainer._eval_rows.size == 0:
+        return float("nan")
+    losses = cvae_loss_only(
+        trainer.model, *batch_rows(trainer, trainer._eval_rows),
+        rng=np.random.default_rng(0),
+    )
+    return losses["total"]
+
+
+def train_sequential(trainer: DualCVAETrainer) -> TrainingHistory:
+    """Train one Dual-CVAE alone for the configured epochs.
+
+    A Python loop over epochs and minibatches, one whole-model clip and a
+    per-model :class:`~repro.nn.optim.Adam`; the trainer's batch and noise
+    rngs are consumed in the order the fused trainer consumes them.
+    """
+    cfg = trainer.trainer_config
+    optimizer = Adam(trainer.model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    for epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        n_batches = 0
+        for batch_idx in iter_batches(
+            trainer._train_rows.size, cfg.batch_size, rng=trainer._batch_rng
+        ):
+            rows = trainer._train_rows[batch_idx]
+            losses, grads = cvae_loss_and_grads(
+                trainer.model, *batch_rows(trainer, rows), rng=trainer._noise_rng
+            )
+            clip_grad_norm(grads, cfg.grad_clip)
+            optimizer.step(grads)
+            epoch_loss += losses["total"]
+            n_batches += 1
+            trainer.history.record_terms(losses)
+        trainer.history.train_loss.append(epoch_loss / max(n_batches, 1))
+        if (epoch + 1) % cfg.eval_every == 0:
+            trainer.history.eval_loss.append(evaluate_sequential(trainer))
+    return trainer.history
+
+
 def fit_generate_sequential(augmenter: DiversePreferenceAugmenter) -> AugmentedRatings:
     """Train the augmenter's k Dual-CVAEs one after another, then generate."""
     augmenter.trainers = augmenter._build_trainers()
     for trainer in augmenter.trainers:
-        trainer.train()
+        train_sequential(trainer)
     return augmenter.generate()

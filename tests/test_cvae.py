@@ -10,6 +10,8 @@ from repro.cvae.model import CVAEConfig, DualCVAE
 from repro.cvae.trainer import DualCVAETrainer, TrainerConfig
 from repro.nn import numerical_gradient, relative_error
 
+from oracles import cvae_loss_and_grads
+
 
 def _tiny_config(**overrides) -> CVAEConfig:
     defaults = dict(
@@ -81,22 +83,23 @@ class TestDualCVAEForward:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
     def test_params_and_outputs_are_float32(self):
-        """The training hot path must not let float64 creep back in."""
+        """Parameters, reference gradients and generations stay float32."""
         config = _tiny_config()
         model = DualCVAE(config, rng=0)
         assert all(v.dtype == np.float32 for v in model.params.values())
         batch = _tiny_batch(config=config)
-        losses, grads = model.loss_and_grads(*batch, rng=0)
+        losses, grads = cvae_loss_and_grads(model, *batch, rng=0)
         assert all(g.dtype == np.float32 for g in grads.values())
         out = model.generate_from_content(batch[3])
         assert out.dtype == np.float32
 
 
 class TestDualCVAEGradients:
-    """Full-model gradient check against numerical differentiation.
+    """The scalar reference loss: gradients against numerical differentiation.
 
     The reparameterization noise is frozen by seeding the same generator, so
-    the loss is a deterministic function of the parameters.
+    the loss is a deterministic function of the parameters.  The fused
+    model's own check is ``test_cvae_fused.TestFusedGradients``.
     """
 
     @pytest.mark.parametrize("beta1,beta2", [(0.0, 0.0), (0.1, 1.0)])
@@ -108,10 +111,10 @@ class TestDualCVAEGradients:
         batch = _tiny_batch(config=config)
 
         def loss_fn():
-            losses, _ = model.loss_and_grads(*batch, rng=np.random.default_rng(42))
+            losses, _ = cvae_loss_and_grads(model, *batch, rng=np.random.default_rng(42))
             return losses["total"]
 
-        _, grads = model.loss_and_grads(*batch, rng=np.random.default_rng(42))
+        _, grads = cvae_loss_and_grads(model, *batch, rng=np.random.default_rng(42))
         # Spot-check a few parameters from different components.
         for name in ["enc_s.0.W", "enc_x_t.0.b", "dec_t.0.W", "dec_s.2.b"]:
             p = model.params[name]
@@ -129,7 +132,7 @@ class TestDualCVAEGradients:
     def test_critic_grads_only_with_me(self):
         config = _tiny_config(beta2=0.0)
         model = DualCVAE(config, rng=0)
-        _, grads = model.loss_and_grads(*_tiny_batch(config=config), rng=0)
+        _, grads = cvae_loss_and_grads(model, *_tiny_batch(config=config), rng=0)
         crit_norm = sum(
             float(np.abs(g).sum()) for n, g in grads.items() if n.startswith("crit")
         )
@@ -137,7 +140,7 @@ class TestDualCVAEGradients:
 
     def test_loss_terms_present(self):
         model = DualCVAE(_tiny_config(), rng=0)
-        losses, _ = model.loss_and_grads(*_tiny_batch(), rng=0)
+        losses, _ = cvae_loss_and_grads(model, *_tiny_batch(), rng=0)
         assert set(losses) == {
             "elbo_recon", "kl", "mse", "cross_recon", "mdi", "me", "total",
         }
@@ -152,7 +155,7 @@ class TestDualCVAEGradients:
 
     def test_grads_cover_all_params(self):
         model = DualCVAE(_tiny_config(), rng=0)
-        _, grads = model.loss_and_grads(*_tiny_batch(), rng=0)
+        _, grads = cvae_loss_and_grads(model, *_tiny_batch(), rng=0)
         assert set(grads) == set(model.params)
 
 
@@ -180,6 +183,24 @@ class TestTrainer:
             TrainerConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainerConfig(eval_fraction=1.0)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"lr": 0.0},
+            {"weight_decay": float("nan")},
+            {"weight_decay": -1e-5},
+            {"grad_clip": float("nan")},
+            {"grad_clip": 0.0},
+        ],
+    )
+    def test_non_finite_or_non_positive_settings_rejected(self, setting):
+        """A NaN learning rate used to train to NaN matrices, and a NaN
+        clip norm silently turned clipping off."""
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            TrainerConfig(**setting)
 
 
 class TestAugmentation:

@@ -194,6 +194,20 @@ class TestMAML:
         with pytest.raises(ValueError):
             MAMLConfig(inner_steps=0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"inner_lr": float("nan")},
+            {"outer_lr": float("nan")},
+            {"outer_lr": float("inf")},
+            {"grad_clip": float("nan")},
+            {"grad_clip": 0.0},
+        ],
+    )
+    def test_non_finite_or_non_positive_settings_rejected(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            MAMLConfig(**setting)
+
 
 class TestSubsampleSupport:
     def _task(self):

@@ -63,6 +63,17 @@ class TestBuildMethod:
         method = build_method(config, seed=1)
         assert method.epochs == 3 and method.seed == 1
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"cvae_lr": float("nan")}, {"cvae_lr": float("inf")}, {"cvae_epochs": 0}],
+    )
+    @pytest.mark.parametrize("profile", [None, "fast"])
+    def test_bad_cvae_settings_fail_at_build(self, setting, profile):
+        """A NaN ``cvae_lr`` used to build, and ``fit`` then completed with
+        NaN augmented matrices and NaN meta-parameters."""
+        with pytest.raises(ValueError):
+            build_method({"name": "MetaDPA", "profile": profile, **setting})
+
 
 class TestMethodConfig:
     def test_to_dict_round_trip(self):
