@@ -146,7 +146,6 @@ def _run_trial(path: str, tasks) -> dict:
             else:
                 ok += 1
         counters = _settled_counters(service, n_requests)
-        stats = service.stats()
 
     summary = report.to_dict()
     summary.update(
@@ -154,7 +153,7 @@ def _run_trial(path: str, tasks) -> dict:
         ok=ok,
         degraded=degraded,
         errors=errors,
-        restarts=stats["restarts"],
+        restarts=counters.get("serve.restarts", 0),
         shed=counters.get("serve.shed", 0),
         deadline_exceeded=counters.get("serve.deadline_exceeded", 0),
         breaker_opened=counters.get("serve.breaker.opened", 0),

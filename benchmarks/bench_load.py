@@ -77,10 +77,10 @@ def _run_trial(path: str, tasks, n_workers: int) -> dict:
             service.recommend(int(users[shard % len(users)]), k=10)
             service.invalidate_user(int(users[shard % len(users)]))
         report = run_open_loop(service.submit, users, rate=rate)
-        stats = service.stats()
+        counters = service.stats()["metrics"]["counters"]
     summary = report.to_dict()
     summary["n_workers"] = n_workers
-    summary["restarts"] = stats["restarts"]
+    summary["restarts"] = counters.get("serve.restarts", 0)
     return summary
 
 

@@ -90,7 +90,8 @@ def _run_trial(path: str, tasks, n_items: int, write_frac: float) -> dict:
     summary["write_frac"] = write_frac
     summary["n_writes"] = sum(1 for op in ops if op.kind == "write")
     summary["n_events"] = sum(
-        shard["worker"]["stream"]["events"] for shard in stats["shards"]
+        shard["metrics"]["counters"].get("serve.stream.events", 0)
+        for shard in stats["shards"]
     )
     return summary
 

@@ -74,7 +74,13 @@ def main() -> None:
             f"Batch-served {len(results)} cold-start users; "
             f"first user's top item: {int(results[0].items[0])}"
         )
-        print("Service stats:", service.stats())
+        counters = service.stats()["metrics"]["counters"]
+        print(
+            f"Served {counters['serve.requests']} requests; adapted "
+            f"{counters['serve.adapt.users']} users in "
+            f"{counters['serve.adapt.batches']} passes; cache hits "
+            f"{counters['serve.cache.hits']}, misses {counters['serve.cache.misses']}"
+        )
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from repro.nn.losses import (
     info_nce_stacked,
 )
 from repro.nn.module import Grads, Module, Params, mlp
+from repro.nn.optim import require_finite
 from repro.nn.stacking import ParamLayout, pad_axis, stack_params
 from repro.utils.rng import ensure_rng
 
@@ -66,8 +67,11 @@ class CVAEConfig:
             raise ValueError("dimensions must be positive")
         if self.latent_dim <= 0 or self.hidden_dim <= 0:
             raise ValueError("latent/hidden dims must be positive")
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ValueError("constraint weights must be non-negative")
+        # NaN passes a bare ``< 0`` check and trains every matrix to NaN; a
+        # zero or negative temperature makes InfoNCE's logits non-finite.
+        require_finite("beta1", self.beta1, positive=False)
+        require_finite("beta2", self.beta2, positive=False)
+        require_finite("infonce_temperature", self.infonce_temperature)
         if self.out_activation not in ("sigmoid", "softmax"):
             raise ValueError("out_activation must be 'sigmoid' or 'softmax'")
 

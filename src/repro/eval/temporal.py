@@ -186,18 +186,19 @@ def evaluate_stream(
             service.meta_refresh()
         elif clear_cache_each_window:
             service.clear_cache()
-        adapted_before = service.stats()["adaptation"]["users"]
+        adapted_before = service.metrics.counter("serve.adapt.users")
         metrics = MetricSet.from_score_lists(
             service.score_instances(instances), k=k
         )
-        stats = service.stats()
         report.windows.append(
             StreamWindow(
                 index=w,
                 n_events=len(window_events),
                 metrics=metrics,
-                adapted_users=stats["adaptation"]["users"] - adapted_before,
-                refreshes=stats["stream"]["refreshes"],
+                adapted_users=int(
+                    service.metrics.counter("serve.adapt.users") - adapted_before
+                ),
+                refreshes=int(service.metrics.counter("serve.stream.refreshes")),
             )
         )
     return report

@@ -149,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics-json",
         type=Path,
         default=None,
-        help="dump the merged metrics snapshot (service stats + registry "
-        "histograms) to this path periodically and on exit",
+        help="dump service.stats() (the registry snapshot, merged across "
+        "workers) to this path periodically and on exit",
     )
     p.add_argument(
         "--metrics-interval",
@@ -290,9 +290,8 @@ def _metrics_dumper(service, path: Path, interval: float):
 
     Dumps are atomic (write + rename), so a reader tailing the file never
     sees a half-written snapshot.  Returns a ``stop()`` callable that
-    writes one final snapshot; the single-process tier's stats() carries
-    no histograms, so the registry snapshot is attached as ``metrics``
-    there to match the sharded tier's shape.
+    writes one final snapshot.  Both tiers' ``stats()`` is the registry
+    snapshot under ``metrics`` (the sharded tier adds per-shard ones).
     """
     import threading
 
@@ -301,10 +300,7 @@ def _metrics_dumper(service, path: Path, interval: float):
     path.parent.mkdir(parents=True, exist_ok=True)
 
     def dump() -> None:
-        payload = service.stats()
-        if "metrics" not in payload:
-            payload["metrics"] = service.metrics.snapshot()
-        atomic_write_bytes(path, json.dumps(payload, indent=2).encode())
+        atomic_write_bytes(path, json.dumps(service.stats(), indent=2).encode())
 
     stop = threading.Event()
 
@@ -429,13 +425,13 @@ def _run_serve(args: argparse.Namespace) -> int:
     if stop_dumper is not None:
         stop_dumper()
         print(f"Metrics snapshot written to {args.metrics_json}")
-    stats = service.stats()
+    counters = service.stats()["metrics"]["counters"]
     service.close()
     throughput = args.requests / max(timer.elapsed, 1e-9)
     print(f"Served {args.requests} requests in {timer.elapsed:.3f}s "
           f"({throughput:.0f} req/s)")
-    stats.pop("metrics", None)  # histograms go to --metrics-json, not stdout
-    print(f"Stats: {json.dumps(stats)}")
+    # Histograms go to --metrics-json, not stdout.
+    print(f"Counters: {json.dumps(counters, sort_keys=True)}")
     return 0
 
 

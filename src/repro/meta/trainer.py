@@ -31,6 +31,7 @@ from repro.meta.corpus import (
 from repro.meta.maml import MAML, MAMLConfig, subsample_support
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
 from repro.meta.serving import MAMLServingMixin
+from repro.nn.optim import require_finite
 from repro.utils.rng import spawn_rngs
 
 
@@ -66,6 +67,9 @@ class MetaDPAConfig:
             raise ValueError("meta_epochs must be positive, finetune_steps >= 0")
         if not 0.0 <= self.augmentation_weight <= 1.0:
             raise ValueError("augmentation_weight must be in [0, 1]")
+        # The CVAEConfig that carries them is built only at fit time.
+        require_finite("beta1", self.beta1, positive=False)
+        require_finite("beta2", self.beta2, positive=False)
         self.cvae_trainer_config()  # rejects bad cvae_epochs / cvae_lr now
 
     def cvae_trainer_config(self) -> TrainerConfig:

@@ -7,9 +7,13 @@ exactly across processes.  See the README "Observability" section for
 the metric naming scheme and CLI surfaces (``serve --metrics-json``,
 ``grid status --timings``).
 
+The registry snapshot is the one metrics API of both serving tiers:
+``RecommenderService.stats()`` and ``ShardedService.stats()`` return it
+(merged across workers in the sharded tier).
+
 Kill switch: ``REPRO_OBS=0`` disables histogram observation and span
-timing process-wide (counters and gauges — the backing store for the
-public ``stats()`` views — keep working).
+timing process-wide (counters and gauges — the request, cache, adaptation
+and stream tallies of every ``stats()`` snapshot — keep working).
 """
 
 from repro.obs.profiler import PhaseProfiler, merge_phase_reports, peak_rss_bytes

@@ -9,11 +9,12 @@ happened — the price is bucket resolution: a reported quantile is the
 geometric midpoint of its bucket, i.e. within a factor of
 ``BUCKET_RATIO ** 0.5`` (~26%) of the true value.
 
-Counters and gauges always update (they back the public ``stats()``
-views and cost the same dict-under-lock write as the hand-rolled
-counters they replace).  Histogram observation and span timing — the
-per-event hot-path costs — honour the registry's ``enabled`` flag and
-collapse to near-nothing when observability is off (``REPRO_OBS=0``).
+Counters and gauges always update: the serving tiers' ``stats()`` is a
+registry snapshot, and its request, cache, adaptation and stream tallies
+must hold with observability off.  Each costs one dict write under a
+lock.  Histogram observation and span timing — the per-event hot-path
+costs — honour the registry's ``enabled`` flag and collapse to
+near-nothing when observability is off (``REPRO_OBS=0``).
 """
 
 from __future__ import annotations
@@ -261,8 +262,8 @@ class MetricsRegistry:
       state into the registry (cheap: snapshots are rare).
 
     When ``enabled`` is False, ``observe``/``span`` become no-ops while
-    counters, gauges and collectors keep working, so ``stats()`` views
-    built on the registry stay truthful with observability off.
+    counters, gauges and collectors keep working, so the serving tiers'
+    ``stats()`` snapshots stay truthful with observability off.
     """
 
     def __init__(self, enabled: bool | None = None) -> None:

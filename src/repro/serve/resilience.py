@@ -60,7 +60,10 @@ class CircuitOpen(RuntimeError):
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Everything the resilient serving path needs, as plain data.
+    """What the sharded submit path arms, as plain data.
+
+    ``ShardedService(resilience=None)`` runs the same path with a config
+    that arms nothing: no deadline, shedding, retry, fallback or breaker.
 
     Parameters
     ----------

@@ -20,6 +20,17 @@ Because the workers memory-map one shared artifact and run the same core
 the single-process facade runs, the sharded answers are bit-identical to
 sequential single-process serving for the same request stream.
 
+Submit path and metrics
+-----------------------
+Every request takes one path: ``submit`` → ``_dispatch`` (admission) →
+the shard's micro-batch → ``_settle`` (resolve, retry or degrade).  A
+:class:`~repro.serve.resilience.ResilienceConfig` decides what the path
+arms; ``resilience=None`` arms nothing.  ``stats()`` is the registry
+snapshot merged over the front-end and every worker.  Each counter has one
+writer: the worker cores count ``serve.requests`` and the front-end
+accounts each request with exactly one ``serve.responses.{ok,degraded,
+error}`` outcome.
+
 Supervision
 -----------
 A heartbeat thread polls worker liveness and each shard's pipe reader
@@ -53,7 +64,6 @@ from repro.service.service import (
     ServeRequest,
     check_event,
     check_request,
-    service_stats_view,
 )
 from repro.serve.faults import FaultPlan
 from repro.serve.resilience import (
@@ -76,11 +86,24 @@ _MAX_ATTEMPTS = 2
 #: and lets ``wait_ready`` fail fast).
 _STARTUP_FAILURE_LIMIT = 2
 
+#: the resilience of ``resilience=None``: no default deadline, no shedding,
+#: no retries and no fallback (breakers are built only for a caller's
+#: config), so every request rides the one submit path with nothing armed.
+_UNARMED = ResilienceConfig(fallback=False)
+
 #: counter bumped on each breaker transition, keyed by the new state.
 _BREAKER_COUNTERS = {
     "open": "serve.breaker.opened",
     "half-open": "serve.breaker.half_open",
     "closed": "serve.breaker.closed",
+}
+
+#: counter bumped for each degraded or failed request, keyed by the reason
+#: (``failure`` has only its ``serve.{degraded,failed}.failure`` tally).
+_REASON_COUNTERS = {
+    "deadline": "serve.deadline_exceeded",
+    "shed": "serve.shed",
+    "breaker": "serve.breaker.rejected",
 }
 
 
@@ -124,13 +147,13 @@ class _Shard:
     failed: str | None = None
     #: per-shard circuit breaker; only armed with a resilience config.
     breaker: CircuitBreaker | None = None
-    #: requests admitted and not yet settled (resilient path only).
+    #: requests admitted and not yet settled (with ``max_pending`` armed).
     inflight: int = 0
 
 
 @dataclass
-class _ResilientCall:
-    """One resilient request's lifecycle state on the front-end.
+class _Submission:
+    """One submitted request's lifecycle state on the front-end.
 
     The outer future is what the caller holds; it is resolved exactly once
     by whichever finishes first — the shard's answer, a retry's answer, the
@@ -186,8 +209,10 @@ class ShardedService:
     resilience:
         optional :class:`~repro.serve.resilience.ResilienceConfig`; arms
         per-shard circuit breakers, bounded admission, retries, deadlines
-        and the degraded popularity fallback.  ``None`` (default) keeps
-        the exact historical serving path — bit-identical answers.
+        and the degraded popularity fallback.  ``None`` (default) runs the
+        same submit path with nothing armed: no deadline, shedding, retry,
+        fallback or breaker, so a failed request gets its error and the
+        answers are bit-identical to single-process serving.
     fault_plan:
         optional :class:`~repro.serve.faults.FaultPlan` armed inside every
         worker, for chaos tests; ``None`` injects nothing.
@@ -246,20 +271,16 @@ class ShardedService:
         self._request_timeout = request_timeout
         self._max_attempts = resubmit_limit + 1
         self.heartbeat_interval = heartbeat_interval
-        self._resilience = resilience
+        cfg = self._resilience = resilience if resilience is not None else _UNARMED
         self._fallback = None
-        self._retry_lock = threading.Lock()
-        self._retry_rng = None
-        if resilience is not None:
-            self._retry_rng = np.random.default_rng(
-                np.random.SeedSequence([resilience.seed])
+        if cfg.fallback:
+            self._fallback = PopularityFallback.from_artifact(
+                path, mmap_mode=mmap_mode, candidate_pool=candidate_pool
             )
-            if resilience.fallback:
-                self._fallback = PopularityFallback.from_artifact(
-                    path, mmap_mode=mmap_mode, candidate_pool=candidate_pool
-                )
-        # Front-end registry: request/restart counters plus the
-        # coalescing histograms (queue wait, batch size, RPC and
+        self._retry_lock = threading.Lock()
+        self._retry_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+        # Front-end registry: outcome, restart and resilience counters plus
+        # the coalescing histograms (queue wait, batch size, RPC and
         # end-to-end round trips).  Worker registries merge into it in
         # stats().
         self.metrics = MetricsRegistry()
@@ -537,58 +558,37 @@ class ShardedService:
 
         A request :func:`~repro.service.service.check_request` rejects (a
         row outside the artifact, ``k <= 0``) raises ``ValueError`` here,
-        before it is counted or queued.  A valid one rides its shard's next
-        micro-batch: one coalesced RPC, one batched adaptation pass in the
-        worker.
+        before it is queued.  A valid one takes the one submit path:
+        admission (:meth:`_dispatch`), its shard's next micro-batch (one
+        coalesced RPC, one batched adaptation pass in the worker), then
+        :meth:`_settle`, which resolves the future and accounts the request
+        with exactly one ``serve.responses.{ok,degraded,error}`` outcome.
 
-        With a resilience config armed the future additionally passes
-        through admission control, the shard's circuit breaker, retries,
-        and the deadline watchdog — it then *always* resolves by the
-        deadline, either with the shard's answer, a ``degraded=True``
-        popularity answer, or (fallback disabled) a typed error.
-        ``deadline`` is absolute ``time.time()``; when omitted the
-        config's default budget applies.
+        What the path does beyond that is the resilience config's.  With
+        none (``resilience=None``) nothing is armed: a failed RPC hands its
+        error to the future.  An armed config adds admission control, the
+        shard's circuit breaker, retries and the deadline watchdog, and the
+        future then *always* resolves by the deadline, either with the
+        shard's answer, a ``degraded=True`` popularity answer, or (fallback
+        disabled) a typed error.  ``deadline`` is absolute ``time.time()``
+        and needs a config; when omitted the config's default budget
+        applies.
         """
         check_request(user_row, k, self.n_users)
-        if self._resilience is not None:
-            return self._submit_resilient(user_row, k, task, exclude_seen, deadline)
-        if deadline is not None:
+        cfg = self._resilience
+        if deadline is None:
+            if cfg.deadline is not None:
+                deadline = time.time() + cfg.deadline
+        elif cfg is _UNARMED:
             raise ValueError(
                 "per-request deadlines require a resilience config "
                 "(pass resilience=ResilienceConfig(...) to ShardedService)"
             )
         shard = self._shards[self.shard_of(user_row)]
-        request = ServeRequest(int(user_row), int(k), task, bool(exclude_seen))
-        self.metrics.inc("serve.requests")
-        if not self.metrics.enabled:
-            return shard.batcher.submit(request)
-        t0 = perf_counter()
-        future = shard.batcher.submit(request)
-        future.add_done_callback(
-            lambda _f: self.metrics.observe(
-                "serve.request.seconds", perf_counter() - t0
-            )
-        )
-        return future
-
-    # -- resilient serving ----------------------------------------------
-    def _submit_resilient(
-        self,
-        user_row: int,
-        k: int,
-        task: PreferenceTask | None,
-        exclude_seen: bool,
-        deadline: float | None,
-    ) -> Future:
-        cfg = self._resilience
-        if deadline is None and cfg.deadline is not None:
-            deadline = time.time() + cfg.deadline
-        shard = self._shards[self.shard_of(user_row)]
         request = ServeRequest(
             int(user_row), int(k), task, bool(exclude_seen), deadline
         )
-        self.metrics.inc("serve.requests")
-        call = _ResilientCall(request, shard, Future(), deadline)
+        call = _Submission(request, shard, Future(), deadline)
         if self.metrics.enabled:
             t0 = perf_counter()
             call.outer.add_done_callback(
@@ -611,7 +611,7 @@ class ShardedService:
         self._dispatch(call)
         return call.outer
 
-    def _dispatch(self, call: _ResilientCall) -> None:
+    def _dispatch(self, call: _Submission) -> None:
         """Admit one (re)attempt: deadline -> shard health -> shed -> breaker."""
         cfg = self._resilience
         shard = call.shard
@@ -641,7 +641,7 @@ class ShardedService:
         inner = shard.batcher.submit(call.request)
         inner.add_done_callback(lambda f, c=call: self._settle(c, f))
 
-    def _settle(self, call: _ResilientCall, inner: Future) -> None:
+    def _settle(self, call: _Submission, inner: Future) -> None:
         """One attempt finished: record the breaker outcome, then resolve
         the caller's future, retry, or degrade."""
         cfg = self._resilience
@@ -692,7 +692,7 @@ class ShardedService:
             delay *= 1.0 + cfg.backoff_jitter * (2.0 * u - 1.0)
         return max(delay, 0.0)
 
-    def _finish_ok(self, call: _ResilientCall, result) -> None:
+    def _finish_ok(self, call: _Submission, result) -> None:
         try:
             call.outer.set_result(result)
         except InvalidStateError:
@@ -702,15 +702,17 @@ class ShardedService:
         self.metrics.inc("serve.responses.ok")
 
     def _finish_degraded(
-        self, call: _ResilientCall, reason: str, exc: Exception | None = None
+        self, call: _Submission, reason: str, exc: Exception | None = None
     ) -> None:
         """Resolve a request the model tier could not serve in time.
 
         With the fallback armed the caller gets a ``degraded=True``
         popularity answer; otherwise the reason's typed error.  Counters
-        (``serve.responses.*``, ``serve.degraded.<reason>`` and the
-        reason-specific tallies) are bumped only by the resolver that wins
-        the future, so they reconcile exactly with per-request outcomes.
+        (``serve.degraded.<reason>`` or ``serve.failed.<reason>``, the
+        reason-specific tally, and the ``serve.responses.*`` outcome) are
+        bumped only by the resolver that wins the future, so they reconcile
+        exactly with per-request outcomes.  The outcome goes last: a reader
+        that sees every request accounted sees its reason counters too.
         """
         if call.outer.done():
             return
@@ -728,8 +730,7 @@ class ShardedService:
                 call.outer.set_result(result)
             except InvalidStateError:
                 return
-            self.metrics.inc("serve.responses.degraded")
-            self.metrics.inc(f"serve.degraded.{reason}")
+            outcome, tally = "degraded", "degraded"
         else:
             if reason == "deadline":
                 error: Exception = DeadlineExceeded(
@@ -751,16 +752,14 @@ class ShardedService:
                 call.outer.set_exception(error)
             except InvalidStateError:
                 return
-            self.metrics.inc("serve.responses.error")
-            self.metrics.inc(f"serve.failed.{reason}")
+            outcome, tally = "error", "failed"
         if call.timer is not None:
             call.timer.cancel()
-        if reason == "deadline":
-            self.metrics.inc("serve.deadline_exceeded")
-        elif reason == "shed":
-            self.metrics.inc("serve.shed")
-        elif reason == "breaker":
-            self.metrics.inc("serve.breaker.rejected")
+        self.metrics.inc(f"serve.{tally}.{reason}")
+        counter = _REASON_COUNTERS.get(reason)
+        if counter is not None:
+            self.metrics.inc(counter)
+        self.metrics.inc(f"serve.responses.{outcome}")
 
     def _on_breaker_transition(self, old: str, new: str) -> None:
         del old
@@ -921,61 +920,33 @@ class ShardedService:
             "shards": shards,
         }
 
-    @property
-    def n_requests(self) -> int:
-        """Total requests accepted by the front-end (legacy attribute)."""
-        return int(self.metrics.counter("serve.requests"))
-
     def stats(self) -> dict:
-        """Front-end counters plus each worker's own ``stats()`` snapshot.
+        """The merged registry snapshot, plus each shard's own.
 
-        The legacy shape is preserved (``workers`` / ``requests`` /
-        ``restarts`` / ``shards[*].worker``) and one new key is added:
-        ``metrics`` — the front-end registry merged with every shard's
-        registry snapshot *including* gauge-stripped snapshots of dead
-        predecessors, so counter totals survive worker restarts.  Each
-        per-shard ``worker`` view is rendered from its merged (retired +
-        live) snapshot for the same reason.
+        ``{"metrics": merged, "shards": [{"shard", "worker": {"pid"},
+        "metrics"}]}``.  A shard's ``metrics`` merges its live worker's
+        snapshot (one ``stats`` RPC) with the gauge-stripped snapshots of
+        its dead predecessors, so counter totals survive worker restarts;
+        ``metrics`` merges the front-end registry with every shard's.  The
+        worker cores count ``serve.requests`` (one per request attempt a
+        worker answered) and the front-end counts each request's one
+        ``serve.responses.{ok,degraded,error}`` outcome, so every request
+        is counted once.  :meth:`health` is the view that needs no RPC.
         """
         parts = [self.metrics.snapshot()]
         shards = []
         for shard in self._shards:
-            entry: dict = {
-                "shard": shard.index,
-                "restarts": shard.restarts,
-                "batching": shard.batcher.stats(),
-            }
             try:
-                worker = self._rpc(shard, "stats")
+                reply = self._rpc(shard, "stats")
             except Exception as exc:
-                worker = {"error": str(exc)}
-            live = worker.pop("metrics", None) if isinstance(worker, dict) else None
-            if live is not None:
+                worker, live = {"error": str(exc)}, None
+            else:
+                worker, live = {"pid": reply["pid"]}, reply["metrics"]
                 shard.last_metrics = live
-            retired = shard.retired_metrics
-            if live is not None or retired is not None:
-                merged = merge_snapshots(retired, live)
-                parts.append(merged)
-                if retired is not None and isinstance(worker, dict):
-                    # Fold the dead predecessors' totals back into the
-                    # per-shard view; gauges (cache size, pending) come
-                    # from the live worker only.
-                    pid = worker.get("pid")
-                    batching = worker.get("batching")
-                    worker = service_stats_view(merged)
-                    if pid is not None:
-                        worker["pid"] = pid
-                    if batching is not None:
-                        worker["batching"] = batching
-            entry["worker"] = worker
-            shards.append(entry)
-        return {
-            "workers": len(self._shards),
-            "requests": self.n_requests,
-            "restarts": sum(s.restarts for s in self._shards),
-            "shards": shards,
-            "metrics": merge_snapshots(*parts),
-        }
+            merged = merge_snapshots(shard.retired_metrics, live)
+            parts.append(merged)
+            shards.append({"shard": shard.index, "worker": worker, "metrics": merged})
+        return {"metrics": merge_snapshots(*parts), "shards": shards}
 
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:

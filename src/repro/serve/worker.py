@@ -4,7 +4,7 @@ Each worker is a child process running :func:`run_worker` over one end of a
 duplex pipe.  It loads the shared artifact with ``mmap_mode`` (O(open)
 startup; all workers share one page-cache copy of the weights), wraps it in
 its own :class:`~repro.service.RecommenderService` — private adaptation LRU,
-private counters — and then answers a tiny RPC protocol::
+private metrics registry — and then answers a tiny RPC protocol::
 
     parent -> worker:  (req_id, kind, payload)
     worker -> parent:  (req_id, ok, result_or_error)
@@ -13,10 +13,11 @@ Kinds: ``batch`` (a flush of :class:`~repro.service.ServeRequest`, answered
 by the request core ``recommend_batch`` — one adaptation pass per flush,
 per-request scoring), ``register`` / ``invalidate`` / ``observe``
 (history bookkeeping and event-log ingest), ``refresh`` (reptile
-meta-refresh from observed tasks), ``stats``, ``ping`` and ``shutdown``.  Any per-request
-exception is reported back as ``(req_id, False, message)``; the worker only
-exits on ``shutdown`` or a closed pipe, so one bad request never kills the
-shard.
+meta-refresh from observed tasks), ``stats`` (``{"pid", "metrics"}``:
+the worker's process id and its registry snapshot), ``ping`` and
+``shutdown``.  Any per-request exception is reported back as
+``(req_id, False, message)``; the worker only exits on ``shutdown`` or a
+closed pipe, so one bad request never kills the shard.
 
 The module is import-light and the entry point takes only picklable
 arguments (path string, a frozen options dataclass), so it is spawn-safe.
@@ -146,14 +147,10 @@ def _handle(service, kind: str, payload):
         meta_lr, steps = payload
         return service.meta_refresh(meta_lr=meta_lr, steps=steps)
     if kind == "stats":
-        # The registry snapshot rides along so the front-end can merge
-        # per-shard metrics (and keep a last-known copy that survives
-        # this worker's death — see ShardedService._revive).
-        return {
-            **service.stats(),
-            "pid": os.getpid(),
-            "metrics": service.metrics.snapshot(),
-        }
+        # The registry snapshot lets the front-end merge per-shard metrics
+        # (and keep a last-known copy that survives this worker's death —
+        # see ShardedService._revive).
+        return {"pid": os.getpid(), **service.stats()}
     if kind == "ping":
         return "pong"
     raise ValueError(f"unknown request kind: {kind!r}")

@@ -20,6 +20,10 @@ returns.
 The batching loop is factored into :meth:`process_once` so tests can drive
 it deterministically (``autostart=False``); in production a daemon worker
 thread runs it continuously.
+
+The batcher counts nothing itself: its facts are the owner's registry's
+``serve.batch.size`` histogram (flushes, requests carried, largest flush)
+and ``serve.queue_wait.seconds``.
 """
 
 from __future__ import annotations
@@ -60,10 +64,11 @@ class MicroBatcher:
         start the daemon worker thread; tests pass ``False`` and call
         :meth:`process_once` by hand.
     metrics:
-        optional :class:`~repro.obs.MetricsRegistry`; when given, each
-        flush records per-request queue wait into
+        optional :class:`~repro.obs.MetricsRegistry`; when given (and
+        enabled), each flush records per-request queue wait into
         ``serve.queue_wait.seconds`` and the flush size into
-        ``serve.batch.size``.
+        ``serve.batch.size``, whose ``count`` is the number of flushes,
+        ``sum`` the requests they carried and ``max`` the largest flush.
     """
 
     def __init__(
@@ -80,9 +85,6 @@ class MicroBatcher:
         self._queue: queue.Queue[_Request | None] = queue.Queue()
         self._closed = False
         self._metrics = metrics
-        self.n_requests = 0
-        self.n_batches = 0
-        self.largest_batch = 0
         self._worker: threading.Thread | None = None
         if autostart:
             self._worker = threading.Thread(
@@ -96,7 +98,6 @@ class MicroBatcher:
         if self._closed:
             raise RuntimeError("batcher is closed")
         request = _Request(item)
-        self.n_requests += 1
         self._queue.put(request)
         return request.future
 
@@ -126,8 +127,6 @@ class MicroBatcher:
         batch = self._collect(block=block)
         if not batch:
             return 0
-        self.n_batches += 1
-        self.largest_batch = max(self.largest_batch, len(batch))
         if self._metrics is not None and self._metrics.enabled:
             now = time.perf_counter()
             for request in batch:
@@ -171,10 +170,3 @@ class MicroBatcher:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "requests": self.n_requests,
-            "batches": self.n_batches,
-            "largest_batch": self.largest_batch,
-        }

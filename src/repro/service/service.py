@@ -28,6 +28,12 @@ A user's support set enters through ``recommend(..., task=...)`` or
 :meth:`register_user_history`; users without history are served from the
 un-adapted meta-initialization (or whatever the method's task-free
 behaviour is).
+
+Every metric of the tier lives in one :class:`~repro.obs.MetricsRegistry`
+(``service.metrics``), and :meth:`RecommenderService.stats` is its
+snapshot, ``{"metrics": snapshot}``.  The core is the one writer of
+``serve.requests``: each request of a flush counts once, whichever entry
+point sent it.
 """
 
 from __future__ import annotations
@@ -81,40 +87,6 @@ def check_event(
     _check_row("user_row", user_row, n_users)
     _check_row("item_row", item_row, n_items)
     check_rating(rating)
-
-
-def service_stats_view(snapshot: dict) -> dict:
-    """Render a registry snapshot as the legacy ``stats()`` dict.
-
-    The single mapping from metric names to the public ``stats()`` keys,
-    shared by :meth:`RecommenderService.stats` and the sharded front-end
-    (which applies it to *merged* worker snapshots so per-shard views
-    survive worker restarts).  Key names and nesting are the pre-registry
-    contract — do not rename.
-    """
-    c = snapshot.get("counters", {})
-    g = snapshot.get("gauges", {})
-    return {
-        "requests": int(c.get("serve.requests", 0)),
-        "cache": {
-            "size": int(g.get("serve.cache.size", 0)),
-            "maxsize": int(g.get("serve.cache.maxsize", 0)),
-            "hits": int(c.get("serve.cache.hits", 0)),
-            "misses": int(c.get("serve.cache.misses", 0)),
-            "evictions": int(c.get("serve.cache.evictions", 0)),
-        },
-        "adaptation": {
-            "batches": int(c.get("serve.adapt.batches", 0)),
-            "users": int(c.get("serve.adapt.users", 0)),
-            "pending": int(g.get("serve.adapt.pending", 0)),
-        },
-        "stream": {
-            "events": int(c.get("serve.stream.events", 0)),
-            "refreshes": int(c.get("serve.stream.refreshes", 0)),
-            "dirty_users": int(g.get("serve.stream.dirty_users", 0)),
-            "observed_users": int(g.get("serve.stream.observed_users", 0)),
-        },
-    }
 
 
 @dataclass(frozen=True)
@@ -198,9 +170,9 @@ class RecommenderService:
         self._observed: dict[int, set[int]] = {}
         self._dirty_users: set[int] = set()
         self._events_since_refresh = 0
-        # Per-instance registry: every counter the old hand-rolled
-        # attributes tracked now lives here, so stats() is a pure view
-        # over a snapshot and cross-process merging comes for free.
+        # Per-instance registry: every serving metric of this tier lives
+        # here, so stats() is its snapshot and cross-process merging comes
+        # for free.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.add_collector(self._collect_metrics)
         self._batcher: MicroBatcher | None = None
@@ -241,15 +213,6 @@ class RecommenderService:
         reg.set_gauge("serve.cache.maxsize", cache["maxsize"])
         reg.set_gauge("serve.stream.dirty_users", dirty)
         reg.set_gauge("serve.stream.observed_users", observed)
-
-    # Legacy counter attributes, now read-only views over the registry.
-    @property
-    def n_requests(self) -> int:
-        return int(self.metrics.counter("serve.requests"))
-
-    @property
-    def n_events(self) -> int:
-        return int(self.metrics.counter("serve.stream.events"))
 
     # ------------------------------------------------------------------
     def register_user_history(self, task: PreferenceTask) -> None:
@@ -567,19 +530,18 @@ class RecommenderService:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Request, cache, adaptation and batching counters.
+        """``{"metrics": snapshot}``: the registry snapshot of this tier.
 
-        A pure view over ``self.metrics.snapshot()`` (see
-        :func:`service_stats_view` for the name mapping); histograms ride
-        along in the snapshot itself for callers that want latencies.
-        ``adaptation.pending`` is the number of users the core is adapting
-        at this instant (the users of an adaptation pass in flight); it
-        reads 0 at rest.
+        The request core counts ``serve.requests`` (one per request of a
+        flush), the collector mirrors the cache (``serve.cache.*``) and
+        stream state, and the spans fill the latency histograms; with
+        batching, ``serve.batch.size`` counts the flushes (its ``count``),
+        the requests they carried (``sum``) and the largest (``max``).
+        ``serve.adapt.pending`` is the number of users the core is adapting
+        at this instant; it reads 0 at rest.  The shard worker replies with
+        the same snapshot, and the sharded front-end merges them.
         """
-        out = service_stats_view(self.metrics.snapshot())
-        if self._batcher is not None:
-            out["batching"] = self._batcher.stats()
-        return out
+        return {"metrics": self.metrics.snapshot()}
 
     def close(self) -> None:
         if self._batcher is not None:

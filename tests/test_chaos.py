@@ -39,22 +39,26 @@ def _counters(service: ShardedService) -> dict:
     return service.stats()["metrics"].get("counters", {})
 
 
+def _outcomes(counters: dict) -> int:
+    """Requests the front-end accounted: ``ok + degraded + error``."""
+    return sum(
+        counters.get(f"serve.responses.{kind}", 0)
+        for kind in ("ok", "degraded", "error")
+    )
+
+
 def _settled_counters(service: ShardedService, n_requests: int) -> dict:
     """Counters once every response has been tallied.
 
     Outcome counters are bumped just *after* the future resolves, so an
     observer woken by ``result()`` can be one increment early — poll until
-    the response totals cover every request.
+    the response totals cover every request.  Each request's outcome total
+    is its last counter write, so its reason counters are final by then.
     """
     deadline = time.monotonic() + 5.0
     while True:
         counters = _counters(service)
-        settled = (
-            counters.get("serve.responses.ok", 0)
-            + counters.get("serve.responses.degraded", 0)
-            + counters.get("serve.responses.error", 0)
-        )
-        if settled >= n_requests or time.monotonic() >= deadline:
+        if _outcomes(counters) >= n_requests or time.monotonic() >= deadline:
             return counters
         time.sleep(0.01)
 
@@ -124,14 +128,15 @@ class TestWorkerKillMidBurst:
 
             ok, degraded = _tally(results)
             counters = _settled_counters(service, len(users))
-            # Front-end accepted count (the merged "serve.requests" also
-            # folds in worker-side per-flush tallies, including retries).
-            assert service.stats()["requests"] == len(users)
+            # Front-end accepted count: one outcome per request (the merged
+            # "serve.requests" is the workers' per-attempt tally, which
+            # counts requests resubmitted after the crash again).
+            assert _outcomes(counters) == len(users)
             assert counters.get("serve.responses.ok", 0) == ok
             assert counters.get("serve.responses.degraded", 0) == degraded
             assert counters.get("serve.responses.error", 0) == 0
             # The injected crash really happened and was survived.
-            assert service.stats()["restarts"] >= 1
+            assert counters["serve.restarts"] >= 1
             assert ok > 0  # the surviving shard + replacement kept answering
 
     def test_crash_replays_identically(self, artifact):
@@ -155,9 +160,8 @@ class TestWorkerKillMidBurst:
                 assert service.wait_ready(timeout=30.0)
                 futures = [service.submit(u, k=4) for u in range(16)]
                 results = [f.result(timeout=30.0) for f in futures]
-                return [tuple(r.items.tolist()) for r in results], service.stats()[
-                    "restarts"
-                ]
+                restarts = _counters(service).get("serve.restarts", 0)
+                return [tuple(r.items.tolist()) for r in results], restarts
 
         items_a, restarts_a = run()
         items_b, restarts_b = run()
@@ -370,3 +374,75 @@ class TestStartupFailure:
             assert counters.get("serve.degraded.failure", 0) == 1
         finally:
             service.close()
+
+
+class TestAccounting:
+    """Each counter has one writer: the worker cores count
+    ``serve.requests``, the front-end one ``serve.responses.*`` outcome per
+    request, so every request is counted once."""
+
+    @pytest.mark.parametrize(
+        "resilience",
+        [None, ResilienceConfig(fallback=False, failure_threshold=100)],
+        ids=["unarmed", "armed"],
+    )
+    def test_every_request_is_counted_once(self, artifact, resilience):
+        # Shard 0 fails every adaptation, so the even users get errors.
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="adapt_error", shard=0, count=0),), seed=1
+        )
+        users = list(range(8))
+        with ShardedService(
+            artifact, n_workers=2, resilience=resilience, fault_plan=plan
+        ) as service:
+            assert service.wait_ready(timeout=30.0)
+            futures = [service.submit(u, k=5) for u in users]
+            failed = [f.exception(timeout=30.0) is not None for f in futures]
+            counters = _settled_counters(service, len(users))
+        assert failed == [u % 2 == 0 for u in users]
+        assert counters["serve.requests"] == len(users)
+        assert _outcomes(counters) == len(users)
+        assert counters.get("serve.responses.ok", 0) == len(users) - sum(failed)
+        assert counters.get("serve.responses.error", 0) == sum(failed)
+        assert counters.get("serve.failed.failure", 0) == sum(failed)
+
+    @pytest.mark.parametrize("fallback", [True, False], ids=["degraded", "failed"])
+    def test_outcome_total_is_the_last_counter_write(
+        self, artifact, fallback, monkeypatch
+    ):
+        """A poller that sees a request accounted sees its reason counters.
+
+        ``_settled_counters`` waits for the ``serve.responses.*`` total.
+        The front-end used to write that total first and the reason
+        counters after it, so the poll could return between the writes and
+        read e.g. ``serve.degraded.deadline`` as 0.
+        """
+        plan = FaultPlan(faults=(FaultSpec(kind="adapt_error", count=0),), seed=1)
+        cfg = ResilienceConfig(
+            retry_limit=0, failure_threshold=1, reset_timeout=60.0, fallback=fallback
+        )
+        outcome, tally = ("degraded", "degraded") if fallback else ("error", "failed")
+        with ShardedService(
+            artifact, n_workers=1, resilience=cfg, fault_plan=plan
+        ) as service:
+            assert service.wait_ready(timeout=30.0)
+            # One failed adaptation opens the breaker.
+            service.submit(0, k=5).exception(timeout=30.0)
+            _settled_counters(service, 1)
+            assert service.health()["shards"][0]["breaker"] == "open"
+            writes: list[str] = []
+            inc = service.metrics.inc
+
+            def recording_inc(name: str, value: float = 1) -> None:
+                writes.append(name)
+                inc(name, value)
+
+            monkeypatch.setattr(service.metrics, "inc", recording_inc)
+            # The open breaker rejects at admission: the request settles,
+            # and writes its counters, inside submit.
+            assert service.submit(2, k=5).done()
+        assert writes == [
+            f"serve.{tally}.breaker",
+            "serve.breaker.rejected",
+            f"serve.responses.{outcome}",
+        ]

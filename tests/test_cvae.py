@@ -48,6 +48,23 @@ class TestCVAEConfig:
         with pytest.raises(ValueError):
             _tiny_config(content_dim=0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"beta1": float("nan")},
+            {"beta2": float("inf")},
+            {"infonce_temperature": 0.0},
+            {"infonce_temperature": -1.0},
+            {"infonce_temperature": float("nan")},
+        ],
+    )
+    def test_non_finite_constraint_settings_rejected(self, setting):
+        """Each of these used to build; a zero temperature then trained to
+        non-finite matrices without an error, and a NaN one failed ``fit``
+        with a misleading hyper-parameter mismatch."""
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            _tiny_config(**setting)
+
 
 class TestDualCVAEForward:
     def test_param_namespaces(self):

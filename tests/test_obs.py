@@ -4,9 +4,8 @@ The load-bearing property is *exact cross-process merging*: every
 histogram shares one fixed log-bucket layout, so snapshots taken in
 different workers merge by integer addition — ``merge(a, b)`` must equal
 observing the concatenated stream (hypothesis-checked below).  The rest
-covers bucket-edge semantics, span nesting/reentrancy under threads,
-disabled-mode no-ops, and the stats()-view mapping the serving tiers
-rely on.
+covers bucket-edge semantics, span nesting/reentrancy under threads and
+disabled-mode no-ops.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.obs import (
     merge_snapshots,
     strip_gauges,
 )
-from repro.service.service import service_stats_view
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +243,8 @@ class TestRegistry:
         assert snap["histograms"] == {}
         # The same null singleton every time — no per-call allocation.
         assert reg.span("z") is reg.span("w")
-        # Counters/gauges/collectors keep working: stats() views built on
-        # the registry stay truthful with observability off.
+        # Counters/gauges/collectors keep working: the serving tiers'
+        # stats() snapshots stay truthful with observability off.
         reg.inc("c")
         assert reg.snapshot()["counters"] == {"c": 1}
 
@@ -266,28 +264,6 @@ class TestRegistry:
         assert merge_snapshots(a.snapshot(), b.snapshot())["gauges"] == {
             "depth": 5
         }
-
-
-def test_service_stats_view_maps_metric_names():
-    reg = MetricsRegistry(enabled=True)
-    reg.inc("serve.requests", 7)
-    reg.inc("serve.adapt.batches", 2)
-    reg.inc("serve.adapt.users", 5)
-    reg.set_gauge("serve.adapt.pending", 1)
-    reg.set_counter("serve.cache.hits", 3)
-    reg.set_gauge("serve.cache.size", 4)
-    view = service_stats_view(reg.snapshot())
-    assert view["requests"] == 7
-    assert view["adaptation"] == {"batches": 2, "users": 5, "pending": 1}
-    assert view["cache"]["hits"] == 3 and view["cache"]["size"] == 4
-    assert set(view) == {"requests", "cache", "adaptation", "stream"}
-    assert set(view["cache"]) == {"size", "maxsize", "hits", "misses", "evictions"}
-    assert set(view["stream"]) == {
-        "events",
-        "refreshes",
-        "dirty_users",
-        "observed_users",
-    }
 
 
 # ----------------------------------------------------------------------

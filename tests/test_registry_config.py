@@ -65,12 +65,20 @@ class TestBuildMethod:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"cvae_lr": float("nan")}, {"cvae_lr": float("inf")}, {"cvae_epochs": 0}],
+        [
+            {"cvae_lr": float("nan")},
+            {"cvae_lr": float("inf")},
+            {"cvae_epochs": 0},
+            {"beta1": float("nan")},
+            {"beta1": -1.0},
+            {"beta2": float("inf")},
+        ],
     )
     @pytest.mark.parametrize("profile", [None, "fast"])
     def test_bad_cvae_settings_fail_at_build(self, setting, profile):
         """A NaN ``cvae_lr`` used to build, and ``fit`` then completed with
-        NaN augmented matrices and NaN meta-parameters."""
+        NaN augmented matrices and NaN meta-parameters.  A NaN, negative or
+        infinite constraint weight built too, and failed only at ``fit``."""
         with pytest.raises(ValueError):
             build_method({"name": "MetaDPA", "profile": profile, **setting})
 

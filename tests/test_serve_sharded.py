@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.interface import Recommender
 from repro.data.splits import Scenario
+from repro.obs import set_default_enabled
 from repro.registry import build_method
 from repro.serve import ResilienceConfig, ShardedService, run_open_loop, zipfian_users
 from repro.serve.loadgen import zipf_probabilities
@@ -169,14 +170,16 @@ class TestColdStartBatching:
             # Warm half the users (one flush), then burst hot+cold mixed.
             warm = service.recommend_many(users[:4], k=5)
             assert len(warm) == 4
-            before = service.stats()["shards"][0]["worker"]["adaptation"]
+            before = service.stats()["shards"][0]["metrics"]["counters"]
             futures = [service.submit(u, k=5) for u in users]
             for future in futures:
                 future.result(timeout=60.0)
-            after = service.stats()["shards"][0]["worker"]["adaptation"]
-        assert after["batches"] - before["batches"] == 1
-        assert after["users"] - before["users"] == 4  # only the cold half
-        assert after["pending"] == 0
+            after = service.stats()["shards"][0]["metrics"]
+        counters = after["counters"]
+        assert counters["serve.adapt.batches"] - before["serve.adapt.batches"] == 1
+        # Only the cold half adapted.
+        assert counters["serve.adapt.users"] - before["serve.adapt.users"] == 4
+        assert after["gauges"]["serve.adapt.pending"] == 0
 
     def test_per_shard_caches_and_stats_propagate(self, artifact):
         path, tasks = artifact
@@ -191,15 +194,17 @@ class TestColdStartBatching:
             service.recommend_many(users, k=5)
             service.recommend_many(users, k=5)  # second pass: cache hits
             stats = service.stats()
-        assert stats["workers"] == 2
-        assert stats["requests"] == 2 * len(users)
+        assert stats["metrics"]["counters"]["serve.requests"] == 2 * len(users)
         assert len(stats["shards"]) == 2
         for entry in stats["shards"]:
-            worker = entry["worker"]
-            assert {"cache", "adaptation", "requests"} <= set(worker)
+            shard = entry["metrics"]
+            assert entry["worker"]["pid"] > 0
+            assert {"serve.cache.hits", "serve.adapt.users", "serve.requests"} <= set(
+                shard["counters"]
+            )
             # Each shard owns a disjoint user slice and cached it.
-            assert worker["cache"]["hits"] >= 1
-            assert worker["adaptation"]["pending"] == 0
+            assert shard["counters"]["serve.cache.hits"] >= 1
+            assert shard["gauges"]["serve.adapt.pending"] == 0
 
     def test_invalidate_forces_readaptation(self, artifact):
         path, tasks = artifact
@@ -207,12 +212,12 @@ class TestColdStartBatching:
         with ShardedService(path, n_workers=1, max_wait_ms=2.0) as service:
             service.register_user_history(tasks[user])
             service.recommend(user, k=5)
-            before = service.stats()["shards"][0]["worker"]["adaptation"]["users"]
+            before = service.stats()["shards"][0]["metrics"]["counters"]
             service.recommend(user, k=5)  # cached: no new adaptation
             service.invalidate_user(user)
             service.recommend(user, k=5)  # re-adapts
-            after = service.stats()["shards"][0]["worker"]["adaptation"]["users"]
-        assert after - before == 1
+            after = service.stats()["shards"][0]["metrics"]["counters"]
+        assert after["serve.adapt.users"] - before["serve.adapt.users"] == 1
 
 
 class TestFrontEndValidation:
@@ -248,7 +253,7 @@ class TestFrontEndValidation:
             assert np.array_equal(got.items, want.items)
             assert np.array_equal(got.scores, want.scores)
         counters = stats["metrics"]["counters"]
-        assert stats["requests"] == len(users)
+        assert counters["serve.requests"] == len(users)
         assert counters.get("serve.breaker.opened", 0) == 0
         assert counters.get("serve.responses.error", 0) == 0
         assert breaker == (None if resilience is None else "closed")
@@ -263,8 +268,8 @@ class TestFrontEndValidation:
             with pytest.raises(ValueError, match="rating"):
                 service.observe(0, 0, float("nan"))
             service.observe(0, 0, 1.0)
-            events = service.stats()["shards"][0]["worker"]["stream"]["events"]
-        assert events == 1
+            counters = service.stats()["shards"][0]["metrics"]["counters"]
+        assert counters["serve.stream.events"] == 1
 
     def test_non_artifact_rejected_at_construction(self, tmp_path):
         from repro.nn.serialization import save_params
@@ -292,12 +297,12 @@ class TestSupervision:
                 time.sleep(0.02)
             second = service.recommend(user, k=5)
             stats = service.stats()
-        assert stats["restarts"] >= 1
+        assert stats["metrics"]["counters"]["serve.restarts"] >= 1
         owner = stats["shards"][service.shard_of(user)]
         assert owner["worker"]["pid"] != pid_before
         # The replacement starts with a cleared cache: its first answer for
         # the user re-adapted from scratch rather than reusing stale state.
-        assert owner["worker"]["cache"]["size"] <= 1
+        assert owner["metrics"]["gauges"]["serve.cache.size"] <= 1
         assert len(first) == len(second) == 5
 
     def test_restart_reproduces_bits_after_reregistration(self, artifact):
@@ -411,11 +416,10 @@ class TestMetricsMerging:
                 future.result(timeout=60.0)
             stats = service.stats()
         total = len(users) + 32
-        # Legacy keys keep their names and meanings ...
-        assert stats["requests"] == total
-        assert stats["workers"] == 2
-        # ... and the new merged registry snapshot rides alongside.
+        # The worker cores counted each request once, on its shard.
         snap = stats["metrics"]
+        assert snap["counters"]["serve.requests"] == total
+        assert len(stats["shards"]) == 2
         hists = snap["histograms"]
         assert {
             "serve.queue_wait.seconds",
@@ -430,6 +434,41 @@ class TestMetricsMerging:
         counters = snap["counters"]
         assert counters.get("serve.cache.hits", 0) >= 1
         assert counters.get("serve.cache.misses", 0) >= 1
+
+    def test_counters_tally_with_the_registry_disabled(self, artifact):
+        """With observability off (``REPRO_OBS=0``) both tiers' ``stats()``
+        snapshots still tally requests, cache hits, adapted users and stream
+        events: only histograms and spans switch off."""
+        path, tasks = artifact
+        users = sorted(tasks)[:4]
+        set_default_enabled(False)
+        try:
+            local = RecommenderService.from_artifact(path)
+            sharded = ShardedService(path, n_workers=2)  # forked workers inherit it
+        finally:
+            set_default_enabled(None)
+        snapshots = []
+        with sharded:
+            assert sharded.wait_ready(timeout=60.0)
+            for service in (local, sharded):
+                assert not service.metrics.enabled
+                for user in users:
+                    service.register_user_history(tasks[user])
+                service.recommend_many(users, k=5)
+                service.recommend_many(users, k=5)  # second pass: cache hits
+                service.observe(users[0], 0, 1.0)
+                snapshots.append(service.stats()["metrics"])
+        for snap in snapshots:
+            counters, gauges = snap["counters"], snap["gauges"]
+            assert snap["histograms"] == {}
+            assert counters["serve.requests"] == 2 * len(users)
+            assert counters["serve.cache.hits"] == len(users)
+            assert counters["serve.adapt.users"] == len(users)
+            assert counters["serve.stream.events"] == 1
+            # The observed user's adaptation was dropped from the cache.
+            assert gauges["serve.cache.size"] == len(users) - 1
+            assert gauges["serve.stream.observed_users"] == 1
+            assert gauges["serve.adapt.pending"] == 0
 
     def test_worker_restart_preserves_counter_totals(self, artifact):
         """Regression: killing a worker must not zero its merged counters.
@@ -501,12 +540,20 @@ class TestMetricsMerging:
         )
         assert code == 0
         payload = json_module.loads(out.read_text())
-        # The dump is the full stats view plus the merged registry snapshot.
-        assert payload["requests"] == 24
-        assert payload["workers"] == 2
-        assert "restarts" in payload
+        # The dump is stats(): the merged snapshot plus each shard's own.
+        counters = payload["metrics"]["counters"]
+        assert counters["serve.requests"] == 24
+        assert len(payload["shards"]) == 2
+        assert counters.get("serve.restarts", 0) == 0
         for entry in payload["shards"]:
-            assert {"cache", "adaptation"} <= set(entry["worker"])
+            assert entry["worker"]["pid"] > 0
+            assert {"serve.cache.hits", "serve.cache.misses"} <= set(
+                entry["metrics"]["counters"]
+            )
+        assert counters["serve.adapt.users"] == sum(
+            entry["metrics"]["counters"].get("serve.adapt.users", 0)
+            for entry in payload["shards"]
+        )
         hists = payload["metrics"]["histograms"]
         assert {
             "serve.queue_wait.seconds",

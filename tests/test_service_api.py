@@ -11,6 +11,7 @@ import pytest
 from repro.core.interface import Recommender, training_visibility
 from repro.data.negative_sampling import EvalInstance
 from repro.data.splits import Scenario
+from repro.obs import MetricsRegistry
 from repro.registry import build_method
 from repro.serve import ShardedService
 from repro.service import LRUCache, MicroBatcher, RecommenderService, ServeRequest
@@ -234,7 +235,7 @@ class TestRecommenderService:
         # The expensive fine-tuning ran exactly once; the repeat request was
         # served from the LRU cache — that cached adaptation is the speedup.
         assert counting.adapt_calls == 1
-        assert service.stats()["cache"]["hits"] == 1
+        assert service.stats()["metrics"]["counters"]["serve.cache.hits"] == 1
         assert np.array_equal(first.items, second.items)
         assert np.allclose(first.scores, second.scores)
 
@@ -298,7 +299,21 @@ class TestRecommenderService:
                 b = direct.recommend(user, k=5)
                 assert np.array_equal(a.items, b.items)
                 assert np.array_equal(a.scores, b.scores)
-            assert batched.stats()["batching"]["requests"] == 3
+            flushes = batched.stats()["metrics"]["histograms"]["serve.batch.size"]
+            assert flushes["sum"] == 3  # requests carried by the batcher
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_stats_is_the_registry_snapshot(self, fitted_melu, batching):
+        """``stats()`` is ``{"metrics": snapshot}``, and the core counts
+        each request once, whichever entry point sent it."""
+        with RecommenderService(fitted_melu, batching=batching) as service:
+            for user in (0, 1, 2):
+                service.recommend(user, k=5)
+            service.recommend_many([0, 1, 2, 3], k=5)
+            stats = service.stats()
+        assert set(stats) == {"metrics"}
+        assert stats["metrics"] == service.metrics.snapshot()
+        assert stats["metrics"]["counters"]["serve.requests"] == 7
 
     def test_recommend_many_matches_individual(self, fitted_melu):
         service = RecommenderService(fitted_melu)
@@ -426,13 +441,15 @@ class TestRecommendBatch:
         service = RecommenderService(fitted_melu, cache_size=16)
         for task in tasks:
             service.register_user_history(task)
-        before = service.stats()["adaptation"]
-        assert before == {"batches": 0, "users": 0, "pending": 0}
+        before = service.stats()["metrics"]
+        assert before["counters"].get("serve.adapt.batches", 0) == 0
+        assert before["counters"].get("serve.adapt.users", 0) == 0
+        assert before["gauges"].get("serve.adapt.pending", 0) == 0
         service.recommend_batch([ServeRequest(t.user_row, k=5) for t in tasks])
-        after = service.stats()["adaptation"]
-        assert after["batches"] == 1
-        assert after["users"] == 3
-        assert after["pending"] == 0
+        after = service.stats()["metrics"]
+        assert after["counters"]["serve.adapt.batches"] == 1
+        assert after["counters"]["serve.adapt.users"] == 3
+        assert after["gauges"]["serve.adapt.pending"] == 0
 
     def test_batching_service_one_adapt_users_per_flush(
         self, fitted_melu, bench_experiment
@@ -450,7 +467,7 @@ class TestRecommendBatch:
                 service.recommend(task.user_row, k=5)
             calls_before = counting.adapt_users_calls
             adapted_before = counting.adapted_users
-            before = service.stats()
+            before = service.stats()["metrics"]
             results: dict[int, object] = {}
 
             def request(user):
@@ -477,16 +494,18 @@ class TestRecommendBatch:
             counting.gate.set()
             for thread in [holder, *threads]:
                 thread.join()
-            stats = service.stats()
+            stats = service.stats()["metrics"]
         # The held flush plus exactly one flush for the whole burst, whose
         # single adapt_users call fine-tuned only the 3 cache-missed users;
         # the pending depth drained back to zero.
-        assert stats["batching"]["batches"] == before["batching"]["batches"] + 2
-        assert stats["batching"]["largest_batch"] == len(tasks)
+        flushes = stats["histograms"]["serve.batch.size"]
+        assert flushes["count"] == before["histograms"]["serve.batch.size"]["count"] + 2
+        assert flushes["max"] == len(tasks)
         assert counting.adapt_users_calls == calls_before + 1
         assert counting.adapted_users == adapted_before + 3
-        assert stats["adaptation"]["batches"] == before["adaptation"]["batches"] + 1
-        assert stats["adaptation"]["pending"] == 0
+        adapt_batches = stats["counters"]["serve.adapt.batches"]
+        assert adapt_batches == before["counters"]["serve.adapt.batches"] + 1
+        assert stats["gauges"]["serve.adapt.pending"] == 0
         for task in tasks:
             want = reference.recommend(task.user_row, k=5)
             got = results[task.user_row]
@@ -499,15 +518,23 @@ class TestMicroBatcher:
     def _echo_scorer(instances):
         return [np.asarray(i.candidates, dtype=float) for i in instances]
 
+    @staticmethod
+    def _flushes(metrics: MetricsRegistry) -> dict:
+        """The batcher's record: ``count`` flushes carrying ``sum``
+        requests, the largest ``max``."""
+        return metrics.snapshot()["histograms"]["serve.batch.size"]
+
     def test_coalesces_queued_requests(self):
-        batcher = MicroBatcher(self._echo_scorer, autostart=False)
+        metrics = MetricsRegistry(enabled=True)
+        batcher = MicroBatcher(self._echo_scorer, autostart=False, metrics=metrics)
         futures = [
             batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
             for u in range(5)
         ]
         served = batcher.process_once()
-        assert served == 5 and batcher.n_batches == 1
-        assert batcher.largest_batch == 5
+        flushes = self._flushes(metrics)
+        assert served == 5 and flushes["count"] == 1
+        assert flushes["max"] == 5
         for future in futures:
             assert np.array_equal(future.result(), [0.0, 1.0, 2.0])
 
@@ -552,7 +579,8 @@ class TestMicroBatcher:
         # close() right after submitting (3 of 64 slots filled) must serve
         # every request promptly, whether the worker already took it or it
         # is still queued, and never drop one.
-        batcher = MicroBatcher(self._echo_scorer, max_batch=64)
+        metrics = MetricsRegistry(enabled=True)
+        batcher = MicroBatcher(self._echo_scorer, max_batch=64, metrics=metrics)
         futures = [
             batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
             for u in range(3)
@@ -562,12 +590,13 @@ class TestMicroBatcher:
             np.testing.assert_array_equal(
                 future.result(timeout=5.0), [0.0, 1.0, 2.0]
             )
-        assert batcher.stats()["requests"] == 3
+        assert self._flushes(metrics)["sum"] == 3
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit(EvalInstance(9, 0, np.array([1])))
 
     def test_close_without_worker_drains_queue(self):
-        batcher = MicroBatcher(self._echo_scorer, autostart=False)
+        metrics = MetricsRegistry(enabled=True)
+        batcher = MicroBatcher(self._echo_scorer, autostart=False, metrics=metrics)
         futures = [
             batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
             for u in range(3)
@@ -576,7 +605,8 @@ class TestMicroBatcher:
         for future in futures:
             assert future.done()
             np.testing.assert_array_equal(future.result(), [0.0, 1.0, 2.0])
-        assert batcher.n_batches >= 1 and batcher.largest_batch <= 3
+        flushes = self._flushes(metrics)
+        assert flushes["count"] >= 1 and flushes["max"] <= 3
 
     def test_submit_after_close_rejected(self):
         batcher = MicroBatcher(self._echo_scorer, autostart=False)
@@ -616,7 +646,8 @@ class TestMicroBatcher:
             assert release.wait(timeout=30.0)
             return self._echo_scorer(instances)
 
-        batcher = MicroBatcher(held, max_batch=max_batch)
+        metrics = MetricsRegistry(enabled=True)
+        batcher = MicroBatcher(held, max_batch=max_batch, metrics=metrics)
         futures = [batcher.submit(EvalInstance(0, 0, np.array([1])))]
         assert flushing.wait(timeout=30.0)
         futures += [
@@ -628,8 +659,9 @@ class TestMicroBatcher:
             np.testing.assert_array_equal(future.result(timeout=30.0), [0.0, 1.0])
         batcher.close()
         assert flushed == sizes
-        assert batcher.n_batches == len(sizes)
-        assert batcher.largest_batch == max(sizes)
+        flushes = self._flushes(metrics)
+        assert flushes["count"] == len(sizes)
+        assert flushes["max"] == max(sizes)
 
     def test_lone_sharded_request_is_sent_at_once(self, fitted_melu, tmp_path):
         # max_wait_ms is accepted but ignored: a request reaching an idle

@@ -303,8 +303,9 @@ class TestObserve:
             service.recommend(user, k=5)
         # Only the observed user re-adapted; the other two stayed cached.
         assert counting.adapt_calls == 4
-        stream = service.stats()["stream"]
-        assert stream["events"] == 1 and stream["observed_users"] == 1
+        snap = service.stats()["metrics"]
+        assert snap["counters"]["serve.stream.events"] == 1
+        assert snap["gauges"]["serve.stream.observed_users"] == 1
 
     def test_observed_item_leaves_candidate_pool(self, melu, cold_tasks):
         user = sorted(cold_tasks)[0]
@@ -329,7 +330,7 @@ class TestObserve:
             service.observe(melu.serving.n_users, 0)
         with pytest.raises(ValueError, match="item_row"):
             service.observe(0, melu.serving.n_items)
-        assert service.stats()["stream"]["events"] == 0
+        assert service.stats()["metrics"]["counters"].get("serve.stream.events", 0) == 0
 
 
 class TestMetaRefresh:
@@ -342,11 +343,12 @@ class TestMetaRefresh:
             service.recommend(user, k=5)
         assert counting.adapt_calls == 2
         service.observe(users[0], 0, 1.0)
-        assert service.stats()["stream"]["refreshes"] == 0
+        counters = service.stats()["metrics"]["counters"]
+        assert counters.get("serve.stream.refreshes", 0) == 0
         service.observe(users[0], 1, 1.0)  # second event: refresh due
-        stats = service.stats()
-        assert stats["stream"]["refreshes"] == 1
-        assert stats["stream"]["dirty_users"] == 0
+        snap = service.stats()["metrics"]
+        assert snap["counters"]["serve.stream.refreshes"] == 1
+        assert snap["gauges"]["serve.stream.dirty_users"] == 0
         # A refresh moved the meta-initialization, so every cached fast
         # weight is stale: both users re-adapt, not just the observed one.
         for user in users:
@@ -358,7 +360,8 @@ class TestMetaRefresh:
         service = RecommenderService(counting, cache_size=8)
         info = service.meta_refresh()
         assert info == {"n_tasks": 0, "delta_rms": 0.0}
-        assert service.stats()["stream"]["refreshes"] == 0
+        counters = service.stats()["metrics"]["counters"]
+        assert counters.get("serve.stream.refreshes", 0) == 0
 
     def test_refresh_moves_params_toward_observations(self, melu_restored, cold_tasks):
         user = sorted(cold_tasks)[0]
@@ -396,8 +399,9 @@ class TestMetaRefresh:
         for rating in (float("nan"), float("inf"), 1e30, -3.0):
             with pytest.raises(ValueError, match="rating"):
                 service.observe(victim, 5, rating)
-        stream = service.stats()["stream"]
-        assert stream["events"] == 0 and stream["dirty_users"] == 0
+        snap = service.stats()["metrics"]
+        assert snap["counters"].get("serve.stream.events", 0) == 0
+        assert snap["gauges"]["serve.stream.dirty_users"] == 0
         np.testing.assert_array_equal(service._tasks[victim].support_labels, support)
         assert service.meta_refresh() == {"n_tasks": 0, "delta_rms": 0.0}
         assert len(before) == 10
@@ -435,10 +439,10 @@ class TestServingCacheCorrectness:
             service.recommend_batch(requests)
         # The bad batch left no partial state: nothing adapted, nothing
         # cached, no request counted.
-        stats = service.stats()
+        snap = service.stats()["metrics"]
         assert counting.adapt_calls == 0
-        assert stats["requests"] == 0
-        assert stats["cache"]["size"] == 0
+        assert snap["counters"].get("serve.requests", 0) == 0
+        assert snap["gauges"]["serve.cache.size"] == 0
 
     def test_empty_pool_answers_empty_without_adapting(self, melu, cold_tasks):
         """A user who has seen every candidate is answered empty, unadapted.
@@ -462,8 +466,9 @@ class TestServingCacheCorrectness:
         assert [len(answer) for answer in answers] == [0, 0, 0, 0]
         assert all(answer.scores.size == 0 for answer in answers)
         assert counting.adapt_calls == 0
-        assert service.stats()["adaptation"]["users"] == 0
-        assert service.stats()["requests"] == 4
+        counters = service.stats()["metrics"]["counters"]
+        assert counters.get("serve.adapt.users", 0) == 0
+        assert counters["serve.requests"] == 4
 
     def test_failed_flush_releases_pending(self, melu, cold_tasks):
         user = sorted(cold_tasks)[0]
@@ -473,7 +478,7 @@ class TestServingCacheCorrectness:
             exploding.explode = True
             with pytest.raises(RuntimeError, match="backend down"):
                 service.recommend(user, k=5)
-            assert service.stats()["adaptation"]["pending"] == 0
+            assert service.stats()["metrics"]["gauges"]["serve.adapt.pending"] == 0
             # The service recovers once the backend does.
             exploding.explode = False
             assert len(service.recommend(user, k=5)) == 5
@@ -525,10 +530,10 @@ class TestShardedStreaming:
         with ShardedService(path, n_workers=1, max_wait_ms=2.0) as service:
             assert service.wait_ready(timeout=60.0)
             first = service.recommend(user, k=5, task=tasks[user])
-            before = service.stats()["shards"][0]["worker"]["adaptation"]["users"]
+            before = service.stats()["shards"][0]["metrics"]["counters"]
             second = service.recommend(user, k=5, task=tasks[user])
-            after = service.stats()["shards"][0]["worker"]["adaptation"]["users"]
-        assert after == before
+            after = service.stats()["shards"][0]["metrics"]["counters"]
+        assert after["serve.adapt.users"] == before["serve.adapt.users"]
         assert np.array_equal(first.items, second.items)
         assert np.array_equal(first.scores, second.scores)
 
@@ -542,13 +547,13 @@ class TestShardedStreaming:
                 service.register_user_history(tasks[user])
                 service.recommend(user, k=5)
             shard = service.shard_of(even[0])
-            before = service.stats()["shards"][shard]["worker"]["adaptation"]["users"]
+            before = service.stats()["shards"][shard]["metrics"]["counters"]
             service.observe(even[0], item_row=0, rating=1.0)
             for user in even:
                 service.recommend(user, k=5)
-            worker = service.stats()["shards"][shard]["worker"]
-        assert worker["adaptation"]["users"] == before + 1
-        assert worker["stream"]["events"] == 1
+            after = service.stats()["shards"][shard]["metrics"]["counters"]
+        assert after["serve.adapt.users"] == before["serve.adapt.users"] + 1
+        assert after["serve.stream.events"] == 1
 
     def test_observe_stream_matches_single_process(self, stream_artifact):
         """Sharded observe keeps the bit-identical serving guarantee."""
@@ -601,7 +606,8 @@ class TestShardedStreaming:
         assert report.n_requests == len(ops)
         assert np.isfinite(report.latencies).all()
         ingested = sum(
-            s["worker"]["stream"]["events"] for s in stats["shards"]
+            s["metrics"]["counters"].get("serve.stream.events", 0)
+            for s in stats["shards"]
         )
         assert ingested == n_writes
 
