@@ -1,4 +1,4 @@
-"""Frozen-tower scoring: table-gather fast path vs the full tower forward.
+"""Frozen-tower scoring: table-gather fast path vs the live item tower.
 
 Serving-time candidate scoring runs the item tower over every candidate row
 on every request even though decision-only adaptation (MeLU-style) never
@@ -7,9 +7,12 @@ output once and turns scoring into gather + MLP head; this benchmark scores
 a batch of un-adapted requests one at a time through the per-request
 kernel, with and without the table, sweeps the candidate-pool width
 (1k / 4k / 16k) and asserts the speedup floor at the widest pool, where the
-skipped ``(n, content_dim) @ (content_dim, E)`` GEMM dominates.  The fast
-path is exact (pinned bitwise in ``tests/test_frozen_tower.py``), so the
-floor is pure throughput.
+skipped ``(n, content_dim) @ (content_dim, E)`` GEMM dominates.  Both paths
+are the same blocked pass (``PreferenceModel.score_pool``), and both
+throughputs are recorded: ``candidates_per_second`` (table) and
+``live_candidates_per_second`` (live tower).  The fast path is exact
+(pinned bitwise in ``tests/test_frozen_tower.py``), so the floor is pure
+throughput.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ EMBED_DIM = 32
 N_ITEMS = 20_000
 N_USERS = 256
 CANDIDATE_WIDTHS = (1_000, 4_000, 16_000)
-# >=1.5x at 16k candidates locally (measured ~2x at content_dim 192); the
+# >=1.5x at 16k candidates (measured 1.6-2.1x at content_dim 192); the
 # CI knob exists because shared-runner noise can compress timing ratios.
 SPEEDUP_FLOOR = float(os.environ.get("BENCH_SCORE_SPEEDUP_FLOOR", 1.5))
 
@@ -100,6 +103,7 @@ def test_frozen_tower_scoring_speedup(benchmark):
             "fast_seconds": round(t_fast.elapsed / rounds, 5),
             "speedup": round(speedup, 2),
             "candidates_per_second": round(scored / max(t_fast.elapsed, 1e-9)),
+            "live_candidates_per_second": round(scored / max(t_full.elapsed, 1e-9)),
         }
         print(
             f"\n{width:>6} candidates x {len(instances)} requests: "
@@ -116,9 +120,8 @@ def test_frozen_tower_scoring_speedup(benchmark):
     benchmark.extra_info["n_items"] = N_ITEMS
     for width, stats in summary.items():
         benchmark.extra_info[f"speedup_{width}"] = stats["speedup"]
-    benchmark.extra_info["candidates_per_second"] = summary[widest][
-        "candidates_per_second"
-    ]
+    for key in ("candidates_per_second", "live_candidates_per_second"):
+        benchmark.extra_info[key] = summary[widest][key]
     assert summary[widest]["speedup"] >= SPEEDUP_FLOOR
 
 

@@ -91,8 +91,9 @@ class CoNN(Recommender):
             raise RuntimeError("fit() must be called before score()")
         domain = self._ctx.domain
         candidates = instance.candidates
-        return self.model.predict(
+        preds, _ = self.model.forward(
             self.params,
             repeat_user_content(domain.user_content, instance.user_row, candidates.size),
             domain.item_content[candidates],
         )
+        return preds

@@ -390,18 +390,6 @@ class MAML:
             sq_sum += float(np.sum(deltas[name] * deltas[name]))
         return float(np.sqrt(sq_sum / max(layout.size, 1)))
 
-    # ------------------------------------------------------------------
-    def predict(
-        self,
-        user_content: np.ndarray,
-        item_content: np.ndarray,
-        params: Params | None = None,
-    ) -> np.ndarray:
-        """Score aligned (user, item) content rows with meta or fast weights."""
-        return self.model.predict(
-            params if params is not None else self.params, user_content, item_content
-        )
-
 
 def adapt_task_states(
     maml: MAML,

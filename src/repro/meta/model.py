@@ -33,6 +33,13 @@ user row is embedded once and its embedding broadcast across the item rows
 set) never exist, and the user-embedding GEMM shrinks by the batch width.
 The backward pass sums the broadcast gradient over the item axis, which is
 exactly the dense computation reassociated (identical to float rounding).
+
+Scoring a candidate pool has its own inference pass,
+:meth:`PreferenceModel.score_pool`: no caches and no backward, one user row
+against the pool walked in blocks of :data:`SCORE_BLOCK` rows, each block's
+layers written into scratch reused across blocks.  Its scores are bitwise
+those of :meth:`PreferenceModel.forward` on the whole pool; its docstring
+gives the argument.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.nn.layers import Linear, Tanh
+from repro.nn.layers import Linear, Tanh, sigmoid
 from repro.nn.losses import binary_cross_entropy, binary_cross_entropy_tasks
 from repro.nn.module import Grads, Module, Params, Sequential, mlp
 from repro.nn.stacking import ParamLayout
@@ -50,6 +57,10 @@ from repro.utils.rng import ensure_rng
 
 #: Tower indices into :attr:`PreferenceModel._keys`.
 _USER, _ITEM, _MLP = 0, 1, 2
+
+#: Candidate rows per block of :meth:`PreferenceModel.score_pool`; a multiple
+#: of 4, which the exactness of its last layer needs.
+SCORE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -257,12 +268,102 @@ class PreferenceModel:
             module.named_grads(layer_grads, f"{prefix}.", grads)
         return grads
 
-    def predict(
-        self, params: Params, user_content: np.ndarray, item_content: np.ndarray
+    # -- inference over a candidate pool --------------------------------
+    def _score_weights(self, params: Params) -> tuple:
+        """``(user, item, head)``: each tower's ``(W, b)`` pairs in order.
+
+        Bound once per :class:`~repro.nn.stacking.FlatParams` (kept in its
+        ``layer_cache`` beside the per-layer views), per call for a dict.
+        """
+        cache = getattr(params, "layer_cache", None)
+        weights = None if cache is None else cache.get("score")
+        if weights is None:
+            weights = tuple(
+                tuple((layer["W"], layer["b"]) for layer in self._layers(params, t) if layer)
+                for t in (_USER, _ITEM, _MLP)
+            )
+            if cache is not None:
+                cache["score"] = weights
+        return weights
+
+    def score_pool(
+        self,
+        params: Params,
+        user_content: np.ndarray,
+        candidates: np.ndarray,
+        item_content: np.ndarray,
+        item_table: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Inference-only forward."""
-        preds, _ = self.forward(params, user_content, item_content)
-        return preds
+        """Interaction probabilities of one user for a pool of candidate items.
+
+        The inference pass of serving and evaluation: ``(n,)`` scores for
+        the ``candidates`` rows, bit for bit what :meth:`forward` returns on
+        the ``(1, C)`` user row against the gathered candidate content.
+        ``item_table`` holds precomputed item-tower outputs
+        (:meth:`precompute_item_embeddings`) to gather instead of running
+        the item tower over ``item_content``.
+
+        The user row is embedded once.  The pool is then walked in blocks of
+        :data:`SCORE_BLOCK` rows (a one-row tail joins the block before it)
+        through scratch allocated once per call: each block's GEMMs write
+        into it, and biases and activations apply in place, so only the
+        output vector grows with the pool.
+
+        Blocking is exact.  A row of an ``(m, K) @ (K, N)`` GEMM is the same
+        for every ``m >= 2``, and the other ops are elementwise.  The head's
+        one-column last layer runs as a GEMV instead, whose rows this BLAS
+        computes four at a time and the leftover rows another way; its rows
+        match the whole pool's when every block starts at a multiple of 4,
+        as blocks of ``SCORE_BLOCK`` rows do.  ReLU runs as ``max(x, 0)``:
+        on finite values it differs from the training forward's
+        ``x * (x > 0)`` only in the sign of zeros, which neither a later sum
+        nor the sigmoid can see.
+        """
+        user, item, head = self._score_weights(params)
+        (wu, bu), = user
+        xu = np.tanh(user_content @ wu + bu)
+        e = xu.shape[-1]
+        (wi, bi), = item
+        n = candidates.shape[0]
+        rows = min(n, SCORE_BLOCK + 1)
+        if item_table is None:
+            xi = np.empty((rows, wi.shape[1]), np.result_type(item_content, wi, bi))
+        else:
+            xi = item_table
+        joint = np.empty((rows, e + xi.shape[1]), np.result_type(xu, xi))
+        joint[:, :e] = xu
+        hidden = []
+        x = joint
+        for w, b in head[:-1]:
+            x = np.empty((rows, w.shape[1]), np.result_type(x, w, b))
+            hidden.append(x)
+        w_out, b_out = head[-1]
+        out = np.empty((n, w_out.shape[1]), np.result_type(x, w_out, b_out))
+        bounds = [*range(0, max(n - 1, 1), SCORE_BLOCK), n]
+        # Rows are gathered by fancy indexing, not ``np.take(..., out=)``:
+        # take buffers its output, and on an unaligned memory-mapped table
+        # it first copies the whole table.
+        for start, stop in zip(bounds, bounds[1:]):
+            m = stop - start
+            block = candidates[start:stop]
+            x = joint[:m]
+            if item_table is None:
+                y = xi[:m]
+                np.matmul(item_content[block], wi, out=y)
+                y += bi
+                np.tanh(y, out=y)
+                x[:, e:] = y
+            else:
+                x[:, e:] = item_table[block]
+            for (w, b), h in zip(head[:-1], hidden):
+                y = h[:m]
+                np.matmul(x, w, out=y)
+                y += b
+                np.maximum(y, 0, out=y)
+                x = y
+            np.matmul(x, w_out, out=out[start:stop])
+        out += b_out
+        return sigmoid(out[:, 0])
 
     # -- frozen-tower precompute ----------------------------------------
     def precompute_item_embeddings(
@@ -277,25 +378,6 @@ class PreferenceModel:
         """
         xi, _ = self._run(_ITEM, params, item_content)
         return np.ascontiguousarray(xi, dtype=np.float32)
-
-    def forward_from_item_embeddings(
-        self, params: Params, user_content: np.ndarray, item_embeds: np.ndarray
-    ) -> np.ndarray:
-        """Backward-free scoring from precomputed item-tower outputs.
-
-        ``item_embeds`` rows are gathered from a
-        :meth:`precompute_item_embeddings` table; the user side is embedded
-        live from ``user_content``.  Supports the same broadcast-user form
-        as :meth:`forward` (``(..., 1, C)`` user content against
-        ``(..., batch, E)`` item embeddings).  Bit-identical to the full
-        forward whenever the item-tower parameters used to bake the table
-        are the ones in ``params`` — the guard enforced by
-        :mod:`repro.meta.serving`.
-        """
-        xu, _ = self._run(_USER, params, user_content)
-        joint, _ = _joint(xu, item_embeds)
-        out, _ = self._run(_MLP, params, joint)
-        return out[..., 0]
 
     # -- frozen-embedding decision path ---------------------------------
     def embed_joint(

@@ -16,8 +16,11 @@ entry point (``recommend``, ``recommend_many``, micro-batch flushes, the
 shard workers' ``batch`` RPC) and ``score_instances`` go through.  A
 request's scores therefore depend only on its own state and candidates,
 and batched answers are bitwise equal to solo ones and to the sharded
-workers' answers.  The user row is embedded once as ``(1, C)`` and
-broadcast across the candidates.
+workers' answers.  It runs one inference pass,
+:meth:`~repro.meta.model.PreferenceModel.score_pool`, on both paths: the
+user row is embedded once as ``(1, C)``, then the pool is walked in blocks
+of :data:`~repro.meta.model.SCORE_BLOCK` rows through scratch allocated
+once per call, so no intermediate grows with the pool but the output.
 
 Exactness of the table is guarded, not assumed.  It records the item-tower
 arrays it was computed from — their identity, and their write count in the
@@ -30,13 +33,18 @@ own tower and runs it live.  A meta-refresh or optimizer step that writes
 the tower in place bumps its versions, and assigning a tower array swaps
 the object, so either way the table stops matching.
 
-The gather itself is bitwise-faithful for every multi-row request: on this
-BLAS a row of an ``(n, C) @ (C, E)`` product equals the same row computed
-in any ``(m, C) @ (C, E)`` product with ``m >= 2`` (single-row products go
-through a GEMV kernel with a different reduction order), which is the same
-row-count-invariance the uniform-width adaptation chunks already rely on.
-Single-candidate requests therefore run the item tower live, so served
-scores are identical with or without the table.
+The gather and the blocks are bitwise-faithful for every multi-row
+request: on this BLAS a row of an ``(n, C) @ (C, E)`` product equals the
+same row computed in any ``(m, C) @ (C, E)`` product with ``m >= 2``
+(single-row products go through a GEMV kernel with a different reduction
+order), which is the same row-count-invariance the uniform-width
+adaptation chunks already rely on.  So the pass never cuts a one-row
+block: a one-row tail joins the block before it.  The head's one-column
+last layer is itself a GEMV, whose rows match the whole pool's only when
+each block starts at a multiple of 4; ``SCORE_BLOCK`` is one (see
+``score_pool``).  Single-candidate requests run the item tower live as one
+one-row block, as the full forward does, so served scores are identical
+with or without the table, and with or without blocks.
 
 :class:`MAMLServingMixin` also consolidates the MeLU/MetaDPA serving
 surface (``adapt_user``/``adapt_users``/``meta_refresh``/``score*``/
@@ -122,19 +130,24 @@ def score_candidates(
 ) -> np.ndarray:
     """Score one request's candidates with one user's parameters.
 
-    The only candidate-scoring kernel.  The ``(1, C)`` user row is embedded
-    once and broadcast across the candidates.  Item rows are gathered from
-    ``tables`` when it is given, ``params`` still holds the item-tower
-    arrays it was baked from, and the pool has at least two candidates;
-    otherwise the item tower runs over the gathered candidate content.
+    The only candidate-scoring kernel, over the blocked inference pass
+    :meth:`~repro.meta.model.PreferenceModel.score_pool`.  Item rows are
+    gathered from ``tables`` when it is given, ``params`` still holds the
+    item-tower arrays it was baked from, and the pool has at least two
+    candidates; otherwise the item tower runs over each block's candidate
+    content.
     """
-    user_row = content.user[instance.user_row][None, :]
     candidates = instance.candidates
-    if tables is not None and candidates.size >= 2 and tables.item_current(params):
-        return maml.model.forward_from_item_embeddings(
-            params, user_row, tables.item[candidates]
-        )
-    return maml.predict(user_row, content.item[candidates], params=params)
+    use_table = (
+        tables is not None and candidates.size >= 2 and tables.item_current(params)
+    )
+    return maml.model.score_pool(
+        params,
+        content.user[instance.user_row][None, :],
+        candidates,
+        content.item,
+        tables.item if use_table else None,
+    )
 
 
 class MAMLServingMixin(PackedContentMixin):

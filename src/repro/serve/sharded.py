@@ -46,7 +46,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -158,8 +158,9 @@ class _Submission:
     The outer future is what the caller holds; it is resolved exactly once
     by whichever finishes first — the shard's answer, a retry's answer, the
     deadline watchdog, or an immediate shed/breaker/failed-shard rejection.
-    Losers of that race are dropped by the ``Future`` state machine
-    (``InvalidStateError``) and only the winner counts outcomes.
+    Every resolver first tries to :meth:`claim` the call; only the winner
+    counts the outcome, and it counts before it resolves the future, so a
+    caller woken by its answer finds that answer already counted.
     """
 
     request: ServeRequest
@@ -168,6 +169,17 @@ class _Submission:
     deadline: float | None
     attempts: int = 0
     timer: threading.Timer | None = None
+    claimed: bool = False
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def claim(self) -> bool:
+        """Whether this resolver won the call: it is the first to claim it
+        and the caller had not cancelled the future, which no longer can be."""
+        with self.lock:
+            if self.claimed:
+                return False
+            self.claimed = True
+        return self.outer.set_running_or_notify_cancel()
 
 
 def default_start_method() -> str:
@@ -599,8 +611,8 @@ class ShardedService:
         if deadline is not None:
             # The watchdog guarantees the outer future resolves by the
             # deadline even if the shard never answers; whichever of the
-            # watchdog and a late answer loses the set_result race is
-            # dropped without being counted.
+            # watchdog and a late answer loses the claim is dropped without
+            # being counted.
             call.timer = threading.Timer(
                 max(deadline - time.time(), 0.0),
                 self._finish_degraded,
@@ -615,7 +627,7 @@ class ShardedService:
         """Admit one (re)attempt: deadline -> shard health -> shed -> breaker."""
         cfg = self._resilience
         shard = call.shard
-        if call.outer.done():
+        if call.claimed:
             return
         if call.deadline is not None and time.time() >= call.deadline:
             self._finish_degraded(call, "deadline")
@@ -668,7 +680,7 @@ class ShardedService:
         can_retry = (
             call.attempts <= cfg.retry_limit
             and shard.failed is None
-            and not call.outer.done()
+            and not call.claimed
             and (call.deadline is None or time.time() < call.deadline)
         )
         if can_retry:
@@ -693,13 +705,12 @@ class ShardedService:
         return max(delay, 0.0)
 
     def _finish_ok(self, call: _Submission, result) -> None:
-        try:
-            call.outer.set_result(result)
-        except InvalidStateError:
-            return  # the deadline watchdog won and already counted
+        if not call.claim():
+            return  # the deadline watchdog won, or the caller cancelled
         if call.timer is not None:
             call.timer.cancel()
         self.metrics.inc("serve.responses.ok")
+        call.outer.set_result(result)
 
     def _finish_degraded(
         self, call: _Submission, reason: str, exc: Exception | None = None
@@ -707,14 +718,15 @@ class ShardedService:
         """Resolve a request the model tier could not serve in time.
 
         With the fallback armed the caller gets a ``degraded=True``
-        popularity answer; otherwise the reason's typed error.  Counters
+        popularity answer; otherwise the reason's typed error.  Only the
+        resolver that claims the call writes its counters
         (``serve.degraded.<reason>`` or ``serve.failed.<reason>``, the
-        reason-specific tally, and the ``serve.responses.*`` outcome) are
-        bumped only by the resolver that wins the future, so they reconcile
-        exactly with per-request outcomes.  The outcome goes last: a reader
-        that sees every request accounted sees its reason counters too.
+        reason-specific tally, then the ``serve.responses.*`` outcome), so
+        they reconcile exactly with per-request outcomes, and it writes
+        them before resolving the future: a caller woken by the answer sees
+        it counted.
         """
-        if call.outer.done():
+        if not call.claim():
             return
         request = call.request
         result = None
@@ -726,10 +738,6 @@ class ShardedService:
             except Exception as fallback_exc:  # degrade to the error path
                 exc = exc if exc is not None else fallback_exc
         if result is not None:
-            try:
-                call.outer.set_result(result)
-            except InvalidStateError:
-                return
             outcome, tally = "degraded", "degraded"
         else:
             if reason == "deadline":
@@ -748,10 +756,6 @@ class ShardedService:
                 error = exc if exc is not None else RuntimeError(
                     f"shard {call.shard.index} failed"
                 )
-            try:
-                call.outer.set_exception(error)
-            except InvalidStateError:
-                return
             outcome, tally = "error", "failed"
         if call.timer is not None:
             call.timer.cancel()
@@ -760,6 +764,10 @@ class ShardedService:
         if counter is not None:
             self.metrics.inc(counter)
         self.metrics.inc(f"serve.responses.{outcome}")
+        if result is not None:
+            call.outer.set_result(result)
+        else:
+            call.outer.set_exception(error)
 
     def _on_breaker_transition(self, old: str, new: str) -> None:
         del old

@@ -41,6 +41,10 @@ from repro.obs import MetricsRegistry
 FlushFn = Callable[[list[Any]], Sequence[Any]]
 
 
+def _closed_flush(items: list[Any]) -> Sequence[Any]:
+    raise RuntimeError("batcher is closed")
+
+
 @dataclass
 class _Request:
     item: Any
@@ -154,7 +158,12 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker; pending requests are still served."""
+        """Stop the worker; pending requests are still served.
+
+        Once the worker has exited, the batcher also drops its flush, which
+        is usually a bound method of the batcher's owner, so that owner is
+        freed by reference counting instead of waiting for the cyclic GC.
+        """
         if self._closed:
             return
         self._closed = True
@@ -164,6 +173,8 @@ class MicroBatcher:
         # Serve anything that raced past the sentinel.
         while self.process_once(block=False):
             pass
+        if self._worker is None or not self._worker.is_alive():
+            self._flush = _closed_flush
 
     def __enter__(self) -> "MicroBatcher":
         return self

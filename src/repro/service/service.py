@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -87,6 +88,19 @@ def check_event(
     _check_row("user_row", user_row, n_users)
     _check_row("item_row", item_row, n_items)
     check_rating(rating)
+
+
+def _weak_collector(service: "RecommenderService") -> Callable[[MetricsRegistry], None]:
+    """``service._collect_metrics`` through a weak reference; a no-op once the
+    service is gone."""
+    ref = weakref.ref(service)
+
+    def collect(reg: MetricsRegistry) -> None:
+        live = ref()
+        if live is not None:
+            live._collect_metrics(reg)
+
+    return collect
 
 
 @dataclass(frozen=True)
@@ -174,7 +188,10 @@ class RecommenderService:
         # here, so stats() is its snapshot and cross-process merging comes
         # for free.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics.add_collector(self._collect_metrics)
+        # The registry holds the collector weakly: a bound method would keep
+        # this service, its artifact mapping and its adapted states alive
+        # until the cyclic GC runs.
+        self.metrics.add_collector(_weak_collector(self))
         self._batcher: MicroBatcher | None = None
         if batching:
             self._batcher = MicroBatcher(

@@ -18,6 +18,10 @@ paths to them and for the benchmarks that time the fast paths against them:
   meta-training used before the packed corpus, kept so the packed meta
   step and chunked adaptation can be checked against it and
   ``benchmarks/bench_meta_corpus.py`` can time the seed pipeline.
+- **The unblocked full forward** — :func:`predict` scores aligned (user,
+  item) content rows through the training forward in one pass, the oracle
+  of the blocked candidate-scoring pass
+  (:meth:`~repro.meta.model.PreferenceModel.score_pool`).
 - **The scalar Dual-CVAE loss and the sequential loop** — Eq. (8) for one
   model with its two branches run one after another, the per-domain epoch
   loop around it (a per-model :class:`~repro.nn.optim.Adam` and a
@@ -42,6 +46,7 @@ from repro.cvae.model import DualCVAE
 from repro.cvae.trainer import DualCVAETrainer, TrainingHistory
 from repro.meta.corpus import TaskCorpus
 from repro.meta.maml import MAML, uniform_width_chunks
+from repro.meta.model import PreferenceModel
 from repro.nn.losses import binary_cross_entropy, gaussian_kl_to_code, info_nce
 from repro.nn.module import Grads, Params
 from repro.nn.optim import Adam, add_grads, clip_grad_norm, mean_task_grads
@@ -305,6 +310,25 @@ def dense_adapt_many(
         for i, part in zip(chunk, parts):
             results[i] = part
     return results  # type: ignore[return-value]
+
+
+# ----------------------------------------------------------------------
+# The unblocked full forward
+# ----------------------------------------------------------------------
+def predict(
+    model: PreferenceModel,
+    params: Params,
+    user_content: np.ndarray,
+    item_content: np.ndarray,
+) -> np.ndarray:
+    """Interaction probabilities of aligned (user, item) content rows.
+
+    The training forward over every row at once, as serving scored before
+    the pool was walked in blocks.  A ``(1, C)`` user row broadcasts across
+    the item rows.
+    """
+    preds, _ = model.forward(params, user_content, item_content)
+    return preds
 
 
 # ----------------------------------------------------------------------

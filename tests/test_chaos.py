@@ -12,6 +12,7 @@ machinery under test is method-agnostic.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -50,10 +51,10 @@ def _outcomes(counters: dict) -> int:
 def _settled_counters(service: ShardedService, n_requests: int) -> dict:
     """Counters once every response has been tallied.
 
-    Outcome counters are bumped just *after* the future resolves, so an
-    observer woken by ``result()`` can be one increment early — poll until
-    the response totals cover every request.  Each request's outcome total
-    is its last counter write, so its reason counters are final by then.
+    The front-end counts a request's outcome before it resolves the future,
+    so once every future has resolved this returns at once; the poll bounds
+    the wait for requests still in flight.  Each request's outcome total is
+    its last counter write, so its reason counters are final by then.
     """
     deadline = time.monotonic() + 5.0
     while True:
@@ -286,6 +287,63 @@ class TestDeadlines:
             time.sleep(1.5)
             assert service.health()["shards"][0]["breaker"] == "closed"
             assert _counters(service).get("serve.breaker.opened", 0) == 0
+
+
+class TestOutcomeCountedBeforeResolve:
+    """Whatever the caller's future wakes already sees its outcome counted.
+
+    An injected stall holds the worker's adaptation, so each test attaches
+    its done-callback while the future is still pending: the callback runs
+    inside the resolving call, right where the front-end resolves it.
+    """
+
+    @staticmethod
+    def _count_at_resolve(service, future, kind: str) -> tuple[list, threading.Event]:
+        """The counter a done-callback reads, and an event set once it ran.
+
+        Callbacks run in the resolving thread after the future's waiters
+        are woken, so a test waits for the event before reading ``seen``.
+        """
+        assert not future.done()
+        seen: list = []
+        ran = threading.Event()
+
+        def record(_future) -> None:
+            seen.append(service.metrics.counter(f"serve.responses.{kind}"))
+            ran.set()
+
+        future.add_done_callback(record)
+        return seen, ran
+
+    def test_answer_is_counted_when_its_future_resolves(self, artifact):
+        plan = FaultPlan(faults=(FaultSpec(kind="adapt_delay", seconds=0.5),), seed=3)
+        with ShardedService(artifact, n_workers=1, fault_plan=plan) as service:
+            assert service.wait_ready(timeout=30.0)
+            future = service.submit(0, k=5)
+            seen, ran = self._count_at_resolve(service, future, "ok")
+            assert len(future.result(timeout=30.0)) == 5
+            assert ran.wait(timeout=30.0)
+            assert seen == [1]
+
+    @pytest.mark.parametrize("fallback", [True, False], ids=["degraded", "failed"])
+    def test_deadline_outcome_is_counted_when_its_future_resolves(
+        self, artifact, fallback
+    ):
+        plan = FaultPlan(faults=(FaultSpec(kind="adapt_delay", seconds=1.0),), seed=3)
+        cfg = ResilienceConfig(
+            deadline=0.3, retry_limit=0, failure_threshold=100, fallback=fallback
+        )
+        with ShardedService(
+            artifact, n_workers=1, resilience=cfg, fault_plan=plan
+        ) as service:
+            assert service.wait_ready(timeout=30.0)
+            future = service.submit(0, k=5)
+            seen, ran = self._count_at_resolve(
+                service, future, "degraded" if fallback else "error"
+            )
+            future.exception(timeout=30.0)
+            assert ran.wait(timeout=30.0)
+            assert seen == [1]
 
 
 class TestAdmissionControl:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import predict
 from repro.data.io import load_dataset, save_dataset
 from repro.nn import (
     Adam,
@@ -56,7 +57,7 @@ class TestParamsSerialization:
         rng = np.random.default_rng(1)
         cu, ci = rng.random((3, 5)), rng.random((3, 5))
         np.testing.assert_allclose(
-            model.predict(params, cu, ci), model.predict(loaded, cu, ci)
+            predict(model, params, cu, ci), predict(model, loaded, cu, ci)
         )
 
     def test_save_returns_resolved_path_and_appends_suffix(self, tmp_path):

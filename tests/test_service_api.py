@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -346,6 +348,32 @@ class TestRecommenderService:
         service = RecommenderService.from_artifact(path)
         result = service.recommend(0, k=5)
         assert np.array_equal(result.items, fitted_melu.recommend(0, k=5).items)
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_dropped_service_frees_without_the_cyclic_gc(
+        self, fitted_melu, cold_task, tmp_path, batching
+    ):
+        """A closed service and the method it loaded die on ``del``.
+
+        Nothing the service holds refers back to it (its metrics collector
+        and, once closed, its batcher), so reference counting alone frees
+        the artifact mapping and the cached adapted states.
+        """
+        path = fitted_melu.save(tmp_path / "melu.npz")
+        task, _ = cold_task
+        gc.collect()
+        gc.disable()
+        try:
+            service = RecommenderService.from_artifact(path, batching=batching)
+            service.register_user_history(task)
+            service.recommend(task.user_row, k=5)
+            service.stats()
+            service.close()
+            refs = (weakref.ref(service), weakref.ref(service.method))
+            del service
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class _CountingBatchMethod(_CountingMethod):

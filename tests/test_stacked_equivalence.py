@@ -302,7 +302,9 @@ def _assert_scores_match_dense(maml, content, states, instances):
         users = np.repeat(
             content.user[instance.user_row][None, :], instance.candidates.size, axis=0
         )
-        expected = maml.predict(users, content.item[instance.candidates], params=params)
+        expected = oracles.predict(
+            maml.model, params, users, content.item[instance.candidates]
+        )
         np.testing.assert_allclose(scores, expected, rtol=1e-8, atol=1e-10)
 
 
