@@ -6,7 +6,8 @@ with Dual Conditional VAEs, diverse preference augmentation, and preference
 meta-learning with MAML.  This package implements the full system and every
 substrate it needs (a numpy neural-network framework, a synthetic
 multi-domain Amazon-like benchmark, seven published baselines, and the
-complete evaluation protocol) with no dependencies beyond numpy/scipy.
+complete evaluation protocol) with no dependency beyond numpy; SciPy is
+needed only for the significance test, which imports it when it runs.
 
 Quickstart::
 

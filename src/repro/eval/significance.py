@@ -4,6 +4,8 @@ The paper compares MetaDPA against the second-best method over 30
 independent random train/test splits with a one-sided Wilcoxon signed-rank
 test per metric.  :func:`wilcoxon_one_sided` reproduces that statistic;
 :func:`paired_metric_series` is the harness that collects per-split results.
+SciPy, which only this test needs, is imported when the test runs, so
+importing :mod:`repro` (every serving and training process) never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,8 @@ def wilcoxon_one_sided(
         return SignificanceResult(
             metric=metric, p_value=1.0, n_pairs=diff.size, median_difference=0.0
         )
+    from scipy import stats
+
     result = stats.wilcoxon(ours_arr, theirs_arr, alternative="greater")
     return SignificanceResult(
         metric=metric,

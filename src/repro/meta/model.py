@@ -37,15 +37,16 @@ exactly the dense computation reassociated (identical to float rounding).
 Scoring a candidate pool has its own inference pass,
 :meth:`PreferenceModel.score_pool`: no caches and no backward, one user row
 against the pool walked in blocks of :data:`SCORE_BLOCK` rows, each block's
-layers written into scratch reused across blocks.  Its scores are bitwise
-those of :meth:`PreferenceModel.forward` on the whole pool; its docstring
-gives the argument.
+layers written into scratch reused across blocks, and a pool of several
+blocks split across lanes on the cores BLAS leaves idle.  Its scores are
+bitwise those of :meth:`PreferenceModel.forward` on the whole pool; its
+docstring gives the argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -53,14 +54,16 @@ from repro.nn.layers import Linear, Tanh, sigmoid
 from repro.nn.losses import binary_cross_entropy, binary_cross_entropy_tasks
 from repro.nn.module import Grads, Module, Params, Sequential, mlp
 from repro.nn.stacking import ParamLayout
+from repro.utils.blas import run_lanes
 from repro.utils.rng import ensure_rng
 
 #: Tower indices into :attr:`PreferenceModel._keys`.
 _USER, _ITEM, _MLP = 0, 1, 2
 
 #: Candidate rows per block of :meth:`PreferenceModel.score_pool`; a multiple
-#: of 4, which the exactness of its last layer needs.
-SCORE_BLOCK = 2048
+#: of 4, which the exactness of its last layer needs.  Two lanes score a
+#: 16k-candidate pool within noise of 2048-row blocks, on half the scratch.
+SCORE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -304,64 +307,77 @@ class PreferenceModel:
         the item tower over ``item_content``.
 
         The user row is embedded once.  The pool is then walked in blocks of
-        :data:`SCORE_BLOCK` rows (a one-row tail joins the block before it)
-        through scratch allocated once per call: each block's GEMMs write
-        into it, and biases and activations apply in place, so only the
-        output vector grows with the pool.
+        :data:`SCORE_BLOCK` rows (a one-row tail joins the block before it).
+        A pool of two or more blocks is split across lanes
+        (:func:`repro.utils.blas.run_lanes`: the calling thread plus helper
+        threads on the cores BLAS leaves idle), each taking whole blocks
+        from a shared counter.  Every lane allocates its scratch once: each
+        block's GEMMs write into it, and biases and activations apply in
+        place, so only the output vector grows with the pool, and each lane
+        writes only its own blocks' rows of it.  The output bias and the
+        sigmoid run once, after every lane has stopped.
 
-        Blocking is exact.  A row of an ``(m, K) @ (K, N)`` GEMM is the same
-        for every ``m >= 2``, and the other ops are elementwise.  The head's
-        one-column last layer runs as a GEMV instead, whose rows this BLAS
-        computes four at a time and the leftover rows another way; its rows
-        match the whole pool's when every block starts at a multiple of 4,
-        as blocks of ``SCORE_BLOCK`` rows do.  ReLU runs as ``max(x, 0)``:
-        on finite values it differs from the training forward's
-        ``x * (x > 0)`` only in the sign of zeros, which neither a later sum
-        nor the sigmoid can see.
+        Blocking is exact, on any lane.  A row of an ``(m, K) @ (K, N)``
+        GEMM is the same for every ``m >= 2``, and the other ops are
+        elementwise.  The head's one-column last layer runs as a GEMV
+        instead, whose rows this BLAS computes four at a time and the
+        leftover rows another way; its rows match the whole pool's when
+        every block starts at a multiple of 4, as blocks of ``SCORE_BLOCK``
+        rows do.  ReLU runs as ``max(x, 0)``: on finite values it differs
+        from the training forward's ``x * (x > 0)`` only in the sign of
+        zeros, which neither a later sum nor the sigmoid can see.
         """
         user, item, head = self._score_weights(params)
         (wu, bu), = user
         xu = np.tanh(user_content @ wu + bu)
         e = xu.shape[-1]
         (wi, bi), = item
+        live = item_table is None
         n = candidates.shape[0]
         rows = min(n, SCORE_BLOCK + 1)
-        if item_table is None:
-            xi = np.empty((rows, wi.shape[1]), np.result_type(item_content, wi, bi))
-        else:
-            xi = item_table
-        joint = np.empty((rows, e + xi.shape[1]), np.result_type(xu, xi))
-        joint[:, :e] = xu
-        hidden = []
-        x = joint
-        for w, b in head[:-1]:
-            x = np.empty((rows, w.shape[1]), np.result_type(x, w, b))
-            hidden.append(x)
+        # One lane's scratch: a block of item rows (live tower only), and a
+        # block of every head layer's input.  Dtypes chain as the forward's
+        # do; ``np.promote_types`` costs a fraction of ``np.result_type``
+        # on dtypes, which a one-block request would notice.
+        xi_dtype = np.result_type(item_content, wi, bi) if live else item_table.dtype
+        xi_width = wi.shape[1] if live else item_table.shape[1]
+        layers = [(e + xi_width, np.promote_types(xu.dtype, xi_dtype))]
+        for w, b in head:
+            dtype = np.promote_types(np.promote_types(layers[-1][1], w.dtype), b.dtype)
+            layers.append((w.shape[1], dtype))
         w_out, b_out = head[-1]
-        out = np.empty((n, w_out.shape[1]), np.result_type(x, w_out, b_out))
+        out = np.empty((n, w_out.shape[1]), layers.pop()[1])
         bounds = [*range(0, max(n - 1, 1), SCORE_BLOCK), n]
-        # Rows are gathered by fancy indexing, not ``np.take(..., out=)``:
-        # take buffers its output, and on an unaligned memory-mapped table
-        # it first copies the whole table.
-        for start, stop in zip(bounds, bounds[1:]):
-            m = stop - start
-            block = candidates[start:stop]
-            x = joint[:m]
-            if item_table is None:
-                y = xi[:m]
-                np.matmul(item_content[block], wi, out=y)
-                y += bi
-                np.tanh(y, out=y)
-                x[:, e:] = y
-            else:
-                x[:, e:] = item_table[block]
-            for (w, b), h in zip(head[:-1], hidden):
-                y = h[:m]
-                np.matmul(x, w, out=y)
-                y += b
-                np.maximum(y, 0, out=y)
-                x = y
-            np.matmul(x, w_out, out=out[start:stop])
+
+        def lane(blocks: Iterable[int]) -> None:
+            xi = np.empty((rows, xi_width), xi_dtype) if live else None
+            joint, *hidden = [np.empty((rows, width), dtype) for width, dtype in layers]
+            joint[:, :e] = xu
+            # Rows are gathered by fancy indexing, not ``np.take(..., out=)``:
+            # take buffers its output, and on an unaligned memory-mapped
+            # table it first copies the whole table.
+            for i in blocks:
+                start, stop = bounds[i], bounds[i + 1]
+                m = stop - start
+                block = candidates[start:stop]
+                x = joint[:m]
+                if live:
+                    y = xi[:m]
+                    np.matmul(item_content[block], wi, out=y)
+                    y += bi
+                    np.tanh(y, out=y)
+                    x[:, e:] = y
+                else:
+                    x[:, e:] = item_table[block]
+                for (w, b), h in zip(head[:-1], hidden):
+                    y = h[:m]
+                    np.matmul(x, w, out=y)
+                    y += b
+                    np.maximum(y, 0, out=y)
+                    x = y
+                np.matmul(x, w_out, out=out[start:stop])
+
+        run_lanes(lane, len(bounds) - 1)
         out += b_out
         return sigmoid(out[:, 0])
 

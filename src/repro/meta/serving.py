@@ -19,8 +19,9 @@ and batched answers are bitwise equal to solo ones and to the sharded
 workers' answers.  It runs one inference pass,
 :meth:`~repro.meta.model.PreferenceModel.score_pool`, on both paths: the
 user row is embedded once as ``(1, C)``, then the pool is walked in blocks
-of :data:`~repro.meta.model.SCORE_BLOCK` rows through scratch allocated
-once per call, so no intermediate grows with the pool but the output.
+of :data:`~repro.meta.model.SCORE_BLOCK` rows, split across lanes when
+there are several, through scratch allocated once per lane, so no
+intermediate grows with the pool but the output.
 
 Exactness of the table is guarded, not assumed.  It records the item-tower
 arrays it was computed from — their identity, and their write count in the

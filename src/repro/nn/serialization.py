@@ -1,19 +1,23 @@
 """Saving and loading parameter dictionaries.
 
-Parameters are plain ``dict[str, ndarray]`` objects, so persistence is a
-thin wrapper around ``numpy.savez``: the archive's keys are the parameter
-names (dots are legal in npz keys).  A small JSON header can carry model
-configuration alongside the weights.
+Parameters are plain ``dict[str, ndarray]`` objects, so persistence is an
+uncompressed ``.npz`` (the archive ``numpy.savez`` writes): the archive's
+keys are the parameter names (dots are legal in npz keys).  A small JSON
+header can carry model configuration alongside the weights.
 
 Saves are crash-safe: the archive is assembled in memory and published with
 :func:`repro.utils.persist.atomic_write_bytes`, so readers never observe a
-truncated file.  Loads optionally memory-map: ``np.savez`` stores members
+truncated file.  Loads optionally memory-map: members are stored
 uncompressed, which means every ``.npy`` payload lives at a fixed byte
 offset inside the zip container and can be mapped with ``np.memmap``
 directly — ``np.load(mmap_mode=...)`` silently ignores the flag for
 ``.npz`` archives, so :func:`load_params` parses the zip local headers
 itself.  A memory-mapped load is O(open): worker processes serving the same
-artifact share a single page-cache copy of the weights.
+artifact share a single page-cache copy of the weights.  :func:`save_params`
+pads each member's zip header so its payload starts at a multiple of 64
+bytes, and the ``.npy`` header keeps the array data there, so every mapped
+array is as aligned as a fresh allocation; archives written by
+``np.savez`` still load, their arrays mapped at arbitrary offsets.
 """
 
 from __future__ import annotations
@@ -37,6 +41,15 @@ _MMAP_MODES = ("r", "c")
 
 _LOCAL_HEADER_SIZE = 30
 _LOCAL_HEADER_MAGIC = b"PK\x03\x04"
+
+#: Every saved member's payload starts at a multiple of this many bytes.
+_ALIGN = 64
+#: Zip extra-field id of the padding block that aligns a member (an id the
+#: zip specification leaves unassigned; readers skip unknown fields).
+_PAD_FIELD_ID = 0xA11C
+#: The Zip64 extra field ``zipfile`` adds to a member opened with
+#: ``force_zip64`` (id, size, two 8-byte sizes), as ``np.savez`` opens them.
+_ZIP64_FIELD_SIZE = 20
 
 
 def resolve_archive_path(path: str | Path) -> Path:
@@ -62,10 +75,29 @@ def save_params(
             json.dumps(config, sort_keys=True).encode(), dtype=np.uint8
         )
     buffer = io.BytesIO()
-    np.savez(buffer, **payload)
+    with zipfile.ZipFile(buffer, mode="w", compression=zipfile.ZIP_STORED) as archive:
+        for key, value in payload.items():
+            member = zipfile.ZipInfo(key + ".npy")
+            member.extra = _padding(
+                buffer.tell(), len(member.filename.encode()) + _ZIP64_FIELD_SIZE
+            )
+            with archive.open(member, mode="w", force_zip64=True) as out:
+                np.lib.format.write_array(out, np.asanyarray(value), allow_pickle=False)
     target = resolve_archive_path(path)
     atomic_write_bytes(target, buffer.getvalue())
     return target
+
+
+def _padding(header_offset: int, variable_size: int) -> bytes:
+    """An extra field that ends a local header on an :data:`_ALIGN` boundary.
+
+    ``variable_size`` is the header's other variable-length bytes (name and
+    Zip64 field).  The ``.npy`` header that starts the payload is itself a
+    multiple of 64 bytes long, so the array data is aligned too.
+    """
+    end = header_offset + _LOCAL_HEADER_SIZE + variable_size + 4
+    fill = -end % _ALIGN
+    return struct.pack("<HH", _PAD_FIELD_ID, fill) + bytes(fill)
 
 
 def _member_data_offset(raw: io.BufferedReader, header_offset: int) -> int | None:

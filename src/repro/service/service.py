@@ -58,6 +58,7 @@ from repro.data.tasks import (
 from repro.obs import MetricsRegistry
 from repro.service.batching import MicroBatcher
 from repro.service.cache import LRUCache
+from repro.utils import blas
 from repro.utils.topk import top_k_order
 
 _MISS = object()
@@ -217,7 +218,10 @@ class RecommenderService:
 
         The LRU keeps its own counters; they are copied in as *absolute*
         totals (``set_counter``), which stays correct under additive
-        cross-process merging because each worker owns its own cache.
+        cross-process merging because each worker owns its own cache.  The
+        ``runtime.*`` gauges report this process's configuration: the
+        threads its BLAS runs a GEMM on, and the lanes a wide scoring pass
+        runs on (:mod:`repro.utils.blas`).
         """
         with self._cache_lock:
             cache = self._cache.stats()
@@ -230,6 +234,8 @@ class RecommenderService:
         reg.set_gauge("serve.cache.maxsize", cache["maxsize"])
         reg.set_gauge("serve.stream.dirty_users", dirty)
         reg.set_gauge("serve.stream.observed_users", observed)
+        reg.set_gauge("runtime.blas_threads", blas.blas_threads())
+        reg.set_gauge("runtime.score_lanes", blas.score_lanes())
 
     # ------------------------------------------------------------------
     def register_user_history(self, task: PreferenceTask) -> None:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,3 +146,24 @@ class TestWilcoxon:
         series = paired_metric_series(run, seeds=[1, 2, 3])
         np.testing.assert_array_equal(series["a"], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(series["b"], [2.0, 4.0, 6.0])
+
+
+class TestImportFootprint:
+    def test_serving_and_training_imports_load_no_scipy(self):
+        """SciPy is imported only when a significance test runs.
+
+        Importing it costs ~490 modules and a second OpenBLAS in every
+        process: the CLI, each shard worker and each grid worker.
+        """
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "import repro, repro.serve.worker, repro.service, repro.registry\n"
+            "import repro.experiments.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -10,13 +10,15 @@ the tower; format-2 artifacts round-trip (format-1 artifacts and earlier
 format-2 artifacts with a user-tower table still load); a memory-mapped
 load materializes no table copy; every batch entry point of the
 service answers bitwise like sequential solo serving; and the blocked
-scoring pass equals the unblocked full forward at every block edge, with
-a peak allocation far below one pool-sized content gather.
+scoring pass equals the unblocked full forward at every block edge, on one
+lane or several, with a peak allocation far below one pool-sized content
+gather.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import tracemalloc
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +41,7 @@ from repro.meta.model import PreferenceModel, PreferenceModelConfig
 from repro.meta.serving import build_frozen_tower_tables, score_candidates
 from repro.registry import build_method
 from repro.service import RecommenderService, ServeRequest
+from repro.utils import blas
 from repro.utils.topk import top_k_order
 
 
@@ -322,6 +325,39 @@ class TestArtifactTables:
             assert np.array_equal(solo.scores, g.scores)
 
 
+    def test_mapped_members_are_64_byte_aligned(self, fitted_full_adapt, tmp_path):
+        from repro.nn.serialization import mapped_arrays
+
+        path = fitted_full_adapt.save(tmp_path / "metadpa.npz")
+        arrays = mapped_arrays(path)
+        assert all(isinstance(array, np.memmap) for array in arrays.values())
+        offsets = {name: array.ctypes.data % 64 for name, array in arrays.items()}
+        assert offsets == dict.fromkeys(arrays, 0)
+
+    def test_savez_artifact_serves_the_same_answers(
+        self, fitted_full_adapt, cold_tasks, tmp_path
+    ):
+        """An artifact written by ``np.savez`` maps its members unaligned;
+        it still loads, and serves bitwise what the aligned one does."""
+        from repro.nn.serialization import mapped_arrays
+
+        path = fitted_full_adapt.save(tmp_path / "metadpa.npz")
+        old_path = tmp_path / "metadpa_savez.npz"
+        np.savez(old_path, **{k: np.asarray(v) for k, v in mapped_arrays(path).items()})
+        assert any(a.ctypes.data % 64 for a in mapped_arrays(old_path).values())
+        tasks = cold_tasks[:2]
+        users = [task.user_row for task in tasks] + [0, 1, 2]
+        answers = []
+        for artifact in (path, old_path):
+            service = RecommenderService.from_artifact(artifact)
+            for task in tasks:
+                service.register_user_history(task)
+            answers.append(service.recommend_many(users, k=10))
+        for want, got in zip(*answers):
+            assert np.array_equal(want.items, got.items)
+            assert np.array_equal(want.scores, got.scores)
+
+
 class TestServiceIntegration:
     def test_candidates_histogram_recorded(self, fitted_melu):
         service = RecommenderService(fitted_melu, cache_size=4)
@@ -470,6 +506,28 @@ def _check_pass(maml, content, tables, instance):
     )
 
 
+def _check_block_edges(fitted_melu, fitted_full_adapt, cold_tasks, monkeypatch, regime):
+    """Pools of 1 to 2 blocks + 1 rows, at a block of 8, equal the full forward."""
+    block = 8
+    monkeypatch.setattr(model_module, "SCORE_BLOCK", block)
+    if regime == "table":
+        # Un-adapted decision-only serving gathers from the item table.
+        method, state = fitted_melu, None
+        assert method._scoring_tables().item_current(method.maml.params)
+    else:
+        # Full adaptation rewrote the towers: the item tower runs live.
+        method = fitted_full_adapt
+        state = method.adapt_users(cold_tasks[:1])[0]
+        assert not method._scoring_tables().item_current(state)
+    serving = method.serving
+    rng = np.random.default_rng(11)
+    for n in (1, 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1):
+        inst = make_instance(rng, serving.n_users, serving.n_items, n)
+        got = method.score_with_state(state, inst)
+        assert got.shape == (n,)
+        assert np.array_equal(got, full_solo(method, state, inst))
+
+
 @pytest.fixture(scope="module")
 def small_catalogue():
     return _synthetic(150, seed=1)
@@ -482,24 +540,14 @@ class TestBlockedPass:
 
     @pytest.mark.parametrize("regime", ["table", "live"])
     def test_block_edges(self, fitted_melu, fitted_full_adapt, cold_tasks, monkeypatch, regime):
-        block = 8
-        monkeypatch.setattr(model_module, "SCORE_BLOCK", block)
-        if regime == "table":
-            # Un-adapted decision-only serving gathers from the item table.
-            method, state = fitted_melu, None
-            assert method._scoring_tables().item_current(method.maml.params)
-        else:
-            # Full adaptation rewrote the towers: the item tower runs live.
-            method = fitted_full_adapt
-            state = method.adapt_users(cold_tasks[:1])[0]
-            assert not method._scoring_tables().item_current(state)
-        serving = method.serving
-        rng = np.random.default_rng(11)
-        for n in (1, 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1):
-            inst = make_instance(rng, serving.n_users, serving.n_items, n)
-            got = method.score_with_state(state, inst)
-            assert got.shape == (n,)
-            assert np.array_equal(got, full_solo(method, state, inst))
+        _check_block_edges(fitted_melu, fitted_full_adapt, cold_tasks, monkeypatch, regime)
+
+    @pytest.mark.parametrize("regime", ["table", "live"])
+    def test_block_edges_at_two_lanes(
+        self, fitted_melu, fitted_full_adapt, cold_tasks, monkeypatch, regime
+    ):
+        monkeypatch.setattr(blas, "score_lanes", lambda: 2)
+        _check_block_edges(fitted_melu, fitted_full_adapt, cold_tasks, monkeypatch, regime)
 
     def test_real_block_size_on_a_wide_catalogue(self):
         block = model_module.SCORE_BLOCK
@@ -513,21 +561,26 @@ class TestBlockedPass:
     @given(
         n=st.integers(min_value=1, max_value=150),
         quads=st.integers(min_value=1, max_value=12),
+        lanes=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_any_pool_and_block_size_matches_the_full_forward(
-        self, small_catalogue, n, quads, seed
+        self, small_catalogue, n, quads, lanes, seed
     ):
-        """Random pools against random block sizes.
+        """Random pools against random block sizes and lane counts.
 
         Block sizes are multiples of 4, like ``SCORE_BLOCK``: the head's
         one-column last layer runs as a GEMV, whose rows this BLAS computes
         four at a time, and the leftover rows another way, so a block
-        starting off a multiple of 4 could change the last bits.
+        starting off a multiple of 4 could change the last bits.  Lanes
+        take whole blocks, so they cannot move a block edge.
         """
         maml, content, tables = small_catalogue
         rng = np.random.default_rng(seed)
-        with mock.patch.object(model_module, "SCORE_BLOCK", 4 * quads):
+        with (
+            mock.patch.object(model_module, "SCORE_BLOCK", 4 * quads),
+            mock.patch.object(blas, "score_lanes", lambda: lanes),
+        ):
             _check_pass(maml, content, tables, make_instance(rng, 16, 150, n))
 
     def test_peak_allocation_stays_below_one_content_gather(self):
@@ -536,18 +589,107 @@ class TestBlockedPass:
         Gathering the pool's content in one piece takes 16000 x 300 floats
         (19.2 MB); the blocked pass keeps well under a third of that.
         """
-        n_items, content_dim = 16_000, 300
-        maml, content, _ = _synthetic(n_items, content_dim=content_dim)
-        rng = np.random.default_rng(13)
-        inst = make_instance(rng, 16, n_items, n_items)
-        score_candidates(maml, content, maml.params, inst)  # warm the weight views
-        gather_bytes = n_items * content_dim * 4
-        tracemalloc.start()
+        _check_peak_allocation()
+
+    def test_peak_allocation_at_two_lanes(self, monkeypatch):
+        """Two lanes hold two lanes' scratch, still under the same bound."""
+        monkeypatch.setattr(blas, "score_lanes", lambda: 2)
+        _check_peak_allocation()
+
+    def test_one_block_never_reads_lanes_or_starts_helpers(self, small_catalogue):
+        """A pool of one block (one-row tail included) is the caller's alone."""
+        maml, content, tables = small_catalogue
+
+        def untouchable():
+            raise AssertionError("a one-block pool reached the lane machinery")
+
+        rng = np.random.default_rng(14)
+        with (
+            mock.patch.object(model_module, "SCORE_BLOCK", 8),
+            mock.patch.object(blas, "score_lanes", untouchable),
+            mock.patch.object(blas, "_helper_pool", untouchable),
+        ):
+            for n in (1, 2, 8, 9):
+                _check_pass(maml, content, tables, make_instance(rng, 16, 150, n))
+
+    def test_forked_child_scores_a_wide_pool(self, small_catalogue, monkeypatch):
+        """A child forked after the parent used its helper threads scores too.
+
+        The child inherits the pool object but none of its threads; without
+        the reset at fork, its first multi-block pass would wait forever on
+        work no thread takes.
+        """
+        maml, content, tables = small_catalogue
+        monkeypatch.setattr(model_module, "SCORE_BLOCK", 8)
+        monkeypatch.setattr(blas, "score_lanes", lambda: 2)
+        inst = make_instance(np.random.default_rng(15), 16, 150, 150)
+        want = score_candidates(maml, content, maml.params, inst)
+        assert blas._helpers is not None  # the parent's pool is live
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def child():
+            send.send(score_candidates(maml, content, maml.params, inst))
+
+        proc = ctx.Process(target=child)
+        proc.start()
         try:
-            scores = score_candidates(maml, content, maml.params, inst)
-            _, peak = tracemalloc.get_traced_memory()
+            assert recv.poll(60), "the forked child hung on a multi-block pool"
+            got = recv.recv()
         finally:
-            tracemalloc.stop()
-        assert scores.shape == (n_items,)
-        assert peak < gather_bytes / 3
+            proc.join(10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(10)
+        assert proc.exitcode == 0
+        assert np.array_equal(got, want)
+
+    def test_concurrent_callers_share_the_helper_pool(self, small_catalogue, monkeypatch):
+        """Callers on several threads, each splitting its pools across lanes
+        from the one helper pool, each get the full forward's bits."""
+        maml, content, tables = small_catalogue
+        monkeypatch.setattr(model_module, "SCORE_BLOCK", 8)
+        monkeypatch.setattr(blas, "score_lanes", lambda: 3)
+        rng = np.random.default_rng(16)
+        instances = [make_instance(rng, 16, 150, n) for n in (20, 77, 150)]
+        expected = [
+            predict(
+                maml.model,
+                maml.params,
+                content.user[inst.user_row][None, :],
+                content.item[inst.candidates],
+            )
+            for inst in instances
+        ]
+        mismatches = []
+
+        def caller():
+            for _ in range(10):
+                for inst, want in zip(instances, expected):
+                    for table in (None, tables):
+                        got = score_candidates(maml, content, maml.params, inst, table)
+                        if not np.array_equal(got, want):
+                            mismatches.append(inst.candidates.size)
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for future in [pool.submit(caller) for _ in range(3)]:
+                future.result(timeout=120)
+        assert mismatches == []
+
+
+def _check_peak_allocation():
+    n_items, content_dim = 16_000, 300
+    maml, content, _ = _synthetic(n_items, content_dim=content_dim)
+    rng = np.random.default_rng(13)
+    inst = make_instance(rng, 16, n_items, n_items)
+    score_candidates(maml, content, maml.params, inst)  # warm the weight views
+    gather_bytes = n_items * content_dim * 4
+    tracemalloc.start()
+    try:
+        scores = score_candidates(maml, content, maml.params, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (n_items,)
+    assert peak < gather_bytes / 3
 

@@ -24,6 +24,7 @@ from repro.registry import build_method
 from repro.serve import ResilienceConfig, ShardedService, run_open_loop, zipfian_users
 from repro.serve.loadgen import zipf_probabilities
 from repro.service import RecommenderService
+from repro.utils import blas
 
 
 @pytest.fixture(scope="module")
@@ -434,6 +435,25 @@ class TestMetricsMerging:
         counters = snap["counters"]
         assert counters.get("serve.cache.hits", 0) >= 1
         assert counters.get("serve.cache.misses", 0) >= 1
+
+    def test_runtime_gauges_report_each_process(self, artifact):
+        """Every serving process reports its BLAS threads and scoring lanes:
+        each shard's entry holds its own worker's values, and the merged
+        snapshot sums them over shards."""
+        path, _ = artifact
+        local = RecommenderService.from_artifact(path).stats()["metrics"]["gauges"]
+        names = ("runtime.blas_threads", "runtime.score_lanes")
+        assert local[names[0]] == blas.blas_threads()
+        assert local[names[1]] == blas.score_lanes()
+        with ShardedService(path, n_workers=2) as service:
+            assert service.wait_ready(timeout=60.0)
+            stats = service.stats()
+        shards = [shard["metrics"]["gauges"] for shard in stats["shards"]]
+        merged = stats["metrics"]["gauges"]
+        for name in names:
+            # Forked workers inherit this process's BLAS configuration.
+            assert [gauges[name] for gauges in shards] == [local[name]] * 2
+            assert merged[name] == 2 * local[name]
 
     def test_counters_tally_with_the_registry_disabled(self, artifact):
         """With observability off (``REPRO_OBS=0``) both tiers' ``stats()``
