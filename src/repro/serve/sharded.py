@@ -6,11 +6,12 @@ Requests are routed by ``user_row % n_workers``, so each worker's
 adaptation LRU owns a disjoint slice of the user base — no cross-worker
 cache duplication.  The front-end checks every request and event against
 the artifact's shape before queueing it (:func:`~repro.service.service
-.check_request`), so a bad one fails at its own call.  Every shard gets
-its own :class:`~repro.service.MicroBatcher` on the parent side, which
-flushes on idle: a request reaching a shard with no RPC in flight leaves
-at once, and requests submitted while one is in flight coalesce (up to
-``max_batch``) into the next micro-batch.  A flush crosses the process
+.check_request`), so a bad one fails at its own call.  Each shard has a
+flat-combining :class:`~repro.service.batching.Coalescer` and at most one
+flush in flight; no thread waits on a flush.  A request reaching an idle
+shard is sent at once by the thread that submitted it, requests submitted
+meanwhile coalesce (up to ``max_batch``), and the shard's pipe reader sends
+them as the next flush when the reply comes.  A flush crosses the process
 boundary as **one** ``batch`` RPC, and the worker answers it with
 ``RecommenderService.recommend_batch``, the request core of the
 in-process tier: one adaptation pass for the flush's cold-start users,
@@ -23,7 +24,7 @@ sequential single-process serving for the same request stream.
 Submit path and metrics
 -----------------------
 Every request takes one path: ``submit`` → ``_dispatch`` (admission) →
-the shard's micro-batch → ``_settle`` (resolve, retry or degrade).  A
+a flush of its shard → ``_settle`` (resolve, retry or degrade).  A
 :class:`~repro.serve.resilience.ResilienceConfig` decides what the path
 arms; ``resilience=None`` arms nothing.  ``stats()`` is the registry
 snapshot merged over the front-end and every worker.  Each counter has one
@@ -43,12 +44,12 @@ error instead of an infinite crash loop.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -58,7 +59,7 @@ from repro.core.interface import Recommendation
 from repro.data.tasks import PreferenceTask
 from repro.nn.serialization import load_params
 from repro.obs import MetricsRegistry, merge_snapshots, strip_gauges
-from repro.service.batching import MicroBatcher
+from repro.service.batching import Coalescer, Request, settle
 from repro.service.service import (
     DeadlineSkipped,
     ServeRequest,
@@ -91,6 +92,12 @@ _STARTUP_FAILURE_LIMIT = 2
 #: config), so every request rides the one submit path with nothing armed.
 _UNARMED = ResilienceConfig(fallback=False)
 
+#: how long a pipe reader waits for its shard lock before it reads on.
+_LOCK_POLL_S = 0.001
+
+#: numbers each front-end, whose thread names carry it (see ``health``).
+_FRONT_ENDS = itertools.count()
+
 #: counter bumped on each breaker transition, keyed by the new state.
 _BREAKER_COUNTERS = {
     "open": "serve.breaker.opened",
@@ -109,17 +116,30 @@ _REASON_COUNTERS = {
 
 @dataclass
 class _PendingCall:
-    """An RPC awaiting its worker reply (or a resubmit after a restart)."""
+    """An RPC awaiting its worker reply (or a resubmit after a restart).
+    A ``batch`` RPC resolves its ``flush`` instead of a ``future``."""
 
-    future: Future
+    future: Future | None
     kind: str
     payload: object
     attempts: int = 1
+    flush: list[Request] | None = None
+    sent: float = 0.0
+
+    def finish(self, outcome) -> None:
+        """Resolve the call with its reply, or with an exception."""
+        if self.flush is not None:
+            settle(self.flush, outcome)
+        elif isinstance(outcome, BaseException):
+            self.future.set_exception(outcome)
+        else:
+            self.future.set_result(outcome)
 
 
 @dataclass
 class _Shard:
-    """Parent-side state of one worker: pipe, pending RPCs, coalescer."""
+    """Parent-side state of one worker: pipe, pending RPCs, coalescer.
+    ``lock`` guards the pipe's write end, ``pending`` and ``flushes``."""
 
     index: int
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -130,7 +150,7 @@ class _Shard:
     proc: mp.process.BaseProcess | None = None
     conn: object = None
     ready: threading.Event = field(default_factory=threading.Event)
-    batcher: MicroBatcher | None = None
+    flushes: Coalescer | None = None
     #: freshest registry snapshot received from the live worker (updated
     #: by stats() RPCs and the supervisor's heartbeat polls).
     last_metrics: dict | None = None
@@ -182,6 +202,26 @@ class _Submission:
         return self.outer.set_running_or_notify_cancel()
 
 
+def _receive(conn, replies: list, wait: bool) -> bool:
+    """Append the next reply (``wait``) or every waiting one to ``replies``;
+    ``False`` once the pipe has ended."""
+    try:
+        if wait:
+            replies.append(conn.recv())
+        else:
+            while conn.poll():
+                replies.append(conn.recv())
+    except (EOFError, OSError):
+        return False
+    except TypeError:
+        # ``_revive``/``close`` closed the pipe between recv's closed-check
+        # and its read (CPython then reads fd None): that is end of pipe.
+        if not conn.closed:
+            raise
+        return False
+    return True
+
+
 def default_start_method() -> str:
     """The repo's process-start idiom: fork when available, else spawn."""
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -201,9 +241,10 @@ class ShardedService:
     candidate_pool:
         optional global candidate restriction, forwarded to every worker.
     max_batch:
-        most requests one per-shard flush carries (see :class:`MicroBatcher`).
+        most requests one per-shard flush carries (see
+        :class:`~repro.service.batching.Coalescer`).
     max_wait_ms:
-        ignored.  The batchers flush on idle and have no timed window; the
+        ignored.  Flushes start on idle and have no timed window; the
         keyword is still accepted so existing callers keep working.
     mmap_mode:
         how workers load the artifact; ``"r"`` (default) maps it read-only,
@@ -214,7 +255,9 @@ class ShardedService:
     heartbeat_interval:
         seconds between supervisor liveness polls.
     request_timeout:
-        upper bound on one cross-process flush; ``None`` waits forever.
+        upper bound on one cross-process flush (the supervisor's heartbeat
+        fails an older one with ``TimeoutError``) and on each blocking
+        call; ``None`` waits forever.
     resubmit_limit:
         how many times an in-flight request is resubmitted to a revived
         worker after a death before its future gets the error.
@@ -298,8 +341,10 @@ class ShardedService:
         self.metrics = MetricsRegistry()
         self._closing = False
         self._closed = False
+        self._thread_prefix = f"repro-serve-{next(_FRONT_ENDS)}-"
         self._shards = [_Shard(index=i) for i in range(n_workers)]
         for shard in self._shards:
+            shard.flushes = Coalescer(max_batch, metrics=self.metrics, lock=shard.lock)
             if resilience is not None:
                 shard.breaker = CircuitBreaker(
                     failure_threshold=resilience.failure_threshold,
@@ -309,14 +354,9 @@ class ShardedService:
                 )
             with shard.lock:
                 self._spawn_worker(shard)
-            shard.batcher = MicroBatcher(
-                partial(self._rpc, shard, "batch"),
-                max_batch=max_batch,
-                metrics=self.metrics,
-            )
         self._stop = threading.Event()
         self._supervisor = threading.Thread(
-            target=self._supervise, name="repro-serve-supervisor", daemon=True
+            target=self._supervise, name=f"{self._thread_prefix}supervisor", daemon=True
         )
         self._supervisor.start()
 
@@ -344,44 +384,60 @@ class ShardedService:
         reader = threading.Thread(
             target=self._read_shard,
             args=(shard, shard.generation, parent_conn),
-            name=f"repro-serve-reader-{shard.index}",
+            name=f"{self._thread_prefix}reader-{shard.index}",
             daemon=True,
         )
         reader.start()
 
     def _read_shard(self, shard: _Shard, generation: int, conn) -> None:
-        """Resolve one pipe's replies; on EOF hand the shard to revival."""
-        while True:
+        """Resolve one pipe's replies; on EOF hand the shard to revival.
+
+        A ``batch`` reply first sends the shard's next flush, so the worker
+        starts on it while this thread resolves the answered one and runs
+        its futures' callbacks (one that blocks on this service deadlocks
+        it).  The reader writes to the pipe it reads, and other threads
+        send on it under the lock the reader needs; neither deadlocks.
+        While another thread holds the lock, perhaps blocked sending to a
+        worker blocked on its reply, the reader keeps reading replies.  Its
+        own send blocks only until the worker reads on, which it does as
+        soon as it has sent a reply, and those replies cannot fill the
+        pipe back: one ``batch`` RPC per shard is in flight, of at most
+        ``max_batch`` requests, and the reader stops reading only to
+        resolve what it has read.
+        """
+        replies: list = []
+        receiving = True
+        while receiving:
+            receiving = _receive(conn, replies, wait=True)
+            while not shard.lock.acquire(timeout=_LOCK_POLL_S if receiving else -1):
+                receiving = _receive(conn, replies, wait=False)
+            answered = []
             try:
-                req_id, ok, payload = conn.recv()
-            except (EOFError, OSError):
-                break
-            except TypeError:
-                # ``_revive``/``close`` closed the pipe between recv's
-                # closed-check and its read (CPython then reads fd None):
-                # that is end of pipe.  Anything else is a real bug.
-                if not conn.closed:
-                    raise
-                break
-            if req_id == CONTROL_ID:
-                if ok:
-                    shard.startup_failures = 0
-                    shard.ready.set()
-                else:
-                    # The worker could not load the artifact; it reports
-                    # why and exits, and revival decides whether to retry
-                    # or mark the shard permanently failed.
-                    shard.start_error = str(payload)
-                continue
-            with shard.lock:
-                call = shard.pending.pop(req_id, None)
-            if call is None:
-                continue
-            if ok:
-                call.future.set_result(payload)
-            else:
-                call.future.set_exception(
-                    RuntimeError(f"shard {shard.index} request failed: {payload}")
+                for req_id, ok, payload in replies:
+                    if req_id == CONTROL_ID:
+                        if ok:
+                            shard.startup_failures = 0
+                            shard.ready.set()
+                        else:
+                            # The worker could not load the artifact; it
+                            # reports why and exits, and revival decides
+                            # whether to retry or mark the shard failed.
+                            shard.start_error = str(payload)
+                        continue
+                    call = shard.pending.pop(req_id, None)
+                    if call is None:
+                        continue  # it timed out: the late reply is dropped
+                    if call.flush is not None:
+                        self._send_flush(shard, shard.flushes.take())
+                    answered.append((call, ok, payload))
+            finally:
+                shard.lock.release()
+            replies.clear()
+            for call, ok, payload in answered:
+                if call.flush is not None:
+                    self.metrics.observe("serve.rpc.seconds", perf_counter() - call.sent)
+                call.finish(
+                    payload if ok else RuntimeError(f"shard {shard.index} request failed: {payload}")
                 )
         if not self._closing:
             self._revive(shard, generation)
@@ -396,82 +452,88 @@ class ShardedService:
 
         A worker that dies *before* signalling ready failed to load the
         artifact; after ``_STARTUP_FAILURE_LIMIT`` consecutive such deaths
-        the shard is marked permanently failed (pending calls get the
-        error, ``wait_ready`` raises) instead of crash-looping.
+        the shard is marked permanently failed (pending calls and queued
+        requests get the error, ``wait_ready`` raises) instead of
+        crash-looping.  Failed flushes resolve once the lock is released.
         """
         with shard.lock:
-            if (
-                self._closing
-                or shard.failed is not None
-                or shard.generation != generation
-            ):
-                return
-            shard.generation += 1
-            if not shard.ready.is_set():
-                shard.startup_failures += 1
-                self.metrics.inc("serve.startup_failures")
-                if shard.startup_failures >= _STARTUP_FAILURE_LIMIT:
-                    reason = shard.start_error or (
-                        "worker exited before ready"
-                        f" (exit code {shard.proc.exitcode})"
-                    )
-                    shard.failed = (
-                        f"shard {shard.index} failed to start: {reason}"
-                    )
-                    error = RuntimeError(shard.failed)
-                    for call in shard.pending.values():
-                        call.future.set_exception(error)
-                    shard.pending.clear()
-                    try:
-                        shard.conn.close()
-                    except OSError:
-                        pass
-                    # Wake wait_ready waiters; they see ``failed`` and raise.
-                    shard.ready.set()
-                    return
-            shard.restarts += 1
-            self.metrics.inc("serve.restarts")
-            # Fold the dead worker's last-known snapshot into the shard's
-            # retired totals so its counters and histograms survive the
-            # restart.  Gauges are stripped: they described instantaneous
-            # state (cache size, pending depth) that died with the process.
-            if shard.last_metrics is not None:
-                shard.retired_metrics = merge_snapshots(
-                    shard.retired_metrics, strip_gauges(shard.last_metrics)
+            doomed = self._restart(shard, generation)
+        for call, error in doomed:
+            call.finish(error)
+
+    def _restart(self, shard: _Shard, generation: int) -> list[tuple[_PendingCall, Exception]]:
+        """:meth:`_revive` under ``shard.lock``; returns the calls to fail."""
+        doomed: list[tuple[_PendingCall, Exception]] = []
+        if self._closing or shard.failed is not None or shard.generation != generation:
+            return doomed
+        shard.generation += 1
+        if not shard.ready.is_set():
+            shard.startup_failures += 1
+            self.metrics.inc("serve.startup_failures")
+            if shard.startup_failures >= _STARTUP_FAILURE_LIMIT:
+                reason = shard.start_error or (
+                    f"worker exited before ready (exit code {shard.proc.exitcode})"
                 )
-                shard.last_metrics = None
-            stale = list(shard.pending.items())
-            shard.pending.clear()
-            try:
-                shard.conn.close()
-            except OSError:
-                pass
-            if shard.proc.is_alive():
-                shard.proc.terminate()
-            shard.proc.join(timeout=1.0)
-            self._spawn_worker(shard)
-            for req_id, call in stale:
-                if call.attempts >= self._max_attempts:
-                    call.future.set_exception(
-                        RuntimeError(
-                            f"shard {shard.index} died twice serving one request"
-                        )
-                    )
-                    continue
-                call.attempts += 1
-                shard.pending[req_id] = call
+                shard.failed = f"shard {shard.index} failed to start: {reason}"
+                error = RuntimeError(shard.failed)
+                doomed += [(call, error) for call in shard.pending.values()]
+                shard.pending.clear()
+                queued = shard.flushes.drain()
+                if queued:
+                    doomed.append((_PendingCall(None, "batch", None, flush=queued), error))
                 try:
-                    shard.conn.send((req_id, call.kind, call.payload))
-                except (OSError, BrokenPipeError):
-                    pass  # replacement died instantly; next revival resubmits
+                    shard.conn.close()
+                except OSError:
+                    pass
+                # Wake wait_ready waiters; they see ``failed`` and raise.
+                shard.ready.set()
+                return doomed
+        shard.restarts += 1
+        self.metrics.inc("serve.restarts")
+        # Fold the dead worker's last-known snapshot into the shard's
+        # retired totals so its counters and histograms survive the
+        # restart.  Gauges are stripped: they described instantaneous
+        # state (cache size, pending depth) that died with the process.
+        if shard.last_metrics is not None:
+            shard.retired_metrics = merge_snapshots(
+                shard.retired_metrics, strip_gauges(shard.last_metrics)
+            )
+            shard.last_metrics = None
+        stale = list(shard.pending.items())
+        shard.pending.clear()
+        try:
+            shard.conn.close()
+        except OSError:
+            pass
+        if shard.proc.is_alive():
+            shard.proc.terminate()
+        shard.proc.join(timeout=1.0)
+        self._spawn_worker(shard)
+        flush_failed = False
+        for req_id, call in stale:
+            if call.attempts >= self._max_attempts:
+                error = RuntimeError(f"shard {shard.index} died twice serving one request")
+                doomed.append((call, error))
+                flush_failed |= call.flush is not None
+                continue
+            call.attempts += 1
+            shard.pending[req_id] = call
+            try:
+                shard.conn.send((req_id, call.kind, call.payload))
+            except (OSError, BrokenPipeError):
+                pass  # replacement died instantly; next revival resubmits
+        if flush_failed:  # the next flush goes behind the resubmitted calls
+            self._send_flush(shard, shard.flushes.take())
+        return doomed
 
     def _supervise(self) -> None:
         """Heartbeat: poll worker liveness as a backstop to pipe EOF.
 
-        Each tick also refreshes every live shard's ``last_metrics``
-        snapshot (fire-and-forget, so a busy worker never stalls the
-        supervisor) — that copy is what :meth:`_revive` folds into the
-        retired totals when a worker dies without warning.
+        Each tick also fails calls older than ``request_timeout``
+        (:meth:`_expire`) and refreshes every live shard's
+        ``last_metrics`` snapshot (fire-and-forget, so a busy worker never
+        stalls the supervisor) — that copy is what :meth:`_revive` folds
+        into the retired totals when a worker dies without warning.
 
         The process and its generation are read together under the shard
         lock: read apart, the pipe reader may revive the shard in between,
@@ -487,15 +549,30 @@ class ShardedService:
                 if proc is not None and not proc.is_alive():
                     self._revive(shard, generation)
                 else:
+                    self._expire(shard)
                     self._poll_shard_metrics(shard)
+
+    def _expire(self, shard: _Shard) -> None:
+        """Fail every call in flight longer than ``request_timeout`` with
+        ``TimeoutError`` and drop it, so a late reply is ignored; an expired
+        flush makes way for the next."""
+        timeout = self._request_timeout
+        if timeout is None:
+            return
+        now = perf_counter()
+        with shard.lock:
+            expired = [rid for rid, call in shard.pending.items() if now - call.sent > timeout]
+            calls = [shard.pending.pop(req_id) for req_id in expired]
+            if any(call.flush is not None for call in calls):
+                self._send_flush(shard, shard.flushes.take())
+        for call in calls:
+            call.finish(TimeoutError(f"shard {shard.index} {call.kind} timed out after {timeout}s"))
 
     def _poll_shard_metrics(self, shard: _Shard) -> None:
         """Refresh one shard's last-known metrics without blocking.
 
-        Lock-free on purpose: the flag is only tested-and-set here (the
-        supervisor is the sole caller) and the done callback may fire
-        inside :meth:`_revive` while ``shard.lock`` is held, so it must
-        not take the lock — plain attribute assignment is atomic.
+        Lock-free: the flag is only tested-and-set here (the supervisor is
+        the sole caller), and plain attribute assignment is atomic.
         """
         if shard.metrics_poll_pending or self._closed:
             return
@@ -518,39 +595,43 @@ class ShardedService:
                 shard.last_metrics = snap
 
         try:
-            _, future = self._call(shard, "stats", None)
+            future = self._call(shard, "stats", None)
         except RuntimeError:
             shard.metrics_poll_pending = False
             return
         future.add_done_callback(_done)
 
     # -- RPC ------------------------------------------------------------
-    def _call(self, shard: _Shard, kind: str, payload) -> tuple[int, Future]:
+    def _send(self, shard: _Shard, call: _PendingCall) -> None:
+        """Register and send one RPC; caller holds ``shard.lock``."""
+        req_id = shard.next_id
+        shard.next_id += 1
+        shard.pending[req_id] = call
+        call.sent = perf_counter()
+        try:
+            shard.conn.send((req_id, call.kind, call.payload))
+        except (OSError, BrokenPipeError):
+            pass  # dead worker: revival will resubmit this call
+
+    def _send_flush(self, shard: _Shard, flush: list[Request] | None) -> None:
+        """Send a flush, if any, as one ``batch`` RPC; caller holds the lock."""
+        if flush is not None:
+            payload = [request.item for request in flush]
+            self._send(shard, _PendingCall(None, "batch", payload, flush=flush))
+
+    def _call(self, shard: _Shard, kind: str, payload) -> Future:
         future: Future = Future()
-        call = _PendingCall(future, kind, payload)
         with shard.lock:
             if self._closed:
                 raise RuntimeError("service is closed")
             if shard.failed is not None:
                 raise RuntimeError(shard.failed)
-            req_id = shard.next_id
-            shard.next_id += 1
-            shard.pending[req_id] = call
-            try:
-                shard.conn.send((req_id, kind, payload))
-            except (OSError, BrokenPipeError):
-                pass  # dead worker: revival will resubmit this call
-        return req_id, future
+            self._send(shard, _PendingCall(future, kind, payload))
+        return future
 
     def _rpc(self, shard: _Shard, kind: str, payload=None):
         t0 = perf_counter()
-        req_id, future = self._call(shard, kind, payload)
-        try:
-            result = future.result(timeout=self._request_timeout)
-        except TimeoutError:
-            with shard.lock:
-                shard.pending.pop(req_id, None)
-            raise
+        result = self._call(shard, kind, payload).result(timeout=self._request_timeout)
         self.metrics.observe("serve.rpc.seconds", perf_counter() - t0)
         return result
 
@@ -571,8 +652,8 @@ class ShardedService:
         A request :func:`~repro.service.service.check_request` rejects (a
         row outside the artifact, ``k <= 0``) raises ``ValueError`` here,
         before it is queued.  A valid one takes the one submit path:
-        admission (:meth:`_dispatch`), its shard's next micro-batch (one
-        coalesced RPC, one batched adaptation pass in the worker), then
+        admission (:meth:`_dispatch`), a flush of its shard (one coalesced
+        RPC, one batched adaptation pass in the worker), then
         :meth:`_settle`, which resolves the future and accounts the request
         with exactly one ``serve.responses.{ok,degraded,error}`` outcome.
 
@@ -618,13 +699,15 @@ class ShardedService:
                 self._finish_degraded,
                 args=(call, "deadline"),
             )
+            call.timer.name = f"{self._thread_prefix}deadline"
             call.timer.daemon = True
             call.timer.start()
         self._dispatch(call)
         return call.outer
 
     def _dispatch(self, call: _Submission) -> None:
-        """Admit one (re)attempt: deadline -> shard health -> shed -> breaker."""
+        """Admit one (re)attempt: deadline -> shard health -> shed -> breaker
+        -> the shard's coalescer (an idle shard's flush leaves from here)."""
         cfg = self._resilience
         shard = call.shard
         if call.claimed:
@@ -650,8 +733,14 @@ class ShardedService:
             self._finish_degraded(call, "breaker")
             return
         call.attempts += 1
-        inner = shard.batcher.submit(call.request)
-        inner.add_done_callback(lambda f, c=call: self._settle(c, f))
+        request = Request(call.request, Future())
+        request.future.add_done_callback(lambda f, c=call: self._settle(c, f))
+        with shard.lock:
+            failed = shard.failed
+            if failed is None:
+                self._send_flush(shard, shard.flushes.admit(request))
+        if failed is not None:  # the shard failed since the check above
+            request.future.set_exception(RuntimeError(failed))
 
     def _settle(self, call: _Submission, inner: Future) -> None:
         """One attempt finished: record the breaker outcome, then resolve
@@ -689,6 +778,7 @@ class ShardedService:
             if call.deadline is not None:
                 delay = min(delay, max(call.deadline - time.time(), 0.0))
             timer = threading.Timer(delay, self._dispatch, args=(call,))
+            timer.name = f"{self._thread_prefix}retry"
             timer.daemon = True
             timer.start()
             return
@@ -829,8 +919,7 @@ class ShardedService:
         check_event(user_row, item_row, rating, self.n_users, self.n_items)
         shard = self._shards[self.shard_of(user_row)]
         payload = (int(user_row), int(item_row), float(rating))
-        _, future = self._call(shard, "observe", payload)
-        return future
+        return self._call(shard, "observe", payload)
 
     def meta_refresh(
         self, meta_lr: float | None = None, steps: int | None = None
@@ -848,7 +937,7 @@ class ShardedService:
             for shard in self._shards
         ]
         return [
-            future.result(timeout=self._request_timeout) for _, future in calls
+            future.result(timeout=self._request_timeout) for future in calls
         ]
 
     def ping(self, shard_index: int) -> bool:
@@ -889,7 +978,8 @@ class ShardedService:
         overall ``status`` is ``"ok"`` when every shard can serve,
         ``"degraded"`` when some cannot but answers are still possible
         (surviving shards and/or the popularity fallback), and ``"down"``
-        when nothing can answer.
+        when nothing can answer.  ``threads`` counts the front-end's live
+        threads: a pipe reader per shard, the supervisor, armed timers.
         """
         shards = []
         n_serving = 0
@@ -922,10 +1012,15 @@ class ShardedService:
             status = "degraded"
         else:
             status = "down"
+        threads = sum(
+            thread.name.startswith(self._thread_prefix)
+            for thread in threading.enumerate()
+        )
         return {
             "status": status,
             "fallback": self._fallback is not None,
             "shards": shards,
+            "threads": threads,
         }
 
     def stats(self) -> dict:
@@ -958,13 +1053,13 @@ class ShardedService:
 
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
-        """Flush pending micro-batches, then stop workers and supervisor."""
+        """Answer every queued request, then stop workers and supervisor."""
         if self._closed:
             return
-        # Flush while revival is still armed: a worker dying mid-drain must
-        # not drop the batch.  Only then stop supervision and the workers.
+        # Drain while revival and the flush timeout are still armed: a
+        # worker dying mid-drain must not drop a flush.
         for shard in self._shards:
-            shard.batcher.close()
+            shard.flushes.close()
         self._closing = True
         self._stop.set()
         self._supervisor.join(timeout=2.0)

@@ -14,8 +14,7 @@ CLI's ``train`` / ``serve`` / ``recommend`` subcommands for the same flow
 from a shell.
 """
 
-from repro.service.batching import MicroBatcher
 from repro.service.cache import LRUCache
 from repro.service.service import RecommenderService, ServeRequest
 
-__all__ = ["LRUCache", "MicroBatcher", "RecommenderService", "ServeRequest"]
+__all__ = ["LRUCache", "RecommenderService", "ServeRequest"]

@@ -1,183 +1,173 @@
-"""Micro-batching request queue for the serving tiers.
+"""Flat-combining request coalescer for both serving tiers.
 
-The :class:`MicroBatcher` flushes on idle: its worker thread takes the
-oldest queued request plus whatever else is already queued (up to
-``max_batch``) and flushes at once.  The worker blocks on each flush, so
-requests that arrive meanwhile pile up and leave together in the next one:
-coalescing happens exactly when the flush target is busy, and a lone
-request never waits (Nagle's algorithm, RFC 896).
+A :class:`Coalescer` is a FIFO queue and an in-flight flag; it owns no
+thread.  A request that finds no flush in flight starts one at once, on the
+thread that submitted it, so a lone request never waits (Nagle's algorithm,
+RFC 896).  Requests that arrive meanwhile queue up, and the thread that
+sees the flush end takes up to ``max_batch`` of them as the next one: flat
+combining (Hendler, Incze, Shavit and Tzafrir, SPAA 2010), with the
+combiner's role passed on at the end of every flush.
 
-The batcher carries one opaque payload per request: ``submit(item)``
-returns a future, and ``flush(items)`` must return one result per item, in
-order.  Both serving tiers queue :class:`~repro.service.ServeRequest`
-objects.  In-process the flush is ``RecommenderService.recommend_batch``,
-the request core, which fine-tunes every cache-missed user in the flush
-with one adaptation pass; the sharded front-end's flush sends the items to
-a worker as one RPC, which the worker answers with the same core.  Scoring
-stays per request — each request's answer is exactly the one a solo call
-returns.
+- In-process (:meth:`Coalescer.call`), a flush is a call of
+  ``RecommenderService.recommend_batch``.  The caller that finds the core
+  idle runs it.  When it ends with requests queued, its thread hands them
+  to the oldest waiting caller, which runs them on its own thread, so a
+  caller runs at most one flush: the one that carries its own request.
+- Sharded (:meth:`~Coalescer.admit` and :meth:`~Coalescer.take` under the
+  shard's lock), a flush is one ``batch`` RPC, sent by the submitting
+  thread to an idle shard and by the shard's pipe reader on each reply.
 
-The batching loop is factored into :meth:`process_once` so tests can drive
-it deterministically (``autostart=False``); in production a daemon worker
-thread runs it continuously.
-
-The batcher counts nothing itself: its facts are the owner's registry's
-``serve.batch.size`` histogram (flushes, requests carried, largest flush)
-and ``serve.queue_wait.seconds``.
+Each flush records ``serve.queue_wait.seconds`` (submit until the request's
+flush starts) and one ``serve.batch.size`` observation in the owner's
+registry: its ``count`` is the flushes, ``sum`` the requests they carried.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
+from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Callable, Sequence
 
 from repro.obs import MetricsRegistry
 
-#: signature of the flush: one result per queued item, in order
+#: signature of a synchronous flush: one result per item, in order
 FlushFn = Callable[[list[Any]], Sequence[Any]]
 
 
-def _closed_flush(items: list[Any]) -> Sequence[Any]:
-    raise RuntimeError("batcher is closed")
+class Request:
+    """One item and the future its result goes to.  A caller running its
+    own flush in :meth:`Coalescer.call` needs none; ``wake`` and
+    ``handoff`` serve one waiting there."""
+
+    __slots__ = ("item", "future", "submitted", "wake", "handoff")
+
+    def __init__(self, item: Any, future: Future | None = None):
+        self.item = item
+        self.future = future
+        self.submitted = perf_counter()
+        self.wake: threading.Event | None = None
+        self.handoff: list[Request] | None = None
 
 
-@dataclass
-class _Request:
-    item: Any
-    future: Future = field(default_factory=Future)
-    submitted: float = field(default_factory=time.perf_counter)
+def settle(
+    batch: list[Request], outcome: Sequence[Any] | BaseException
+) -> Sequence[Any] | BaseException:
+    """Resolve a finished flush, running its futures' callbacks on this
+    thread: one result per request, or one error for all.  Returns the
+    outcome, which is an error if the flush miscounted its results."""
+    if not isinstance(outcome, BaseException) and len(outcome) != len(batch):
+        outcome = RuntimeError(f"flush returned {len(outcome)} results for {len(batch)}")
+    for i, request in enumerate(batch):
+        if request.future is None:
+            continue
+        if isinstance(outcome, BaseException):
+            request.future.set_exception(outcome)
+        else:
+            request.future.set_result(outcome[i])
+        if request.wake is not None:
+            request.wake.set()
+    return outcome
 
 
-class MicroBatcher:
-    """Coalesce concurrent requests into batched flushes.
+class Coalescer:
+    """Coalesce concurrent requests into flushes without a thread of its own.
 
-    Each flush holds every request queued when the worker became idle;
-    requests submitted during a flush ride the next one together.
-
-    Parameters
-    ----------
-    flush:
-        called with a list of queued items; returns one result per item.
-    max_batch:
-        largest number of requests folded into one call.
-    autostart:
-        start the daemon worker thread; tests pass ``False`` and call
-        :meth:`process_once` by hand.
-    metrics:
-        optional :class:`~repro.obs.MetricsRegistry`; when given (and
-        enabled), each flush records per-request queue wait into
-        ``serve.queue_wait.seconds`` and the flush size into
-        ``serve.batch.size``, whose ``count`` is the number of flushes,
-        ``sum`` the requests they carried and ``max`` the largest flush.
+    ``lock`` guards the queue and the in-flight flag (the sharded front-end
+    passes its shard's lock); :meth:`admit`, :meth:`take` and :meth:`drain`
+    run under it.  ``metrics`` (optional) gets the flush observations.
     """
 
     def __init__(
         self,
-        flush: FlushFn,
         max_batch: int = 32,
-        autostart: bool = True,
         metrics: MetricsRegistry | None = None,
+        lock: threading.Lock | None = None,
     ):
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        self._flush = flush
         self.max_batch = max_batch
-        self._queue: queue.Queue[_Request | None] = queue.Queue()
-        self._closed = False
+        self.lock = lock if lock is not None else threading.Lock()
+        self.queue: deque[Request] = deque()
+        self.busy = False
+        self.closed = False
+        self._idle = threading.Condition(self.lock)
         self._metrics = metrics
-        self._worker: threading.Thread | None = None
-        if autostart:
-            self._worker = threading.Thread(
-                target=self._run, name="repro-microbatcher", daemon=True
-            )
-            self._worker.start()
 
-    # ------------------------------------------------------------------
-    def submit(self, item: Any) -> Future:
-        """Enqueue one item; the future resolves to its flush result."""
-        if self._closed:
-            raise RuntimeError("batcher is closed")
-        request = _Request(item)
-        self._queue.put(request)
-        return request.future
+    def admit(self, request: Request) -> list[Request] | None:
+        """Queue ``request``; when no flush was in flight, it alone is the
+        flush the caller must now start.  Raises once closed."""
+        if self.closed:
+            raise RuntimeError("service is closed")
+        if self.busy:
+            self.queue.append(request)
+            return None
+        self.busy = True
+        return self._start([request])
 
-    # ------------------------------------------------------------------
-    def _collect(self, block: bool) -> list[_Request]:
-        """Gather one batch: the oldest request plus everything already queued."""
-        batch: list[_Request] = []
-        try:
-            first = self._queue.get(block=block, timeout=0.1 if block else None)
-        except queue.Empty:
-            return batch
-        if first is None:  # close sentinel
-            return batch
-        batch.append(first)
-        while len(batch) < self.max_batch:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                break
-            batch.append(item)
+    def take(self) -> list[Request] | None:
+        """The flush in flight ended: the next one, or ``None`` (idle)."""
+        if self.queue:
+            n = min(len(self.queue), self.max_batch)
+            return self._start([self.queue.popleft() for _ in range(n)])
+        self.busy = False
+        if self.closed:  # only close() waits for idle, and only once closed
+            self._idle.notify_all()
+        return None
+
+    def drain(self) -> list[Request]:
+        """Go idle, giving up the queued requests (the caller's to fail)."""
+        queued = list(self.queue)
+        self.queue.clear()
+        self.take()
+        return queued
+
+    def _start(self, batch: list[Request]) -> list[Request]:
+        metrics = self._metrics
+        if metrics is not None and metrics.enabled:
+            now = perf_counter()
+            waits = [now - request.submitted for request in batch]
+            if len(waits) == 1:
+                metrics.observe("serve.queue_wait.seconds", waits[0])
+            else:
+                metrics.observe_many("serve.queue_wait.seconds", waits)
+            metrics.observe("serve.batch.size", len(batch))
         return batch
 
-    def process_once(self, block: bool = False) -> int:
-        """Collect and flush one batch; returns how many requests it served."""
-        batch = self._collect(block=block)
-        if not batch:
-            return 0
-        if self._metrics is not None and self._metrics.enabled:
-            now = time.perf_counter()
-            for request in batch:
-                self._metrics.observe(
-                    "serve.queue_wait.seconds", now - request.submitted
-                )
-            self._metrics.observe("serve.batch.size", len(batch))
+    def call(self, flush: FlushFn, item: Any) -> Any:
+        """Answer ``item`` through a flush of ``flush``, run on this thread
+        if the coalescer is idle; otherwise wait until a flush carrying it
+        is answered, or handed to this thread to run."""
+        request = Request(item)
+        with self.lock:
+            batch = self.admit(request)
+            if batch is None:
+                request.future, request.wake = Future(), threading.Event()
+        if batch is None:
+            request.wake.wait()
+            batch = request.handoff
+            if batch is None:  # another caller's flush answered it
+                return request.future.result()
         try:
-            results = self._flush([r.item for r in batch])
-            if len(results) != len(batch):
-                raise RuntimeError(
-                    f"flush returned {len(results)} results for {len(batch)} requests"
-                )
-            for request, result in zip(batch, results):
-                request.future.set_result(result)
-        except Exception as exc:  # propagate to every waiting caller
-            for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-        return len(batch)
+            outcome = flush([r.item for r in batch])
+        except BaseException as exc:  # every request gets it, and it is re-raised
+            outcome = exc
+        with self.lock:
+            following = self.take()
+        if following is not None:
+            following[0].handoff = following
+            following[0].wake.set()
+        outcome = settle(batch, outcome)
+        if request.future is not None:
+            return request.future.result()
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome[0]
 
-    def _run(self) -> None:
-        while not self._closed:
-            self.process_once(block=True)
-
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker; pending requests are still served.
-
-        Once the worker has exited, the batcher also drops its flush, which
-        is usually a bound method of the batcher's owner, so that owner is
-        freed by reference counting instead of waiting for the cyclic GC.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)  # wake the worker so it can exit
-        if self._worker is not None:
-            self._worker.join(timeout=1.0)
-        # Serve anything that raced past the sentinel.
-        while self.process_once(block=False):
-            pass
-        if self._worker is None or not self._worker.is_alive():
-            self._flush = _closed_flush
-
-    def __enter__(self) -> "MicroBatcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Refuse new requests and wait until every admitted one is flushed."""
+        with self.lock:
+            self.closed = True
+            while self.busy:
+                self._idle.wait()

@@ -9,8 +9,9 @@ artifact:
 - an LRU cache of per-user adapted parameters, so the support-set
   fine-tuning of meta-learners (MeLU, MetaDPA) is paid once per user
   rather than once per request,
-- an optional micro-batching queue coalescing concurrent ``recommend``
-  calls into one flush.
+- an optional flat-combining coalescer (:class:`~repro.service.batching
+  .Coalescer`) folding concurrent ``recommend`` calls into one flush, run
+  on a caller's own thread.
 
 Every request is answered by one core, :meth:`RecommenderService
 .recommend_batch`.  It validates the flush, replays the per-user cache
@@ -18,8 +19,8 @@ protocol, adapts every cache-missed user in one pass (for MAML-based
 methods one vectorized inner loop, ``MAML.adapt_corpus``), scores the live
 requests with one ``score_with_state_batch`` call and ranks each with
 ``top_k_order``.  ``recommend`` is a batch of one (with batching it rides
-the micro-batcher, whose flush is the core), ``recommend_many`` is a batch
-of users, ``score_instances`` shares the core's cache-and-adapt step, and
+the coalescer, whose flush is the core), ``recommend_many`` is a batch of
+users, ``score_instances`` shares the core's cache-and-adapt step, and
 the shard worker answers each ``batch`` RPC with the core.  Scoring is per
 request inside that one call: each user is scored with their own adapted
 state, so every entry point returns the same bits.
@@ -56,7 +57,7 @@ from repro.data.tasks import (
     task_fingerprint,
 )
 from repro.obs import MetricsRegistry
-from repro.service.batching import MicroBatcher
+from repro.service.batching import Coalescer
 from repro.service.cache import LRUCache
 from repro.utils import blas
 from repro.utils.topk import top_k_order
@@ -193,13 +194,9 @@ class RecommenderService:
         # this service, its artifact mapping and its adapted states alive
         # until the cyclic GC runs.
         self.metrics.add_collector(_weak_collector(self))
-        self._batcher: MicroBatcher | None = None
+        self._coalescer: Coalescer | None = None
         if batching:
-            self._batcher = MicroBatcher(
-                self.recommend_batch,
-                max_batch=max_batch,
-                metrics=self.metrics,
-            )
+            self._coalescer = Coalescer(max_batch=max_batch, metrics=self.metrics)
 
     @classmethod
     def from_artifact(
@@ -425,15 +422,16 @@ class RecommenderService:
 
         The first call for a user pays the method's adaptation; subsequent
         calls reuse the cached state and only pay one forward.  With
-        batching the request rides the micro-batcher, whose flush is
-        :meth:`recommend_batch`, so concurrent callers share one adaptation
-        pass.
+        batching the request rides the coalescer, whose flush is
+        :meth:`recommend_batch`: a call that finds the core idle runs its
+        flush on its own thread, and calls that arrive meanwhile share the
+        next flush, and its one adaptation pass.
         """
         request = ServeRequest(int(user_row), k, task, exclude_seen)
-        if self._batcher is None:
+        if self._coalescer is None:
             return self.recommend_batch([request])[0]
         check_request(request.user_row, k, self.method.serving.n_users)
-        return self._batcher.submit(request).result()
+        return self._coalescer.call(self.recommend_batch, request)
 
     def recommend_batch(
         self, requests: list[ServeRequest]
@@ -567,8 +565,10 @@ class RecommenderService:
         return {"metrics": self.metrics.snapshot()}
 
     def close(self) -> None:
-        if self._batcher is not None:
-            self._batcher.close()
+        """Refuse further batched calls and wait until every admitted one is
+        answered."""
+        if self._coalescer is not None:
+            self._coalescer.close()
 
     def __enter__(self) -> "RecommenderService":
         return self

@@ -27,6 +27,9 @@ paths to them and for the benchmarks that time the fast paths against them:
   loop around it (a per-model :class:`~repro.nn.optim.Adam` and a
   whole-model clip), and ``fit_generate`` with the k augmentation models
   trained one after another instead of fused.
+- **The two-division sigmoid** — each branch of the sign split divides on
+  its own; :func:`repro.nn.layers.sigmoid` selects the numerator first and
+  divides once, and must match it bit for bit.
 
 The MAML functions drive a live :class:`~repro.meta.maml.MAML` instance (its
 parameters, config and optimizer), and the Dual-CVAE ones a live
@@ -689,3 +692,12 @@ def fit_generate_sequential(augmenter: DiversePreferenceAugmenter) -> AugmentedR
     for trainer in augmenter.trainers:
         train_sequential(trainer)
     return augmenter.generate()
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Stable sigmoid as a two-sided select of two divisions."""
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.floating):
+        x = x.astype(np.float64)
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))

@@ -346,6 +346,31 @@ class TestOutcomeCountedBeforeResolve:
             assert seen == [1]
 
 
+class TestFlushTimeout:
+    def test_a_stalled_flush_fails_at_the_request_timeout(self, artifact):
+        """No thread waits on a flush: the supervisor fails one older than
+        ``request_timeout``, drops its late reply, and the shard serves on."""
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="rpc_delay", shard=0, seconds=3.0),), seed=6
+        )
+        with ShardedService(
+            artifact, n_workers=2, request_timeout=0.5, fault_plan=plan
+        ) as service:
+            assert service.wait_ready(timeout=30.0)
+            t0 = time.monotonic()
+            stalled = service.submit(0, k=5)
+            error = stalled.exception(timeout=30.0)
+            assert time.monotonic() - t0 < 2.0
+            assert isinstance(error, TimeoutError)
+            # Past the stall the worker answers the expired flush (ignored)
+            # and then the next request.
+            time.sleep(max(0.0, t0 + 3.2 - time.monotonic()))
+            assert len(service.submit(0, k=5).result(timeout=30.0)) == 5
+            counters = _settled_counters(service, 2)
+        assert counters.get("serve.responses.error", 0) == 1
+        assert counters.get("serve.responses.ok", 0) == 1
+
+
 class TestAdmissionControl:
     def test_overflow_is_shed_to_the_fallback(self, artifact):
         plan = FaultPlan(

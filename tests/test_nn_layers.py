@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     Dropout,
@@ -18,6 +20,8 @@ from repro.nn import (
     relative_error,
 )
 from repro.nn.layers import sigmoid, softmax
+
+import oracles
 
 RNG = np.random.default_rng(0)
 
@@ -73,6 +77,37 @@ class TestLinear:
         params = layer.init_params(RNG)
         assert "b" not in params
         _check_layer_grads(Linear(4, 3, bias=False), RNG.normal(size=(5, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tasks=st.one_of(st.none(), st.integers(1, 4)),
+        c=st.integers(1, 9),
+        e=st.integers(1, 5),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        use_out=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_row_weight_gradient_matches_matmul(
+        self, tasks, c, e, dtype, use_out, seed
+    ):
+        """A one-row input's weight gradient, a broadcast multiply, has
+        the K=1 matmul's values: stacked ``(T, 1, C)`` and unstacked
+        ``(1, C)`` inputs, float32 and float64, with and without ``out``."""
+        rng = np.random.default_rng(seed)
+        lead = () if tasks is None else (tasks,)
+        x = rng.normal(size=(*lead, 1, c)).astype(dtype)
+        x[rng.random(x.shape) < 0.3] = 0.0  # zero content: the signed-zero case
+        dy = rng.normal(size=(*lead, 1, e)).astype(dtype)
+        want = np.matmul(x.swapaxes(-1, -2), dy)
+        out = {"W": np.empty_like(want), "b": np.empty((*lead, e), dtype)} if use_out else None
+        layer = Linear(c, e)
+        _, grads = layer.backward(
+            layer.init_params(rng), x, dy, need_input_grad=False, out=out
+        )
+        assert grads["W"].dtype == want.dtype and grads["W"].shape == want.shape
+        assert np.array_equal(grads["W"], want)
+        if use_out:
+            assert grads["W"] is out["W"]
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -190,6 +225,23 @@ class TestStandaloneFunctions:
     def test_sigmoid_extremes(self):
         assert sigmoid(np.array([800.0]))[0] == pytest.approx(1.0)
         assert sigmoid(np.array([-800.0]))[0] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.float32, np.float64, np.int64, np.int8, np.bool_]
+    )
+    def test_sigmoid_is_bitwise_the_two_division_form(self, dtype):
+        if np.dtype(dtype).kind == "f":
+            special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e-30, 800.0, -800.0]
+            x = np.concatenate([special, RNG.normal(scale=8.0, size=2000)]).astype(dtype)
+        elif np.dtype(dtype).kind == "b":
+            x = np.array([True, False])
+        else:
+            info = np.iinfo(dtype)
+            x = np.array([0, 1, -1, 5, -5, 30, -30, info.max, info.min], dtype=dtype)
+        got, want = sigmoid(x), oracles.sigmoid(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        bits = f"u{got.dtype.itemsize}"
+        assert np.array_equal(got.view(bits), want.view(bits))
 
     def test_softmax_invariant_to_shift(self):
         x = RNG.normal(size=(2, 5))

@@ -21,7 +21,14 @@ from repro.core.interface import Recommender
 from repro.data.splits import Scenario
 from repro.obs import set_default_enabled
 from repro.registry import build_method
-from repro.serve import ResilienceConfig, ShardedService, run_open_loop, zipfian_users
+from repro.serve import (
+    FaultPlan,
+    FaultSpec,
+    ResilienceConfig,
+    ShardedService,
+    run_open_loop,
+    zipfian_users,
+)
 from repro.serve.loadgen import zipf_probabilities
 from repro.service import RecommenderService
 from repro.utils import blas
@@ -394,6 +401,63 @@ class TestSupervision:
         want = reference.recommend(3, k=5)
         assert np.array_equal(want.items, got.items)
         assert np.array_equal(want.scores, got.scores)
+
+
+class TestFlatCombiningFrontEnd:
+    """No batcher thread: the submitting thread sends an idle shard's flush,
+    the pipe reader sends the backlog and resolves every flush."""
+
+    def test_backlog_is_sent_from_the_reader(self, artifact, monkeypatch):
+        send_flush = ShardedService._send_flush
+        senders: list[tuple[str, int]] = []
+
+        def recording(self, shard, flush):
+            if flush is not None:
+                senders.append((threading.current_thread().name, len(flush)))
+            send_flush(self, shard, flush)
+
+        monkeypatch.setattr(ShardedService, "_send_flush", recording)
+        path, tasks = artifact
+        users = sorted(tasks)[:5]
+        # The first flush stalls in the worker, so the other four queue.
+        plan = FaultPlan(faults=(FaultSpec(kind="rpc_delay", seconds=0.5),))
+        with ShardedService(path, n_workers=1, fault_plan=plan) as service:
+            assert service.wait_ready(timeout=60.0)
+            futures = [service.submit(u, k=5) for u in users]
+            for future in futures:
+                assert len(future.result(timeout=60.0)) == 5
+            reader = f"{service._thread_prefix}reader-0"
+        assert senders == [(threading.current_thread().name, 1), (reader, 4)]
+
+    def test_reader_never_wedges_under_a_write_flood(self, artifact):
+        """A flood of writes keeps the pipe to the worker full, so writers
+        block in their sends while holding the shard lock, and reads with
+        explicit tasks queue behind flushes the reader must send.  The
+        reader keeps reading, and every future resolves.  5000 writes are
+        enough to fill the pipe both ways, which wedges a reader that stops
+        reading while it waits for that lock."""
+        path, tasks = artifact
+        users = sorted(tasks)[:8]
+        rng = np.random.default_rng(0)
+        with ShardedService(path, n_workers=1) as service:
+            assert service.wait_ready(timeout=60.0)
+            futures = []
+            for i in range(5000):
+                user = users[i % len(users)]
+                item = int(rng.integers(service.n_items))
+                futures.append(service.observe_async(user, item, 1.0))
+                if i % 10 == 0:
+                    futures.append(service.submit(user, k=5, task=tasks[user]))
+            for future in futures:
+                future.result(timeout=60.0)
+
+    def test_health_counts_the_front_end_threads(self, artifact):
+        path, _ = artifact
+        with ShardedService(path, n_workers=2) as service:
+            assert service.wait_ready(timeout=60.0)
+            service.recommend_many([0, 1, 2, 3], k=5)
+            # A pipe reader per shard and the supervisor; no batcher threads.
+            assert service.health()["threads"] == 3
 
 
 class TestMetricsMerging:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 import time
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from repro.data.splits import Scenario
 from repro.obs import MetricsRegistry
 from repro.registry import build_method
 from repro.serve import ShardedService
-from repro.service import LRUCache, MicroBatcher, RecommenderService, ServeRequest
+from repro.service import LRUCache, RecommenderService, ServeRequest
+from repro.service.batching import Coalescer, Request, settle
 
 #: tiny budgets: the lifecycle under test is fit → save → load → recommend,
 #: not model quality.
@@ -302,7 +305,7 @@ class TestRecommenderService:
                 assert np.array_equal(a.items, b.items)
                 assert np.array_equal(a.scores, b.scores)
             flushes = batched.stats()["metrics"]["histograms"]["serve.batch.size"]
-            assert flushes["sum"] == 3  # requests carried by the batcher
+            assert flushes["sum"] == 3  # requests carried by the coalescer
 
     @pytest.mark.parametrize("batching", [False, True])
     def test_stats_is_the_registry_snapshot(self, fitted_melu, batching):
@@ -356,8 +359,8 @@ class TestRecommenderService:
         """A closed service and the method it loaded die on ``del``.
 
         Nothing the service holds refers back to it (its metrics collector
-        and, once closed, its batcher), so reference counting alone frees
-        the artifact mapping and the cached adapted states.
+        holds it weakly, its coalescer not at all), so reference counting
+        alone frees the artifact mapping and the cached adapted states.
         """
         path = fitted_melu.save(tmp_path / "melu.npz")
         task, _ = cold_task
@@ -502,8 +505,8 @@ class TestRecommendBatch:
                 results[user] = service.recommend(user, k=5)
 
             # Hold a warm user's flush in flight, queue all 6 users behind
-            # it, then release: the idle batcher sends the backlog as one
-            # flush.
+            # it, then release: the flush's thread hands the backlog on as
+            # one flush.
             counting.gate.clear()
             counting.scoring.clear()
             holder = threading.Thread(target=request, args=(tasks[0].user_row,))
@@ -516,7 +519,7 @@ class TestRecommendBatch:
             for thread in threads:
                 thread.start()
             give_up = time.monotonic() + 30.0
-            while service._batcher._queue.qsize() < len(tasks):
+            while len(service._coalescer.queue) < len(tasks):
                 assert time.monotonic() < give_up, "burst never queued"
                 time.sleep(0.001)
             counting.gate.set()
@@ -541,129 +544,100 @@ class TestRecommendBatch:
             np.testing.assert_array_equal(want.scores, got.scores)
 
 
+class _ThreadRecordingMethod(_CountingBatchMethod):
+    """Also record the thread each flush's scoring runs on."""
+
+    def __init__(self, method):
+        super().__init__(method)
+        self.flush_threads: list[int] = []
+
+    def score_with_state_batch(self, states, instances):
+        self.flush_threads.append(threading.get_ident())
+        return super().score_with_state_batch(states, instances)
+
+
+class TestInProcessFlatCombining:
+    """With ``batching=True`` the callers run the flushes: no thread of the
+    service's own, and no hand-off for a lone request."""
+
+    def test_lone_request_flushes_on_the_callers_thread(self, fitted_melu):
+        method = _ThreadRecordingMethod(fitted_melu)
+        with RecommenderService(method, batching=True) as service:
+            service.recommend(0, k=5)
+            service.recommend(1, k=5)
+        assert method.flush_threads == [threading.get_ident()] * 2
+
+    def test_backlog_flushes_on_a_queued_callers_thread(self, fitted_melu):
+        method = _ThreadRecordingMethod(fitted_melu)
+        with RecommenderService(method, batching=True) as service:
+            method.gate.clear()
+            holder = _run_in_thread(service.recommend, 0, 5)
+            assert method.scoring.wait(timeout=30.0)
+            queued = [_run_in_thread(service.recommend, u, 5) for u in (1, 2, 3)]
+            _wait_for(lambda: len(service._coalescer.queue) == 3, "burst never queued")
+            method.gate.set()
+            for _, future in [holder, *queued]:
+                assert len(future.result(timeout=30.0)) == 5
+        # The holder ran its own flush only; the backlog left as one flush,
+        # run by one of the callers it carried.
+        held, backlog = method.flush_threads
+        assert held == holder[0].ident
+        assert backlog in {thread.ident for thread, _ in queued}
+
+    def test_batching_starts_no_thread(self, fitted_melu):
+        before = set(threading.enumerate())
+        service = RecommenderService(fitted_melu, batching=True)
+        service.recommend(0, k=5)
+        assert set(threading.enumerate()) <= before
+        service.close()
+        assert set(threading.enumerate()) <= before
+
+
+def _run_in_thread(target, *args) -> tuple[threading.Thread, Future]:
+    """Start ``target(*args)`` on a thread; the future gets its result."""
+    future: Future = Future()
+
+    def run() -> None:
+        try:
+            future.set_result(target(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, future
+
+
+def _wait_for(predicate, what: str, timeout: float = 30.0) -> None:
+    give_up = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < give_up, what
+        time.sleep(0.001)
+
+
 class TestMicroBatcher:
+    """Micro-batching by the flat-combining ``Coalescer``: a queue and an
+    in-flight flag, no thread.
+
+    ``admit``/``take``/``settle`` drive the flush protocol by hand (the
+    sharded tier's use); ``call`` runs flushes on the callers' threads
+    (the in-process tier's use).
+    """
+
     @staticmethod
     def _echo_scorer(instances):
         return [np.asarray(i.candidates, dtype=float) for i in instances]
 
     @staticmethod
     def _flushes(metrics: MetricsRegistry) -> dict:
-        """The batcher's record: ``count`` flushes carrying ``sum``
+        """The coalescer's record: ``count`` flushes carrying ``sum``
         requests, the largest ``max``."""
         return metrics.snapshot()["histograms"]["serve.batch.size"]
 
-    def test_coalesces_queued_requests(self):
-        metrics = MetricsRegistry(enabled=True)
-        batcher = MicroBatcher(self._echo_scorer, autostart=False, metrics=metrics)
-        futures = [
-            batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
-            for u in range(5)
-        ]
-        served = batcher.process_once()
-        flushes = self._flushes(metrics)
-        assert served == 5 and flushes["count"] == 1
-        assert flushes["max"] == 5
-        for future in futures:
-            assert np.array_equal(future.result(), [0.0, 1.0, 2.0])
-
-    def test_respects_max_batch(self):
-        batcher = MicroBatcher(self._echo_scorer, max_batch=2, autostart=False)
-        for u in range(5):
-            batcher.submit(EvalInstance(u, 0, np.array([1])))
-        sizes = [batcher.process_once() for _ in range(3)]
-        assert sizes == [2, 2, 1]
-
-    def test_error_propagates_to_futures(self):
-        def broken(instances):
-            raise RuntimeError("model exploded")
-
-        batcher = MicroBatcher(broken, autostart=False)
-        future = batcher.submit(EvalInstance(0, 0, np.array([1])))
-        batcher.process_once()
-        with pytest.raises(RuntimeError, match="model exploded"):
-            future.result()
-
-    def test_threaded_worker_serves_concurrent_submits(self):
-        batcher = MicroBatcher(self._echo_scorer)
-        futures: list = []
-        lock = threading.Lock()
-
-        def client(user):
-            future = batcher.submit(EvalInstance(user, 0, np.array([1, 2])))
-            with lock:
-                futures.append(future)
-
-        threads = [threading.Thread(target=client, args=(u,)) for u in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        results = [f.result(timeout=5.0) for f in futures]
-        batcher.close()
-        assert len(results) == 8
-        assert all(np.array_equal(r, [0.0, 1.0, 2.0]) for r in results)
-
-    def test_close_flushes_partially_filled_batch(self):
-        # close() right after submitting (3 of 64 slots filled) must serve
-        # every request promptly, whether the worker already took it or it
-        # is still queued, and never drop one.
-        metrics = MetricsRegistry(enabled=True)
-        batcher = MicroBatcher(self._echo_scorer, max_batch=64, metrics=metrics)
-        futures = [
-            batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
-            for u in range(3)
-        ]
-        batcher.close()
-        for future in futures:
-            np.testing.assert_array_equal(
-                future.result(timeout=5.0), [0.0, 1.0, 2.0]
-            )
-        assert self._flushes(metrics)["sum"] == 3
-        with pytest.raises(RuntimeError, match="closed"):
-            batcher.submit(EvalInstance(9, 0, np.array([1])))
-
-    def test_close_without_worker_drains_queue(self):
-        metrics = MetricsRegistry(enabled=True)
-        batcher = MicroBatcher(self._echo_scorer, autostart=False, metrics=metrics)
-        futures = [
-            batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
-            for u in range(3)
-        ]
-        batcher.close()  # no worker thread ever ran: close itself drains
-        for future in futures:
-            assert future.done()
-            np.testing.assert_array_equal(future.result(), [0.0, 1.0, 2.0])
-        flushes = self._flushes(metrics)
-        assert flushes["count"] >= 1 and flushes["max"] <= 3
-
-    def test_submit_after_close_rejected(self):
-        batcher = MicroBatcher(self._echo_scorer, autostart=False)
-        batcher.close()
-        with pytest.raises(RuntimeError):
-            batcher.submit(EvalInstance(0, 0, np.array([1])))
-
-    def test_shutdown_with_raising_scorer_resolves_pending(self):
-        # A flush callable that raises during shutdown must not deadlock
-        # close(): every pending future resolves with the error instead of
-        # waiting forever on a batch that can never succeed.
-        def broken(instances):
-            raise RuntimeError("artifact vanished")
-
-        batcher = MicroBatcher(broken, max_batch=64)
-        futures = [
-            batcher.submit(EvalInstance(u, 0, np.array([1, 2])))
-            for u in range(3)
-        ]
-        batcher.close()  # returns promptly despite the raising scorer
-        for future in futures:
-            assert future.done()
-            with pytest.raises(RuntimeError, match="artifact vanished"):
-                future.result()
-
-    @pytest.mark.parametrize("max_batch, sizes", [(64, [1, 5]), (2, [1, 2, 2, 1])])
-    def test_coalesces_behind_a_busy_flush(self, max_batch, sizes):
-        # Flush 1 is held in flight; the 5 requests submitted meanwhile
-        # leave together once it returns, split only by max_batch.
+    @staticmethod
+    def _held(scorer):
+        """``(flush, flushed, flushing, release)``: a flush that records its
+        size, sets ``flushing`` and waits for ``release`` before scoring."""
         release = threading.Event()
         flushing = threading.Event()
         flushed: list[int] = []
@@ -672,24 +646,200 @@ class TestMicroBatcher:
             flushed.append(len(instances))
             flushing.set()
             assert release.wait(timeout=30.0)
-            return self._echo_scorer(instances)
+            return scorer(instances)
 
+        return held, flushed, flushing, release
+
+    def test_coalesces_queued_requests(self):
         metrics = MetricsRegistry(enabled=True)
-        batcher = MicroBatcher(held, max_batch=max_batch, metrics=metrics)
-        futures = [batcher.submit(EvalInstance(0, 0, np.array([1])))]
+        coalescer = Coalescer(metrics=metrics)
+        queued = [Request(EvalInstance(u, 0, np.array([1, 2])), Future()) for u in range(5)]
+        with coalescer.lock:
+            first = coalescer.admit(Request(EvalInstance(9, 0, np.array([1]))))
+            assert [coalescer.admit(r) for r in queued] == [None] * 5
+            batch = coalescer.take()  # the first flush ended
+        settle(first, self._echo_scorer([r.item for r in first]))
+        served = len(batch)
+        settle(batch, self._echo_scorer([r.item for r in batch]))
+        flushes = self._flushes(metrics)
+        assert served == 5 and flushes["count"] == 2
+        assert flushes["max"] == 5
+        for request in queued:
+            assert np.array_equal(request.future.result(), [0.0, 1.0, 2.0])
+
+    def test_respects_max_batch(self):
+        coalescer = Coalescer(max_batch=2)
+        with coalescer.lock:
+            assert coalescer.admit(Request(EvalInstance(9, 0, np.array([1]))))
+            for u in range(5):
+                coalescer.admit(Request(EvalInstance(u, 0, np.array([1]))))
+            sizes = [len(coalescer.take()) for _ in range(3)]
+            assert coalescer.take() is None and not coalescer.busy
+        assert sizes == [2, 2, 1]
+
+    def test_error_propagates_to_futures(self):
+        def broken(instances):
+            raise RuntimeError("model exploded")
+
+        coalescer = Coalescer()
+        with pytest.raises(RuntimeError, match="model exploded"):
+            coalescer.call(broken, EvalInstance(0, 0, np.array([1])))
+        # A failed flush fails every request it carried.
+        batch = [Request(EvalInstance(u, 0, np.array([1])), Future()) for u in range(3)]
+        settle(batch, RuntimeError("model exploded"))
+        for request in batch:
+            with pytest.raises(RuntimeError, match="model exploded"):
+                request.future.result()
+        assert not coalescer.busy  # the failed flush still ended
+
+    def test_concurrent_callers_are_served(self):
+        coalescer = Coalescer()
+        runs = [
+            _run_in_thread(
+                coalescer.call, self._echo_scorer, EvalInstance(u, 0, np.array([1, 2]))
+            )
+            for u in range(8)
+        ]
+        results = [future.result(timeout=5.0) for _, future in runs]
+        coalescer.close()
+        assert len(results) == 8
+        assert all(np.array_equal(r, [0.0, 1.0, 2.0]) for r in results)
+
+    def test_close_flushes_partially_filled_batch(self):
+        # close() with requests queued behind a flush in flight (3 of 64
+        # slots filled) waits until every one is served, and drops none.
+        held, _, flushing, release = self._held(self._echo_scorer)
+        metrics = MetricsRegistry(enabled=True)
+        coalescer = Coalescer(max_batch=64, metrics=metrics)
+        runs = [_run_in_thread(coalescer.call, held, EvalInstance(0, 0, np.array([1, 2])))]
         assert flushing.wait(timeout=30.0)
-        futures += [
-            batcher.submit(EvalInstance(u, 0, np.array([1])))
+        runs += [
+            _run_in_thread(coalescer.call, held, EvalInstance(u, 0, np.array([1, 2])))
+            for u in (1, 2)
+        ]
+        _wait_for(lambda: len(coalescer.queue) == 2, "requests never queued")
+        closer, closed = _run_in_thread(coalescer.close)
+        time.sleep(0.05)
+        assert not closed.done()  # close waits for the flush in flight
+        release.set()
+        closed.result(timeout=5.0)
+        for _, future in runs:
+            np.testing.assert_array_equal(future.result(timeout=5.0), [0.0, 1.0, 2.0])
+        assert self._flushes(metrics)["sum"] == 3
+        with pytest.raises(RuntimeError, match="closed"):
+            coalescer.call(self._echo_scorer, EvalInstance(9, 0, np.array([1])))
+
+    def test_close_without_worker_drains_queue(self):
+        metrics = MetricsRegistry(enabled=True)
+        coalescer = Coalescer(metrics=metrics)
+        batch = [Request(EvalInstance(u, 0, np.array([1, 2])), Future()) for u in range(3)]
+        with coalescer.lock:
+            first = coalescer.admit(batch[0])
+            for request in batch[1:]:
+                coalescer.admit(request)
+        closer, closed = _run_in_thread(coalescer.close)
+        for flush in (first, None):
+            time.sleep(0.05)
+            assert not closed.done()  # a flush is still in flight
+            with coalescer.lock:
+                if flush is None:
+                    flush = coalescer.take()
+            settle(flush, self._echo_scorer([r.item for r in flush]))
+        with coalescer.lock:
+            assert coalescer.take() is None  # the last flush ended
+        closed.result(timeout=5.0)
+        for request in batch:
+            assert request.future.done()
+            np.testing.assert_array_equal(request.future.result(), [0.0, 1.0, 2.0])
+        flushes = self._flushes(metrics)
+        assert flushes["count"] >= 1 and flushes["max"] <= 3
+
+    def test_submit_after_close_rejected(self):
+        coalescer = Coalescer()
+        coalescer.close()
+        with pytest.raises(RuntimeError):
+            coalescer.call(self._echo_scorer, EvalInstance(0, 0, np.array([1])))
+        with pytest.raises(RuntimeError), coalescer.lock:
+            coalescer.admit(Request(EvalInstance(0, 0, np.array([1]))))
+
+    def test_shutdown_with_raising_scorer_resolves_pending(self):
+        # A flush callable that raises during shutdown must not deadlock
+        # close(): every pending future resolves with the error instead of
+        # waiting forever on a batch that can never succeed.
+        def broken(instances):
+            raise RuntimeError("artifact vanished")
+
+        held, _, flushing, release = self._held(broken)
+        coalescer = Coalescer(max_batch=64)
+        runs = [_run_in_thread(coalescer.call, held, EvalInstance(0, 0, np.array([1, 2])))]
+        assert flushing.wait(timeout=30.0)
+        runs += [
+            _run_in_thread(coalescer.call, held, EvalInstance(u, 0, np.array([1, 2])))
+            for u in (1, 2)
+        ]
+        _wait_for(lambda: len(coalescer.queue) == 2, "requests never queued")
+        closer, closed = _run_in_thread(coalescer.close)
+        release.set()
+        closed.result(timeout=5.0)  # returns promptly despite the raising scorer
+        for _, future in runs:
+            assert future.exception(timeout=5.0) is not None
+            with pytest.raises(RuntimeError, match="artifact vanished"):
+                future.result()
+
+    @pytest.mark.parametrize("max_batch, sizes", [(64, [1, 5]), (2, [1, 2, 2, 1])])
+    def test_coalesces_behind_a_busy_flush(self, max_batch, sizes):
+        # Flush 1 is held in flight; the 5 requests submitted meanwhile
+        # leave together once it returns, split only by max_batch.
+        held, flushed, flushing, release = self._held(self._echo_scorer)
+        metrics = MetricsRegistry(enabled=True)
+        coalescer = Coalescer(max_batch=max_batch, metrics=metrics)
+        runs = [_run_in_thread(coalescer.call, held, EvalInstance(0, 0, np.array([1])))]
+        assert flushing.wait(timeout=30.0)
+        runs += [
+            _run_in_thread(coalescer.call, held, EvalInstance(u, 0, np.array([1])))
             for u in range(1, 6)
         ]
+        _wait_for(lambda: len(coalescer.queue) == 5, "requests never queued")
+        futures = [future for _, future in runs]
         release.set()
         for future in futures:
             np.testing.assert_array_equal(future.result(timeout=30.0), [0.0, 1.0])
-        batcher.close()
+        coalescer.close()
         assert flushed == sizes
         flushes = self._flushes(metrics)
         assert flushes["count"] == len(sizes)
         assert flushes["max"] == max(sizes)
+
+    def test_stress_every_caller_gets_its_own_answer(self):
+        """More callers than cores and a short switch interval: one flush at
+        a time, every call returns its own item, each exactly once, in
+        flushes of at most ``max_batch``, and the coalescer ends idle."""
+        sizes: list[int] = []
+        in_flight: list[int] = []
+
+        def echo(items):
+            in_flight.append(1)
+            assert len(in_flight) == 1, "two flushes ran at once"
+            sizes.append(len(items))
+            in_flight.pop()
+            return list(items)
+
+        coalescer = Coalescer(max_batch=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [
+                _run_in_thread(
+                    lambda t=t: [coalescer.call(echo, (t, i)) for i in range(100)]
+                )
+                for t in range(8)
+            ]
+            results = [future.result(timeout=60.0) for _, future in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[(t, i) for i in range(100)] for t in range(8)]
+        assert sum(sizes) == 800 and max(sizes) <= 3
+        assert not coalescer.busy and not coalescer.queue
 
     def test_lone_sharded_request_is_sent_at_once(self, fitted_melu, tmp_path):
         # max_wait_ms is accepted but ignored: a request reaching an idle
