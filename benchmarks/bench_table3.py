@@ -11,7 +11,7 @@ Expected shape (paper → here): MetaDPA has the best NDCG@10 in most
 import numpy as np
 
 from repro.data.splits import Scenario
-from repro.experiments.registry import TABLE3_METHODS
+from repro.registry import TABLE3_METHODS
 from repro.runner import DatasetSpec, GridSpec, run_grid, table3_from_store
 
 

@@ -3,15 +3,16 @@
 The paper compares MetaDPA against the second-best method over 30
 independent random train/test splits with a one-sided Wilcoxon signed-rank
 test per metric.  :func:`wilcoxon_one_sided` reproduces that statistic;
-:func:`paired_metric_series` is the harness that collects per-split results.
-SciPy, which only this test needs, is imported when the test runs, so
-importing :mod:`repro` (every serving and training process) never loads it.
+:func:`repro.experiments.significance.significance_report` applies it to
+the per-seed series of a Table III result.  SciPy, which only this test
+needs, is imported when the test runs, so importing :mod:`repro` (every
+serving and training process) never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,24 +64,3 @@ def wilcoxon_one_sided(
         median_difference=float(np.median(diff)),
     )
 
-
-def paired_metric_series(
-    run_fn: Callable[[int], dict[str, float]],
-    seeds: Sequence[int],
-) -> dict[str, np.ndarray]:
-    """Collect per-seed metric dictionaries into aligned arrays.
-
-    ``run_fn(seed)`` runs one independent split and returns
-    ``{metric_name: value}``; the output maps each metric name to the array
-    of values across seeds, ready for :func:`wilcoxon_one_sided`.
-    """
-    per_metric: dict[str, list[float]] = {}
-    for seed in seeds:
-        outcome = run_fn(seed)
-        for name, value in outcome.items():
-            per_metric.setdefault(name, []).append(float(value))
-    n = len(seeds)
-    for name, values in per_metric.items():
-        if len(values) != n:
-            raise ValueError(f"metric {name!r} missing for some seeds")
-    return {name: np.asarray(values) for name, values in per_metric.items()}

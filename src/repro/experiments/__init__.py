@@ -14,25 +14,29 @@ Every runner accepts a ``profile`` ("fast" for CI/benchmarks, "full" for
 faithful budgets) and a seed list, and returns a plain result object with a
 ``format_table()`` method that prints the same rows/series the paper
 reports.
+
+Except Fig. 6, which times blocks rather than scoring cells, every runner
+is a :class:`repro.runner.GridSpec` builder: it runs its grid inline in a
+temporary directory (:func:`repro.runner.temporary_grid`), folds the cells
+with :mod:`repro.runner.aggregate` and renders the result.  For a kept,
+resumable or multi-worker run of the same cells, use ``grid run`` and
+``grid report``.
 """
 
-from repro.experiments.registry import (
-    MethodSpec,
-    build_method,
-    make_method,
-    method_names,
-)
+from repro.registry import make_method, method_names
 from repro.experiments.table3 import Table3Result, run_table3
 from repro.experiments.ndcg_curves import NdcgCurvesResult, run_ndcg_curves
 from repro.experiments.ablation import AblationResult, run_ablation
 from repro.experiments.scalability import ScalabilityResult, run_scalability
 from repro.experiments.hyperparams import HyperparamResult, run_hyperparam_sweep
-from repro.experiments.significance import SignificanceReport, run_significance
+from repro.experiments.significance import (
+    SignificanceReport,
+    run_significance,
+    significance_report,
+)
 from repro.experiments.stats_tables import run_dataset_statistics
 
 __all__ = [
-    "MethodSpec",
-    "build_method",
     "make_method",
     "method_names",
     "Table3Result",
@@ -47,5 +51,6 @@ __all__ = [
     "run_hyperparam_sweep",
     "SignificanceReport",
     "run_significance",
+    "significance_report",
     "run_dataset_statistics",
 ]

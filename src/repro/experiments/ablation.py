@@ -9,22 +9,18 @@ The paper compares, on CDs in all four scenarios:
 with the expected ordering MetaDPA > MetaDPA-MDI > MetaDPA-ME.  This runner
 also reports the generated-rating diversity of each variant, which is the
 mechanism the ME constraint acts through, and includes MeLU as the
-no-augmentation reference the paper's Fig. 5 discussion mentions.
+no-augmentation reference the paper's Fig. 5 discussion mentions.  Every
+variant is a registered method name, so the ablation is one grid over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.cvae.augment import rating_diversity
 from repro.data.domain import MultiDomainDataset
-from repro.data.experiment import prepare_experiment
 from repro.data.splits import Scenario
-from repro.eval.protocol import evaluate_prepared
-from repro.registry import make_method
 from repro.experiments.ndcg_curves import DEFAULT_KS
+from repro.runner import GridSpec, ablation_from_store, temporary_grid
 
 ABLATION_VARIANTS = ("MetaDPA", "MetaDPA-MDI", "MetaDPA-ME", "MeLU")
 
@@ -73,28 +69,8 @@ def run_ablation(
     profile: str = "full",
 ) -> AblationResult:
     """Reproduce the Fig. 5 ablation on one target domain."""
-    accum: dict[tuple[Scenario, str], list[list[float]]] = {}
-    diversity: dict[str, list[float]] = {}
-    for seed in seeds:
-        experiment = prepare_experiment(dataset, target, seed=seed)
-        for variant in variants:
-            method = make_method(variant, seed=seed, profile=profile)
-            per_scenario = evaluate_prepared(method, experiment)
-            for scenario, eval_result in per_scenario.items():
-                curve = eval_result.ndcg_at(list(ks))
-                accum.setdefault((scenario, variant), []).append(
-                    [curve[k] for k in ks]
-                )
-            augmented = getattr(method, "augmented", None)
-            if augmented is not None:
-                diversity.setdefault(variant, []).append(rating_diversity(augmented))
-    result = AblationResult(
-        target=target,
-        ks=list(ks),
-        variants=list(variants),
-        seeds=list(seeds),
+    spec = GridSpec(
+        methods=list(variants), targets=[target], seeds=list(seeds), profile=profile
     )
-    for key, rows in accum.items():
-        result.curves[key] = list(np.mean(np.asarray(rows), axis=0))
-    result.diversity = {k: float(np.mean(v)) for k, v in diversity.items()}
-    return result
+    with temporary_grid(spec, dataset) as run_dir:
+        return ablation_from_store(run_dir, spec, ks=ks, target=target)

@@ -25,7 +25,10 @@ Grid commands run sharded, resumable experiment grids (see
 
 Every experiment command prints the paper-style table to stdout;
 ``--csv PATH`` / ``--markdown PATH`` write machine-readable copies where
-supported (``table3``, ``fig5``, ``significance``).
+supported (``table3``, ``fig5``, ``significance``).  ``table3``,
+``fig3``–``fig5``, ``fig7``, ``fig8`` and ``significance`` run their cells
+through the grid engine in a temporary directory, inline; ``grid run`` and
+``grid report`` keep, resume and parallelise the same cells.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.experiments import (
     run_scalability,
     run_significance,
     run_table3,
+    significance_report,
 )
 
 
@@ -56,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--item-base", type=int, default=150, help="benchmark scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, seeds: tuple[int, ...] = (0,)) -> None:
         p.add_argument("--profile", choices=("full", "fast"), default="full")
-        p.add_argument("--seeds", type=int, nargs="+", default=[0])
+        p.add_argument("--seeds", type=int, nargs="+", default=list(seeds))
 
     def exports(p: argparse.ArgumentParser) -> None:
         p.add_argument("--csv", type=Path, default=None)
@@ -88,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target", default="CDs")
 
     p = sub.add_parser("significance", help="Sec. V-D: Wilcoxon tests")
-    common(p)
+    common(p, seeds=tuple(range(8)))  # the test needs 3+ paired splits
     exports(p)
     p.add_argument("--target", default="CDs")
 
@@ -518,20 +522,12 @@ def _run_grid_command(args: argparse.Namespace) -> int:
         args.markdown.write_text(table3_to_markdown(result))
     print(result.format_table())
     if args.significance:
-        if len(result.seeds) < 3 or len(result.methods) < 2:
-            raise SystemExit(
-                "--significance needs at least 3 seeds and 2 methods in the grid"
-            )
         ours = "MetaDPA" if "MetaDPA" in result.methods else result.methods[0]
-        for target in result.targets:
-            report = run_significance(
-                None,
-                target=target,
-                methods=tuple(result.methods),
-                seeds=tuple(result.seeds),
-                ours=ours,
-                table=result,
-            )
+        try:
+            reports = [significance_report(result, t, ours) for t in result.targets]
+        except ValueError as exc:
+            raise SystemExit(f"--significance: {exc}") from None
+        for report in reports:
             print()
             print(report.format_table())
     return 0

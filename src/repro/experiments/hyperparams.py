@@ -4,21 +4,18 @@ The paper grid-searches β ∈ {1e-2, 1e-1, 1, 1e1, 1e2} on CDs and plots
 NDCG@20 for the four scenarios, concluding that β1 is more sensitive than
 β2 and that the best region is around β1 = 0.1, β2 = 1.
 :func:`sensitivity_range` quantifies the "more sensitive" claim as the
-max-min spread of NDCG across the grid.
+max-min spread of NDCG across the grid.  Each β value is a labelled MetaDPA
+entry of one grid, e.g. ``{"name": "MetaDPA", "beta1": 0.1, "label":
+"beta1=0.1"}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.data.domain import MultiDomainDataset
-from repro.data.experiment import prepare_experiment
 from repro.data.splits import Scenario
-from repro.eval.protocol import evaluate_prepared
-from repro.registry import make_method
-from repro.meta import MetaDPAConfig
+from repro.runner import GridSpec, ndcg_curves_from_store, temporary_grid
 
 DEFAULT_GRID = (1e-2, 1e-1, 1.0, 1e1, 1e2)
 
@@ -69,34 +66,21 @@ def run_hyperparam_sweep(
     """Sweep β1 (Fig. 7) or β2 (Fig. 8) and record NDCG@k per scenario."""
     if param not in ("beta1", "beta2"):
         raise ValueError("param must be 'beta1' or 'beta2'")
-    accum: dict[Scenario, list[list[float]]] = {sc: [] for sc in Scenario}
-    for seed in seeds:
-        experiment = prepare_experiment(dataset, target, seed=seed)
-        per_scenario_rows: dict[Scenario, list[float]] = {sc: [] for sc in Scenario}
-        for beta in grid:
-            method = make_method("MetaDPA", seed=seed, profile=profile)
-            overrides = {param: beta}
-            method.config = MetaDPAConfig(
-                **{
-                    **_config_kwargs(method.config),
-                    **overrides,
-                }
-            )
-            results = evaluate_prepared(method, experiment)
-            for scenario, eval_result in results.items():
-                per_scenario_rows[scenario].append(eval_result.ndcg_at([k])[k])
-        for scenario, row in per_scenario_rows.items():
-            accum[scenario].append(row)
+    labels = [f"{param}={float(beta)!r}" for beta in grid]
+    spec = GridSpec(
+        methods=[
+            {"name": "MetaDPA", param: beta, "label": label}
+            for beta, label in zip(grid, labels)
+        ],
+        targets=[target],
+        seeds=list(seeds),
+        profile=profile,
+    )
+    with temporary_grid(spec, dataset) as run_dir:
+        curves, _ = ndcg_curves_from_store(run_dir, spec, [k], target)
     result = HyperparamResult(
         target=target, param=param, grid=list(grid), seeds=list(seeds), k=k
     )
-    for scenario, rows in accum.items():
-        result.curves[scenario] = list(np.mean(np.asarray(rows), axis=0))
+    for scenario in Scenario:
+        result.curves[scenario] = [curves[(scenario, label)][0] for label in labels]
     return result
-
-
-def _config_kwargs(config: MetaDPAConfig) -> dict:
-    """Dataclass fields of a config as a kwargs dict."""
-    from dataclasses import fields
-
-    return {f.name: getattr(config, f.name) for f in fields(config)}

@@ -2,20 +2,18 @@
 
 The paper plots NDCG@k for k ∈ {5, 10, 15, 20, 25, 30} for all methods in
 all four scenarios, one figure per target domain (Fig. 3 Books, Fig. 4 CDs).
-This runner produces those series as text/dicts.
+This runner produces those series as text/dicts, folded from a grid run's
+stored score lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.data.domain import MultiDomainDataset
-from repro.data.experiment import prepare_experiment
 from repro.data.splits import Scenario
-from repro.eval.protocol import evaluate_prepared
-from repro.registry import TABLE3_METHODS, make_method
+from repro.registry import TABLE3_METHODS
+from repro.runner import GridSpec, ndcg_curves_from_store, temporary_grid
 
 DEFAULT_KS = (5, 10, 15, 20, 25, 30)
 
@@ -58,23 +56,11 @@ def run_ndcg_curves(
     profile: str = "full",
 ) -> NdcgCurvesResult:
     """Reproduce one of Figs. 3–4 for the given target domain."""
-    accum: dict[tuple[Scenario, str], list[list[float]]] = {}
-    for seed in seeds:
-        experiment = prepare_experiment(dataset, target, seed=seed)
-        for method_name in methods:
-            method = make_method(method_name, seed=seed, profile=profile)
-            per_scenario = evaluate_prepared(method, experiment)
-            for scenario, eval_result in per_scenario.items():
-                curve = eval_result.ndcg_at(list(ks))
-                accum.setdefault((scenario, method_name), []).append(
-                    [curve[k] for k in ks]
-                )
-    result = NdcgCurvesResult(
-        target=target,
-        ks=list(ks),
-        methods=list(methods),
-        seeds=list(seeds),
+    spec = GridSpec(
+        methods=list(methods), targets=[target], seeds=list(seeds), profile=profile
     )
-    for key, rows in accum.items():
-        result.curves[key] = list(np.mean(np.asarray(rows), axis=0))
-    return result
+    with temporary_grid(spec, dataset) as run_dir:
+        curves, _ = ndcg_curves_from_store(run_dir, spec, ks, target)
+    return NdcgCurvesResult(
+        target=target, ks=list(ks), methods=list(methods), seeds=list(seeds), curves=curves
+    )

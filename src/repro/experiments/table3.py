@@ -2,7 +2,9 @@
 
 For each (target, method, scenario) cell this runner reports HR@10, MRR@10,
 NDCG@10 and AUC averaged over independent random splits (seeds), in the same
-layout as the paper's Table III.
+layout as the paper's Table III.  It runs the table as a grid
+(:mod:`repro.runner`), so ``table3`` and ``grid run`` + ``grid report``
+print and export the same numbers.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.domain import MultiDomainDataset
-from repro.data.experiment import prepare_experiment
 from repro.data.splits import Scenario
-from repro.eval.protocol import evaluate_prepared
-from repro.registry import TABLE3_METHODS, make_method
+from repro.registry import TABLE3_METHODS
+from repro.runner import GridSpec, table3_from_store, temporary_grid
 
 METRIC_NAMES = ("hr", "mrr", "ndcg", "auc")
 
@@ -83,25 +84,8 @@ def run_table3(
     verbose: bool = False,
 ) -> Table3Result:
     """Run the full Table III comparison."""
-    result = Table3Result(
-        targets=list(targets), methods=list(methods), seeds=list(seeds)
+    spec = GridSpec(
+        methods=list(methods), targets=list(targets), seeds=list(seeds), profile=profile
     )
-    for target in targets:
-        for seed in seeds:
-            experiment = prepare_experiment(dataset, target, seed=seed)
-            for method_name in methods:
-                method = make_method(method_name, seed=seed, profile=profile)
-                per_scenario = evaluate_prepared(method, experiment)
-                for scenario, eval_result in per_scenario.items():
-                    cell = result.cells.setdefault(
-                        (target, scenario, method_name),
-                        {metric: [] for metric in METRIC_NAMES},
-                    )
-                    m = eval_result.metrics
-                    cell["hr"].append(m.hr)
-                    cell["mrr"].append(m.mrr)
-                    cell["ndcg"].append(m.ndcg)
-                    cell["auc"].append(m.auc)
-                if verbose:
-                    print(f"[table3] {target} seed={seed} {method_name} done")
-    return result
+    with temporary_grid(spec, dataset, progress=print if verbose else None) as run_dir:
+        return table3_from_store(run_dir, spec)

@@ -1,14 +1,20 @@
 """Parallel, resumable experiment-grid runner.
 
-The paper's headline artifacts are grids of (method × target × scenario ×
-seed) cells.  This package evaluates such grids as a declarative spec
+The paper's evaluation is one grid of (method × target × scenario × seed)
+cells.  This package evaluates such grids as a declarative spec
 (:class:`GridSpec`) executed across ``multiprocessing`` workers
 (:func:`run_grid`), with every cell committed to a content-addressed
 :class:`RunStore` the moment it finishes — interrupting a run loses only
 the work in flight, and relaunching the same spec skips every completed
 cell.  Aggregation helpers (:func:`table3_from_store`,
-:func:`ablation_from_store`, :func:`grid_status`) fold a run directory back
-into the repo's standard result objects and report writers.
+:func:`ndcg_curves_from_store`, :func:`ablation_from_store`,
+:func:`grid_status`) fold a run directory back into the repo's standard
+result objects and report writers.
+
+Every paper table and figure runner in :mod:`repro.experiments` is a
+:class:`GridSpec` builder: it runs its spec inline in a temporary
+directory (:func:`temporary_grid`) and folds the cells with the same
+helpers ``grid report`` uses.
 
 Quickstart::
 
@@ -27,9 +33,10 @@ from repro.runner.aggregate import (
     evaluation_results,
     grid_status,
     load_cells,
+    ndcg_curves_from_store,
     table3_from_store,
 )
-from repro.runner.engine import GridRunReport, run_grid
+from repro.runner.engine import GridRunReport, run_grid, temporary_grid
 from repro.runner.spec import DatasetSpec, GridCell, GridSpec, WorkUnit
 from repro.runner.store import CellResult, GridSpecMismatch, RunStore
 
@@ -40,6 +47,7 @@ __all__ = [
     "WorkUnit",
     "GridRunReport",
     "run_grid",
+    "temporary_grid",
     "RunStore",
     "CellResult",
     "GridSpecMismatch",
@@ -49,5 +57,6 @@ __all__ = [
     "load_cells",
     "evaluation_results",
     "table3_from_store",
+    "ndcg_curves_from_store",
     "ablation_from_store",
 ]

@@ -1,17 +1,22 @@
 """Fold stored grid cells back into the repo's result objects.
 
-The grid engine persists raw per-cell score lists; these helpers rebuild the
-exact result objects the per-figure experiment code produces — a
+The grid engine persists raw per-cell score lists; these helpers rebuild
+the result objects of the paper's tables and figures from them: a
 :class:`~repro.experiments.table3.Table3Result` for Table III and the
-significance test, an :class:`~repro.experiments.ablation.AblationResult`
-for Fig. 5 — so every existing report writer (console tables, CSV,
-Markdown) works on a grid run directory unchanged.
+significance test (:func:`table3_from_store`), and the mean NDCG@k curves
+plus augmentation diversity behind Figs. 3–5 and 7–8
+(:func:`ndcg_curves_from_store`, which :func:`ablation_from_store` wraps
+into Fig. 5's :class:`~repro.experiments.ablation.AblationResult`).  The
+experiment runners fold their temporary grids through these, and
+``grid report`` folds a kept run directory the same way, so every report
+writer (console tables, CSV, Markdown) reads either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -259,49 +264,60 @@ def table3_from_store(run: RunStore | str | Path, spec: GridSpec | None = None):
     return result
 
 
+def ndcg_curves_from_store(
+    run: RunStore | str | Path,
+    spec: GridSpec | None,
+    ks: Sequence[int],
+    target: str,
+) -> tuple[dict[tuple[Scenario, str], list[float]], dict[str, float]]:
+    """Mean NDCG@k curve per (scenario, label), and mean diversity per label.
+
+    The one curve aggregation of Figs. 3–5 and 7–8: each cell's curve is
+    recomputed from the per-instance scores it stored and averaged over the
+    seeds.  Diversity is the mean augmentation diversity the engine
+    recorded at fit time, for the labels whose method augments.
+    """
+    store, spec = _resolve(run, spec)
+    if target not in spec.targets:
+        raise ValueError(f"target {target!r} is not in the grid ({spec.targets})")
+    ks = list(ks)
+    cells = load_cells(store, spec)
+    curves: dict[tuple[Scenario, str], list[float]] = {}
+    diversity: dict[str, list[float]] = {}
+    for label in spec.method_labels:
+        for scenario in spec.scenarios:
+            rows = []
+            for seed in spec.seeds:
+                curve = ndcg_curve(cells[(target, scenario, label, seed)].score_lists, ks)
+                rows.append([curve[k] for k in ks])
+            curves[(scenario, label)] = list(np.mean(np.asarray(rows), axis=0))
+        for seed in spec.seeds:
+            extras = cells[(target, spec.scenarios[0], label, seed)].extras
+            if "diversity" in extras:
+                diversity.setdefault(label, []).append(float(extras["diversity"]))
+    return curves, {label: float(np.mean(v)) for label, v in diversity.items()}
+
+
 def ablation_from_store(
     run: RunStore | str | Path,
     spec: GridSpec | None = None,
     ks: tuple[int, ...] | None = None,
     target: str | None = None,
 ):
-    """Rebuild a Fig.-5 :class:`AblationResult` from stored score lists.
-
-    NDCG@k curves are recomputed from the per-instance scores each cell
-    persisted; augmentation diversity comes from the ``extras`` the engine
-    recorded at fit time.
-    """
+    """Rebuild a Fig.-5 :class:`AblationResult` from stored score lists."""
     from repro.experiments.ablation import AblationResult
     from repro.experiments.ndcg_curves import DEFAULT_KS
 
     store, spec = _resolve(run, spec)
-    ks = tuple(ks or DEFAULT_KS)
+    ks = list(ks or DEFAULT_KS)
     target = target or spec.targets[0]
-    if target not in spec.targets:
-        raise ValueError(f"target {target!r} is not in the grid ({spec.targets})")
-    cells = load_cells(store, spec)
-
-    result = AblationResult(
+    curves, diversity = ndcg_curves_from_store(store, spec, ks, target)
+    return AblationResult(
         target=target,
-        ks=list(ks),
+        ks=ks,
         variants=list(spec.method_labels),
         seeds=list(spec.seeds),
+        curves=curves,
+        diversity=diversity,
         scenarios=list(spec.scenarios),
     )
-    diversity: dict[str, list[float]] = {}
-    for label in spec.method_labels:
-        for scenario in spec.scenarios:
-            rows = []
-            for seed in spec.seeds:
-                cell = cells[(target, scenario, label, seed)]
-                curve = ndcg_curve(cell.score_lists, list(ks))
-                rows.append([curve[k] for k in ks])
-            result.curves[(scenario, label)] = list(np.mean(np.asarray(rows), axis=0))
-        for seed in spec.seeds:
-            cell = cells[(target, spec.scenarios[0], label, seed)]
-            if "diversity" in cell.extras:
-                diversity.setdefault(label, []).append(float(cell.extras["diversity"]))
-    result.diversity = {
-        label: float(np.mean(values)) for label, values in diversity.items()
-    }
-    return result

@@ -20,11 +20,13 @@ report and does not take the rest of the grid down with it.
 from __future__ import annotations
 
 import multiprocessing as mp
+import tempfile
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.data.splits import Scenario
 from repro.runner import prepared
@@ -95,7 +97,7 @@ def _process_unit(
     spec: GridSpec,
     unit: WorkUnit,
     scenarios: list[Scenario],
-    dataset=None,
+    bundles: prepared.PreparedCache,
 ) -> int:
     """Fit/score the given scenarios of one unit; returns cells computed.
 
@@ -113,9 +115,7 @@ def _process_unit(
         return 0
     profiler = PhaseProfiler()
     with profiler.phase("prepare"):
-        experiment = prepared.load_or_prepare(
-            spec, unit.target, unit.seed, store.prepared_dir, dataset=dataset
-        )
+        experiment = bundles.get(spec, unit.target, unit.seed)
     method = build_method(dict(unit.method_config), seed=unit.seed)
     if hasattr(method, "set_augmentation_cache"):
         # Augmentations depend only on (dataset, target, seed, CVAE knobs),
@@ -166,7 +166,8 @@ _WORKER_STATE: dict = {}
 def _worker_init(spec_payload: dict, run_dir: str) -> None:
     spec = GridSpec.from_dict(spec_payload)
     _WORKER_STATE["spec"] = spec
-    _WORKER_STATE["store"] = RunStore(run_dir)
+    _WORKER_STATE["store"] = store = RunStore(run_dir)
+    _WORKER_STATE["bundles"] = prepared.PreparedCache(store.prepared_dir)
     _WORKER_STATE["units"] = spec.work_units()
 
 
@@ -177,8 +178,9 @@ def _worker_run_unit(
     spec: GridSpec = _WORKER_STATE["spec"]
     store: RunStore = _WORKER_STATE["store"]
     unit: WorkUnit = _WORKER_STATE["units"][unit_index]
+    bundles: prepared.PreparedCache = _WORKER_STATE["bundles"]
     try:
-        return unit_index, _process_unit(store, spec, unit, scenarios), None
+        return unit_index, _process_unit(store, spec, unit, scenarios, bundles), None
     except Exception as exc:  # noqa: BLE001 — isolate unit failures
         error = f"{type(exc).__name__}: {exc}"
         _record_unit_failure(store, unit, scenarios, error, traceback.format_exc())
@@ -260,13 +262,12 @@ def run_grid(
                     report.n_computed += n_computed
                     say(f"[grid] done {desc} ({n_computed} cells)")
     else:
+        bundles = prepared.PreparedCache(store.prepared_dir, dataset=dataset)
         for index, missing in pending:
             unit = units[index]
             desc = _unit_description(unit)
             try:
-                n_computed = _process_unit(
-                    store, spec, unit, missing, dataset=dataset
-                )
+                n_computed = _process_unit(store, spec, unit, missing, bundles)
             except Exception as exc:  # noqa: BLE001 — isolate unit failures
                 error = f"{type(exc).__name__}: {exc}"
                 _record_unit_failure(
@@ -280,3 +281,26 @@ def run_grid(
 
     report.elapsed = time.perf_counter() - started
     return report
+
+
+@contextmanager
+def temporary_grid(
+    spec: GridSpec,
+    dataset=None,
+    progress: Callable[[str], None] | None = None,
+) -> Iterator[Path]:
+    """Run ``spec`` inline in a temporary run directory and yield it.
+
+    Every paper table and figure runs this way: the caller folds the stored
+    cells (:mod:`repro.runner.aggregate`) inside the ``with`` block, and the
+    directory is removed when the block exits.  A failed unit raises
+    :class:`RuntimeError` with the run summary, so the caller sees why it
+    failed rather than which cells are missing.  With ``dataset`` given,
+    ``spec.dataset`` only names the cells; the fresh directory holds cells
+    of no other data.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-grid-") as run_dir:
+        report = run_grid(spec, run_dir, dataset=dataset, progress=progress)
+        if not report.ok:
+            raise RuntimeError(report.format_summary())
+        yield Path(run_dir)

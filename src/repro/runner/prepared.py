@@ -3,9 +3,9 @@
 Preparing an experiment (cold-start splits, meta-test tasks, leave-one-out
 instances, leak-free visibility matrices) depends only on the dataset
 parameters, the target domain, the split seed and the scenario list — not on
-the method.  The per-figure runners used to redo it once per method; the
-grid engine pays it once per (target, seed) and shares the pickled bundle
-across every worker process through this cache.
+the method.  The grid engine pays it once per (target, seed) and shares the
+pickled bundle across every worker process through this cache; every paper
+table and figure runs through the engine, so each pays it once too.
 
 Writes are atomic (temp file + ``os.replace``), so racing workers at worst
 duplicate the preparation work — they never read a half-written bundle.
@@ -25,8 +25,6 @@ from repro.utils.persist import atomic_write_bytes, canonical_json
 
 #: per-process memo of built datasets, keyed by the dataset spec.
 _DATASET_MEMO: dict[str, object] = {}
-#: per-process memo of prepared experiments, keyed by bundle key.
-_PREPARED_MEMO: dict[str, Experiment] = {}
 
 
 def prepared_key(spec: GridSpec, target: str, seed: int) -> str:
@@ -89,50 +87,64 @@ def _record_or_check_fingerprint(cache_dir: Path, dataset) -> None:
     atomic_write_bytes(path, (fingerprint + "\n").encode())
 
 
-def load_or_prepare(
-    spec: GridSpec,
-    target: str,
-    seed: int,
-    cache_dir: str | Path,
-    dataset=None,
-) -> Experiment:
-    """Return the prepared bundle for (target, seed), via memo → disk → build."""
-    cache_dir = Path(cache_dir)
-    if dataset is not None:
-        _record_or_check_fingerprint(cache_dir, dataset)
-    key = prepared_key(spec, target, seed)
-    if key in _PREPARED_MEMO:
-        return _PREPARED_MEMO[key]
+class PreparedCache:
+    """The prepared bundles of one run directory, memoized for one run.
 
-    path = cache_dir / f"{key}.pkl"
-    if path.exists():
-        try:
-            with path.open("rb") as fh:
-                experiment = pickle.load(fh)
-            _PREPARED_MEMO[key] = experiment
-            return experiment
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            pass  # corrupt/stale bundle: fall through and rebuild it
+    :func:`repro.runner.run_grid` makes one per run and each worker process
+    makes its own, so the in-memory memo never outlives its run: a later
+    run, on another directory or another dataset, cannot be served this
+    run's bundles, and a forked worker inherits none.  Across runs a bundle
+    is shared only through its file, which the directory's dataset
+    fingerprint guards.
+    """
 
-    if dataset is None:
-        dataset = get_dataset(spec.dataset)
-        _record_or_check_fingerprint(cache_dir, dataset)
-    experiment = prepare_experiment(
-        dataset,
-        target,
-        seed=seed,
-        n_negatives=spec.n_negatives,
-        scenarios=list(spec.scenarios),
-    )
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_bytes(
-        path, pickle.dumps(experiment, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    _PREPARED_MEMO[key] = experiment
-    return experiment
+    def __init__(self, cache_dir: str | Path, dataset=None):
+        self.cache_dir = Path(cache_dir)
+        #: optional prebuilt dataset; without one, it is built from the spec.
+        self.dataset = dataset
+        self._memo: dict[str, Experiment] = {}
+
+    def get(self, spec: GridSpec, target: str, seed: int) -> Experiment:
+        """The bundle for (target, seed), via memo → disk → build."""
+        key = prepared_key(spec, target, seed)
+        if key not in self._memo:
+            if self.dataset is not None:
+                _record_or_check_fingerprint(self.cache_dir, self.dataset)
+            path = self.cache_dir / f"{key}.pkl"
+            experiment = _load_bundle(path)
+            if experiment is None:
+                experiment = self._prepare(spec, target, seed, path)
+            self._memo[key] = experiment
+        return self._memo[key]
+
+    def _prepare(self, spec: GridSpec, target: str, seed: int, path: Path) -> Experiment:
+        dataset = self.dataset
+        if dataset is None:
+            dataset = get_dataset(spec.dataset)
+            _record_or_check_fingerprint(self.cache_dir, dataset)
+        experiment = prepare_experiment(
+            dataset,
+            target,
+            seed=seed,
+            n_negatives=spec.n_negatives,
+            scenarios=list(spec.scenarios),
+        )
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(
+            path, pickle.dumps(experiment, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        return experiment
+
+
+def _load_bundle(path: Path) -> Experiment | None:
+    """A stored bundle, or ``None`` when it is missing or unreadable."""
+    try:
+        with path.open("rb") as fh:
+            return pickle.load(fh)
+    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        return None  # missing or corrupt/stale bundle: rebuild it
 
 
 def clear_memos() -> None:
-    """Drop per-process memos (tests use this to simulate fresh workers)."""
+    """Drop the per-process dataset memo (tests use this to simulate fresh workers)."""
     _DATASET_MEMO.clear()
-    _PREPARED_MEMO.clear()

@@ -164,12 +164,18 @@ class GridSpec:
             raise ValueError(f"unknown profile {self.profile!r}; use one of {PROFILES}")
         if not self.methods or not self.targets or not self.scenarios or not self.seeds:
             raise ValueError("grid spec must name at least one method/target/scenario/seed")
-        labels = [self.method_label(m) for m in self.methods]
-        dupes = sorted({l for l in labels if labels.count(l) > 1})
-        if dupes:
-            raise ValueError(
-                f"duplicate method label(s) {dupes}; give variants distinct 'label' keys"
-            )
+        # A repeated entry on any axis names the same cells twice: they would
+        # be computed twice and, for seeds, counted as two splits.
+        for axis, values in (
+            ("seed", self.seeds),
+            ("target", self.targets),
+            ("scenario", [s.value for s in self.scenarios]),
+            ("method label", self.method_labels),
+        ):
+            dupes = sorted({v for v in values if values.count(v) > 1})
+            if dupes:
+                hint = "; give variants distinct 'label' keys" if axis == "method label" else ""
+                raise ValueError(f"duplicate {axis}(s) {dupes} in grid spec{hint}")
 
     # ------------------------------------------------------------------
     def method_label(self, entry: Mapping[str, Any]) -> str:

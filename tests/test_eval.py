@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.eval.metrics import MetricSet, auc, hit_ratio, mrr, ndcg, rank_of_positive
 from repro.eval.metrics import ndcg_curve
-from repro.eval.significance import paired_metric_series, wilcoxon_one_sided
+from repro.eval.significance import wilcoxon_one_sided
 
 
 class TestRankOfPositive:
@@ -138,14 +138,6 @@ class TestWilcoxon:
             wilcoxon_one_sided([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             wilcoxon_one_sided([1.0, 2.0], [0.5, 1.5])
-
-    def test_paired_series_collection(self):
-        def run(seed):
-            return {"a": float(seed), "b": float(seed * 2)}
-
-        series = paired_metric_series(run, seeds=[1, 2, 3])
-        np.testing.assert_array_equal(series["a"], [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(series["b"], [2.0, 4.0, 6.0])
 
 
 class TestImportFootprint:

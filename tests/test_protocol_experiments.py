@@ -19,7 +19,7 @@ from repro.experiments import (
     run_significance,
     run_table3,
 )
-from repro.experiments.registry import TABLE3_METHODS
+from repro.registry import TABLE3_METHODS
 
 
 class TestEvaluatePrepared:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.registry import MethodSpec
 from repro.registry import (
     PROFILES,
     TABLE3_METHODS,
@@ -116,17 +115,3 @@ class TestAblationVariants:
     def test_variants_inherit_fast_preset(self):
         method = make_method("MetaDPA-ME", profile="fast")
         assert method.config.cvae_epochs == 60 and method.config.meta_epochs == 6
-
-
-class TestMethodSpecCompat:
-    def test_call_builds(self):
-        method = MethodSpec("NeuMF")(seed=2, profile="fast")
-        assert method.seed == 2 and method.epochs == 5
-
-    def test_overrides_validated(self):
-        with pytest.raises(ValueError, match="bogus_knob"):
-            MethodSpec("MetaDPA")(profile="fast", bogus_knob=1)
-
-    def test_valid_override_passes_through(self):
-        method = MethodSpec("MetaDPA")(profile="fast", beta1=0.0)
-        assert method.config.beta1 == 0.0

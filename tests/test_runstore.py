@@ -62,6 +62,20 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="duplicate method label"):
             tiny_spec(methods=["Popularity", {"name": "Popularity", "label": "Popularity"}])
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("seeds", [0, 0]),
+            ("targets", ["Books", "Books"]),
+            ("scenarios", ["WARM", "warm-start"]),
+        ],
+    )
+    def test_duplicate_axis_entries_rejected(self, axis, values):
+        # A repeated seed used to compute one cell twice and count it as
+        # two seeds ("mean of 2 seeds" over one split).
+        with pytest.raises(ValueError, match=f"duplicate {axis[:-1]}"):
+            tiny_spec(**{axis: values})
+
     def test_distinct_labels_allow_config_variants(self):
         spec = tiny_spec(
             methods=[
@@ -294,6 +308,44 @@ class TestEngineResume:
         report = run_grid(spec, tmp_path, workers=1, dataset=other, resume=False)
         assert not report.ok
         assert "dataset mismatch" in report.failures[0][1]
+
+
+class TestPreparedBundles:
+    def test_runs_on_other_datasets_are_never_served_stale_bundles(
+        self, tmp_path, bench_dataset
+    ):
+        # The prepared-bundle memo used to be process-wide and keyed by the
+        # spec, not the data: a second run on another dataset (or a
+        # spec-built run after an injected one) scored the first run's
+        # prepared experiment.
+        from repro.data.amazon import BenchmarkScale, make_amazon_like_benchmark
+        from repro.data.experiment import prepare_experiment
+        from repro.eval.protocol import evaluate_prepared
+
+        other = make_amazon_like_benchmark(
+            scale=BenchmarkScale(user_base=120, item_base=80), seed=99
+        )
+        spec = tiny_spec(scenarios=["warm-start"])
+        expected = {}
+        for name, data in (("other", other), ("bench", bench_dataset)):
+            experiment = prepare_experiment(
+                data, "Books", seed=0, scenarios=[Scenario.WARM]
+            )
+            results = evaluate_prepared("Popularity", experiment)
+            expected[name] = results[Scenario.WARM].metrics.ndcg
+        assert expected["other"] != expected["bench"]
+
+        def stored_ndcg(run_dir):
+            table = table3_from_store(run_dir)
+            return table.mean("Books", Scenario.WARM, "Popularity", "ndcg")
+
+        for name, data in (("other", other), ("bench", bench_dataset)):
+            assert run_grid(spec, tmp_path / name, workers=1, dataset=data).ok
+            assert stored_ndcg(tmp_path / name) == expected[name]
+        # spec.dataset names the bench dataset; built from the spec after a
+        # run on the other one, it must still score its own data.
+        assert run_grid(spec, tmp_path / "from-spec", workers=1).ok
+        assert stored_ndcg(tmp_path / "from-spec") == expected["bench"]
 
 
 class TestAggregation:
