@@ -1,9 +1,9 @@
 """Figure 8: sensitivity of MetaDPA to the ME weight β2 on CDs.
 
 Expected shape (paper Sec. V-F): β2 is *less* sensitive than β1 — MDI
-affects both domain adaptation and generation, ME only the latter.  The
-cross-figure comparison is recorded in EXPERIMENTS.md from the two sweeps'
-``spread`` numbers.
+affects both domain adaptation and generation, ME only the latter.  Compare
+the ``spread`` numbers this sweep and ``bench_fig7_beta1.py`` record; README
+("Reproducing the paper") lists the ``fig7``/``fig8`` commands behind both.
 """
 
 from repro.experiments import run_hyperparam_sweep

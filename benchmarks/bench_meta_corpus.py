@@ -38,7 +38,7 @@ from repro.data.tasks import PreferenceTask
 from repro.meta.corpus import TaskCorpusBuilder, pack_content
 from repro.meta.maml import MAML, MAMLConfig
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
-from repro.nn.losses import binary_cross_entropy, binary_cross_entropy_tasks
+from repro.nn.losses import binary_cross_entropy
 from repro.utils.timing import Timer
 
 import oracles
@@ -102,10 +102,7 @@ class SeedReferenceModel(PreferenceModel):
     def decision_loss_and_grads(self, params, joint, labels, mask=None, out=None):
         out_m, cache_m = self.mlp.forward(_sub(params, "mlp"), joint)
         preds = out_m[..., 0]
-        if preds.ndim == 1 and mask is None:
-            loss, d_preds = binary_cross_entropy(preds, labels)
-        else:
-            loss, d_preds = binary_cross_entropy_tasks(preds, labels, mask=mask)
+        loss, d_preds = binary_cross_entropy(preds, labels, mask=mask)
         _, grads_m = self.mlp.backward(_sub(params, "mlp"), cache_m, d_preds[..., None])
         return loss, _into({f"mlp.{name}": value for name, value in grads_m.items()}, out)
 

@@ -6,9 +6,7 @@ diagnostics report (:func:`repro.cvae.diagnostics.diagnose_augmentation`):
 
 - how informative each source's generations are (per-user AUC against the
   training-visible ratings) and the range of the generated values,
-- how diverse the k generations are (mean pairwise L2),
-- the InfoNCE mutual-information estimates that the MDI constraint
-  maximizes.
+- how diverse the k generations are (mean pairwise L2).
 
 Usage:  python examples/diverse_augmentation.py
 """

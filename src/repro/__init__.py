@@ -18,8 +18,9 @@ Quickstart::
     experiment = prepare_experiment(dataset, "CDs", seed=0)
     results = evaluate_prepared(MetaDPA(seed=0), experiment)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every table and figure.
+README.md's "Repository layout" section is the system inventory, and its
+"Reproducing the paper" section names the command behind every table and
+figure.
 """
 
 from repro.core import FitContext, Recommender

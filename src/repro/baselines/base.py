@@ -110,7 +110,7 @@ def train_supervised(
             loss, grads = loss_grad_fn(batch)
             clip_grad_norm(grads, grad_clip)
             optimizer.step(grads)
-            total += loss
+            total += float(loss)
             n_batches += 1
         history.append(total / max(n_batches, 1))
     return history

@@ -197,7 +197,7 @@ class MetaCF(Recommender):
                         profile, s_items, s_labels, self.inner_steps
                     )
                     loss, grads = self._loss_grads(fast, profile, q_items, q_labels)
-                    batch_loss += loss
+                    batch_loss += float(loss)
                     add_grads(meta_grads, grads, scale=1.0 / len(view_ids))
                 clip_grad_norm(meta_grads, 5.0)
                 optimizer.step(meta_grads)

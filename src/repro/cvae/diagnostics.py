@@ -1,10 +1,11 @@
 """Diagnostics for the augmentation pipeline.
 
 These are the checks used while developing and validating the Dual-CVAE:
-how informative the content → rating generation path is, how diverse the k
-generations are, and how much mutual information the latent codes carry.
-They are exposed as a public API because a downstream user tuning the CVAE
-on their own domains needs exactly the same instruments.
+how informative the content → rating generation path is, and how diverse
+the k generations are.  They are exposed as a public API because a
+downstream user tuning the CVAE on their own domains needs exactly the same
+instruments.  The MDI term's own InfoNCE value is recorded every epoch in
+each trainer's ``history.terms["mdi"]``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from repro.cvae.augment import AugmentedRatings, rating_diversity
 from repro.cvae.trainer import DualCVAETrainer
-from repro.nn.losses import info_nce_mi_estimate
 
 
 def per_user_ranking_auc(scores: np.ndarray, truth: np.ndarray) -> float:
@@ -60,18 +60,16 @@ class AugmentationReport:
     generation_aucs: list[float]
     diversity: float
     value_ranges: list[tuple[float, float]]
-    latent_mi: list[float]
 
     def format_table(self) -> str:
         lines = [f"Augmentation diagnostics for target {self.target_name!r}:"]
         lines.append(
-            f"{'source':<14} {'gen AUC':>8} {'min':>7} {'max':>7} {'I(z_s,z_t)':>11}"
+            f"{'source':<14} {'gen AUC':>8} {'min':>7} {'max':>7}"
         )
         for i, name in enumerate(self.source_names):
             lo, hi = self.value_ranges[i]
             lines.append(
-                f"{name:<14} {self.generation_aucs[i]:>8.3f} {lo:>7.3f} "
-                f"{hi:>7.3f} {self.latent_mi[i]:>11.3f}"
+                f"{name:<14} {self.generation_aucs[i]:>8.3f} {lo:>7.3f} {hi:>7.3f}"
             )
         lines.append(f"cross-source diversity (mean pairwise L2): {self.diversity:.4f}")
         return "\n".join(lines)
@@ -109,17 +107,10 @@ def diagnose_augmentation(
         for matrix in augmented.matrices
     ]
     ranges = [(float(m.min()), float(m.max())) for m in augmented.matrices]
-    latent_mi = []
-    for trainer in trainers:
-        pair = trainer.pair
-        mu_s, _, _ = trainer.model.encode("s", pair.ratings_source, pair.content_source)
-        mu_t, _, _ = trainer.model.encode("t", pair.ratings_target, pair.content_target)
-        latent_mi.append(info_nce_mi_estimate(mu_s, mu_t))
     return AugmentationReport(
         target_name=augmented.target_name,
         source_names=list(augmented.source_names),
         generation_aucs=aucs,
         diversity=rating_diversity(augmented),
         value_ranges=ranges,
-        latent_mi=latent_mi,
     )

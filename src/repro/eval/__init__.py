@@ -1,7 +1,7 @@
 """Evaluation: ranking metrics, the leave-one-out protocol, significance tests."""
 
-from repro.eval.metrics import MetricSet, auc, hit_ratio, mrr, ndcg, rank_of_positive
-from repro.eval.protocol import EvaluationResult, evaluate_method, evaluate_scenarios
+from repro.eval.metrics import MetricSet
+from repro.eval.protocol import EvaluationResult
 from repro.eval.significance import SignificanceResult, wilcoxon_one_sided
 from repro.eval.temporal import (
     ObserveEvent,
@@ -13,14 +13,7 @@ from repro.eval.temporal import (
 
 __all__ = [
     "MetricSet",
-    "rank_of_positive",
-    "hit_ratio",
-    "mrr",
-    "ndcg",
-    "auc",
     "EvaluationResult",
-    "evaluate_method",
-    "evaluate_scenarios",
     "SignificanceResult",
     "wilcoxon_one_sided",
     "ObserveEvent",

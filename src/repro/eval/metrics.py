@@ -1,8 +1,12 @@
 """Top-k ranking metrics used throughout the paper's evaluation.
 
-All metrics operate on one leave-one-out trial: a score array whose first
-entry is the held-out positive item and whose remaining entries are sampled
-negatives (:class:`repro.data.negative_sampling.EvalInstance` layout).
+Metrics aggregate leave-one-out trials: each trial is a score array whose
+first entry is the held-out positive item and whose remaining entries are
+sampled negatives (:class:`repro.data.negative_sampling.EvalInstance`
+layout).  Per trial, the positive's 1-based rank gives HR@k (1 inside the
+top-k), MRR@k (``1 / rank``) and NDCG@k (``1 / log2(rank + 1)``, the ideal
+DCG of a single relevant item being 1), each 0 outside the top-k; AUC is
+the fraction of negatives ranked below the positive.
 
 Ties are handled with the mid-rank convention so that a constant scorer gets
 AUC 0.5 and chance-level HR, rather than an arbitrary 0 or 1.
@@ -13,53 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def rank_of_positive(scores: np.ndarray) -> float:
-    """1-based rank of the positive (index 0), mid-rank for ties."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 1 or scores.size < 1:
-        raise ValueError("scores must be a non-empty 1-D array")
-    pos = scores[0]
-    higher = float(np.sum(scores[1:] > pos))
-    ties = float(np.sum(scores[1:] == pos))
-    return 1.0 + higher + 0.5 * ties
-
-
-def hit_ratio(scores: np.ndarray, k: int) -> float:
-    """1.0 if the positive ranks within the top-``k``, else 0.0."""
-    _check_k(k)
-    return 1.0 if rank_of_positive(scores) <= k else 0.0
-
-
-def mrr(scores: np.ndarray, k: int) -> float:
-    """Reciprocal rank if the positive is within top-``k``, else 0."""
-    _check_k(k)
-    rank = rank_of_positive(scores)
-    return 1.0 / rank if rank <= k else 0.0
-
-
-def ndcg(scores: np.ndarray, k: int) -> float:
-    """NDCG@k for a single relevant item: ``1 / log2(rank + 1)`` inside top-k.
-
-    With exactly one relevant item the ideal DCG is 1, so no normalization
-    constant is needed.
-    """
-    _check_k(k)
-    rank = rank_of_positive(scores)
-    return float(1.0 / np.log2(rank + 1.0)) if rank <= k else 0.0
-
-
-def auc(scores: np.ndarray) -> float:
-    """Fraction of negatives ranked below the positive (ties count half)."""
-    scores = np.asarray(scores, dtype=float)
-    n_neg = scores.size - 1
-    if n_neg == 0:
-        return 0.5
-    pos = scores[0]
-    wins = float(np.sum(scores[1:] < pos))
-    ties = float(np.sum(scores[1:] == pos))
-    return (wins + 0.5 * ties) / n_neg
 
 
 def _check_k(k: int) -> None:
@@ -73,10 +30,9 @@ def _batch_rank_stats(
     """Per-trial ``(rank, wins, ties, length)`` computed as one matrix op.
 
     Trials are padded into a single matrix with NaN; NaN compares false
-    against the positive exactly like the scalar helpers treat out-of-range
-    (or genuinely NaN) scores, so padding never shifts a rank.  This is the
-    aggregation hot path every grid cell pays — one vectorized pass instead
-    of four Python loops over the trial list.
+    against the positive in every comparison, as a genuinely NaN score
+    does, so padding never shifts a rank.  This is the aggregation hot path
+    every grid cell pays: one vectorized pass over the trial list.
     """
     arrays = []
     for scores in score_lists:

@@ -8,6 +8,10 @@ For each scenario:
 3. let the method score each instance, passing the task's support set so
    meta-learners can fine-tune,
 4. aggregate HR@k / MRR@k / NDCG@k / AUC.
+
+:func:`repro.data.experiment.prepare_experiment` runs steps 1-2 once per
+(dataset, target, seed); :func:`evaluate_prepared` runs steps 3-4 on that
+bundle.
 """
 
 from __future__ import annotations
@@ -17,13 +21,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.interface import FitContext, Recommender
-from repro.data.domain import Domain
-from repro.data.negative_sampling import EvalInstance, build_eval_instances
-from repro.data.splits import ColdStartSplits, Scenario
-from repro.data.tasks import PreferenceTask, TaskConfig, build_task_set
+from repro.core.interface import Recommender
+from repro.data.negative_sampling import EvalInstance
+from repro.data.splits import Scenario
+from repro.data.tasks import PreferenceTask
 from repro.eval.metrics import MetricSet, ndcg_curve
-from repro.utils.rng import spawn_rngs
 
 
 @dataclass
@@ -47,8 +49,8 @@ def align_tasks(
     """The support task backing each instance's user (``None`` if task-free).
 
     Methods receive tasks positionally aligned with the instances they
-    score; this is the single place that alignment is computed for the
-    evaluation entry points and the grid runner.
+    score; this is the single place that alignment is computed for
+    :func:`evaluate_prepared` and the grid runner.
     """
     task_by_user = {task.user_row: task for task in tasks}
     return [task_by_user.get(instance.user_row) for instance in instances]
@@ -57,7 +59,7 @@ def align_tasks(
 def resolve_method(method, seed: int = 0, profile: str | None = None) -> Recommender:
     """Accept a :class:`Recommender`, a registry name, or a config dict.
 
-    Evaluation entry points route through this, so callers can pass the
+    :func:`evaluate_prepared` routes through this, so callers can pass the
     declarative form — ``{"name": "MetaDPA", "cvae_epochs": 60}`` — instead
     of constructing method objects by hand.
     """
@@ -77,32 +79,6 @@ def resolve_method(method, seed: int = 0, profile: str | None = None) -> Recomme
     )
 
 
-def evaluate_method(
-    method: Recommender,
-    domain: Domain,
-    splits: ColdStartSplits,
-    scenario: Scenario,
-    task_config: TaskConfig | None = None,
-    n_negatives: int = 99,
-    k: int = 10,
-    seed: int = 0,
-) -> EvaluationResult:
-    """Evaluate a fitted method on one scenario of one target domain."""
-    task_rng, neg_rng = spawn_rngs(seed, 2)
-    tasks = build_task_set(domain, splits, scenario, config=task_config, rng=task_rng)
-    instances = build_eval_instances(
-        domain, splits, scenario, tasks, n_negatives=n_negatives, rng=neg_rng
-    )
-    score_lists = method.score_batch(align_tasks(tasks, instances), instances)
-    return EvaluationResult(
-        method=method.name,
-        domain=domain.name,
-        scenario=scenario,
-        metrics=MetricSet.from_score_lists(score_lists, k=k),
-        score_lists=score_lists,
-    )
-
-
 def evaluate_prepared(
     method,
     experiment,
@@ -112,7 +88,7 @@ def evaluate_prepared(
 ) -> dict[Scenario, EvaluationResult]:
     """Evaluate on a :class:`repro.data.experiment.Experiment` bundle.
 
-    This is the preferred entry point: the experiment bundle owns the
+    This is the evaluation entry point: the experiment bundle owns the
     leak-free splits, tasks, instances and visibility matrices, so every
     method is scored on *identical* candidate lists.  ``method`` may be a
     fitted/unfitted :class:`Recommender`, a registered method name, or a
@@ -132,36 +108,6 @@ def evaluate_prepared(
             scenario=scenario,
             metrics=MetricSet.from_score_lists(score_lists, k=k),
             score_lists=score_lists,
-        )
-    return results
-
-
-def evaluate_scenarios(
-    method,
-    ctx: FitContext,
-    scenarios: list[Scenario] | None = None,
-    task_config: TaskConfig | None = None,
-    n_negatives: int = 99,
-    k: int = 10,
-) -> dict[Scenario, EvaluationResult]:
-    """Fit once, then evaluate on every requested scenario.
-
-    Like :func:`evaluate_prepared`, ``method`` may also be a registered
-    name or config dict.
-    """
-    method = resolve_method(method, seed=ctx.seed)
-    method.fit(ctx)
-    results = {}
-    for scenario in scenarios or list(Scenario):
-        results[scenario] = evaluate_method(
-            method,
-            ctx.domain,
-            ctx.splits,
-            scenario,
-            task_config=task_config,
-            n_negatives=n_negatives,
-            k=k,
-            seed=ctx.seed,
         )
     return results
 

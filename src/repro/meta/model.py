@@ -51,7 +51,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.nn.layers import Linear, Tanh, sigmoid
-from repro.nn.losses import binary_cross_entropy, binary_cross_entropy_tasks
+from repro.nn.losses import binary_cross_entropy
 from repro.nn.module import Grads, Module, Params, Sequential, mlp
 from repro.nn.stacking import ParamLayout
 from repro.utils.blas import run_lanes
@@ -419,7 +419,7 @@ class PreferenceModel:
         labels: np.ndarray,
         mask: np.ndarray | None = None,
         out: Grads | None = None,
-    ) -> tuple[float | np.ndarray, Grads]:
+    ) -> tuple[np.floating | np.ndarray, Grads]:
         """Loss and *decision-layer* gradients from a precomputed embedding.
 
         The counterpart of :meth:`loss_and_grads` for the restricted inner
@@ -431,10 +431,7 @@ class PreferenceModel:
         """
         pred_out, cache_m = self._run(_MLP, params, joint)
         preds = pred_out[..., 0]
-        if preds.ndim == 1 and mask is None:
-            loss, d_preds = binary_cross_entropy(preds, labels)
-        else:
-            loss, d_preds = binary_cross_entropy_tasks(preds, labels, mask=mask)
+        loss, d_preds = binary_cross_entropy(preds, labels, mask=mask)
         _, grads_m = self._grads(_MLP, params, cache_m, d_preds[..., None], out, False)
         if out is not None:
             return loss, out
@@ -448,10 +445,11 @@ class PreferenceModel:
         labels: np.ndarray,
         mask: np.ndarray | None = None,
         out: Grads | None = None,
-    ) -> tuple[float | np.ndarray, Grads]:
+    ) -> tuple[np.floating | np.ndarray, Grads]:
         """Mean BCE over the batch and gradients for every parameter.
 
-        Labels may be soft (augmented ratings in [0, 1]).
+        Labels may be soft (augmented ratings in [0, 1]).  An unbatched
+        call returns the loss as a numpy scalar of the model's dtype.
 
         Task-batched inputs ``(T, batch, C)`` return per-task losses ``(T,)``
         and per-task gradients; each task's loss and gradient are normalized
@@ -460,8 +458,5 @@ class PreferenceModel:
         ``out`` is a gradient buffer, as in :meth:`backward`.
         """
         preds, cache = self.forward(params, user_content, item_content)
-        if preds.ndim == 1 and mask is None:
-            loss, d_preds = binary_cross_entropy(preds, labels)
-        else:
-            loss, d_preds = binary_cross_entropy_tasks(preds, labels, mask=mask)
+        loss, d_preds = binary_cross_entropy(preds, labels, mask=mask)
         return loss, self.backward(params, cache, d_preds, out=out)

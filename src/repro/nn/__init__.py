@@ -15,11 +15,10 @@ optimizers, and serialization straightforward: a fast-weight step is just
 ``{k: p[k] - lr * g[k]}``.
 """
 
-from repro.nn.init import kaiming_uniform, normal_init, xavier_uniform, zeros_init
+from repro.nn.init import kaiming_uniform, normal_init, zeros_init
 from repro.nn.layers import (
     Dropout,
     Embedding,
-    LayerNorm,
     Linear,
     Relu,
     Sigmoid,
@@ -28,28 +27,13 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import (
     binary_cross_entropy,
-    binary_cross_entropy_tasks,
-    gaussian_kl,
-    gaussian_kl_to_code,
     gaussian_kl_to_code_stacked,
-    info_nce,
     info_nce_stacked,
-    mse_loss,
 )
 from repro.nn.module import Module, Sequential, mlp
-from repro.nn.optim import (
-    SGD,
-    Adam,
-    Optimizer,
-    StackedAdam,
-    clip_grad_norm,
-    clip_grad_norm_grouped,
-    mean_task_grads,
-)
-from repro.nn.stacking import pad_axis, stack_params, tile_params, tree_map, unstack_params
-from repro.nn.grad_check import numerical_gradient, relative_error
-from repro.nn.serialization import load_params, params_equal, save_params
-from repro.nn.schedulers import CosineDecay, Scheduler, StepDecay, WarmupLinear
+from repro.nn.optim import Adam, StackedAdam, clip_grad_norm, mean_task_grads
+from repro.nn.stacking import pad_axis, stack_params
+from repro.nn.serialization import load_params, save_params
 
 __all__ = [
     "Module",
@@ -58,42 +42,22 @@ __all__ = [
     "Linear",
     "Embedding",
     "Dropout",
-    "LayerNorm",
     "Relu",
     "Sigmoid",
     "Tanh",
     "Softmax",
     "binary_cross_entropy",
-    "binary_cross_entropy_tasks",
-    "mse_loss",
-    "gaussian_kl",
-    "gaussian_kl_to_code",
     "gaussian_kl_to_code_stacked",
-    "info_nce",
     "info_nce_stacked",
-    "SGD",
     "Adam",
-    "Optimizer",
     "StackedAdam",
     "clip_grad_norm",
-    "clip_grad_norm_grouped",
     "mean_task_grads",
     "pad_axis",
     "stack_params",
-    "unstack_params",
-    "tile_params",
-    "tree_map",
-    "xavier_uniform",
     "kaiming_uniform",
     "normal_init",
     "zeros_init",
-    "numerical_gradient",
-    "relative_error",
     "save_params",
     "load_params",
-    "params_equal",
-    "Scheduler",
-    "StepDecay",
-    "CosineDecay",
-    "WarmupLinear",
 ]

@@ -9,16 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot/Xavier uniform initialization for a ``(fan_in, fan_out)`` matrix.
-
-    Suitable for tanh/sigmoid/linear layers; keeps activation variance roughly
-    constant across layers.
-    """
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """He/Kaiming uniform initialization, appropriate for ReLU layers."""
     limit = np.sqrt(6.0 / fan_in)

@@ -1,4 +1,4 @@
-"""Core layers: Linear, Embedding, Dropout, LayerNorm and activations.
+"""Core layers: Linear, Embedding, Dropout and activations.
 
 Every layer follows the :class:`repro.nn.module.Module` contract; caches hold
 exactly what the backward pass needs, nothing more.
@@ -185,53 +185,6 @@ class Dropout(Module):
         if cache is None:
             return dy, {}
         return dy * cache, {}
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last axis with learned gain and bias."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        self.dim = dim
-        self.eps = eps
-
-    def init_params(self, rng: np.random.Generator) -> Params:
-        return {"gamma": np.ones(self.dim), "beta": np.zeros(self.dim)}
-
-    def forward(
-        self,
-        params: Params,
-        x: np.ndarray,
-        *,
-        rng: np.random.Generator | None = None,
-        train: bool = False,
-    ) -> tuple[np.ndarray, Any]:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mu) * inv_std
-        gamma, beta = params["gamma"], params["beta"]
-        if gamma.ndim > 1:  # stacked (T, dim) against x (T, batch, dim)
-            gamma = gamma[..., None, :]
-            beta = beta[..., None, :]
-        y = gamma * x_hat + beta
-        return y, (x_hat, inv_std)
-
-    def backward(
-        self, params: Params, cache: Any, dy: np.ndarray
-    ) -> tuple[np.ndarray, Grads]:
-        x_hat, inv_std = cache
-        grads: Grads = {
-            "gamma": (dy * x_hat).sum(axis=-2),
-            "beta": dy.sum(axis=-2),
-        }
-        gamma = params["gamma"]
-        dxhat = dy * (gamma[..., None, :] if gamma.ndim > 1 else gamma)
-        dx = (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - x_hat * (dxhat * x_hat).mean(axis=-1, keepdims=True)
-        ) * inv_std
-        return dx, grads
 
 
 class Relu(Module):

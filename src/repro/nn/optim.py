@@ -1,7 +1,7 @@
 """Optimizers operating on parameter dictionaries.
 
 Optimizers mutate the parameter dict in place via :meth:`Optimizer.step` and
-keep their own state (momentum buffers, Adam moments) keyed by parameter name.
+keep their own state (Adam moments) keyed by parameter name.
 
 Every update is elementwise, so the optimizers are shape-agnostic: a stacked
 parameter dict (leading task axis, see :mod:`repro.nn.stacking`) trains ``T``
@@ -52,35 +52,6 @@ class Optimizer:
         if self.weight_decay:
             return grad + self.weight_decay * self.params[name]
         return grad
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        params: Params,
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr, weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def step(self, grads: Grads) -> None:
-        for name, grad in grads.items():
-            grad = self._decayed(name, grad)
-            if self.momentum:
-                vel = self._velocity.get(name)
-                if vel is None:
-                    vel = np.zeros_like(grad)
-                vel = self.momentum * vel + grad
-                self._velocity[name] = vel
-                grad = vel
-            self.params[name] -= self.lr * grad
 
 
 class Adam(Optimizer):
@@ -200,11 +171,13 @@ class StackedAdam(Optimizer):
     ) -> np.ndarray:
         """Per-group clip + Adam step in one gathered pass.
 
-        Slice ``d`` belongs to group ``group_index[d]``, and each group is
-        clipped to ``max_norm`` over all of its slices, as
-        :func:`clip_grad_norm_grouped` does; the norms come from a single
-        contraction over the slice-major gradient buffer instead of one
-        reduction per parameter.  Returns the per-group pre-clip L2 norms.
+        Slice ``d`` belongs to group ``group_index[d]``, and each group's
+        gradient is clipped to a global L2 norm of ``max_norm`` taken over
+        all of its slices, as :func:`clip_grad_norm` clips one model (the
+        fused Dual-CVAE folds a domain's source and target branches into
+        one group).  The norms come from a single contraction over the
+        slice-major gradient buffer, accumulated in float64.  Returns the
+        per-group pre-clip L2 norms.
         """
         require_finite("max_norm", max_norm)
         active = self._normalize_active(active)
@@ -300,40 +273,6 @@ def clip_grad_norm(grads: Grads, max_norm: float) -> float:
         for name in grads:
             grads[name] = grads[name] * scale
     return norm
-
-
-def clip_grad_norm_grouped(
-    grads: Grads, max_norm: float, group_index: np.ndarray
-) -> np.ndarray:
-    """Per-group L2 clipping for gradients stacked along a leading axis.
-
-    ``group_index[d]`` names the group slice ``d`` belongs to; each group's
-    norm is taken over *all* of its slices across every gradient array (the
-    fused Dual-CVAE folds a domain's source and target branches into one
-    group, reproducing one whole-model clip per domain).  Clipping happens
-    in place per group; returns the per-group pre-clip norms.
-    :meth:`StackedAdam.clipped_step` is the same clip over a flat buffer.
-    """
-    require_finite("max_norm", max_norm)
-    group_index = np.asarray(group_index, dtype=np.int64)
-    n_groups = int(group_index.max()) + 1
-    sq_per_slice = np.zeros(group_index.shape[0], dtype=np.float64)
-    for grad in grads.values():
-        # einsum contracts without materializing grad*grad; accumulate
-        # across arrays in float64 like the scalar clip_grad_norm.
-        subs = "i" + "abcdefg"[: grad.ndim - 1]
-        sq = np.einsum(f"{subs},{subs}->i", grad, grad)
-        sq_per_slice += sq.astype(np.float64)
-    sq_per_group = np.zeros(n_groups, dtype=np.float64)
-    np.add.at(sq_per_group, group_index, sq_per_slice)
-    norms = np.sqrt(sq_per_group)
-    scales = np.where(norms > max_norm, max_norm / (norms + 1e-12), 1.0)
-    if np.any(scales < 1.0):
-        per_slice = scales[group_index]
-        for name, grad in grads.items():
-            grad_scales = per_slice.reshape(-1, *([1] * (grad.ndim - 1)))
-            grads[name] = grad * grad_scales.astype(grad.dtype)
-    return norms
 
 
 def mean_task_grads(grads: Grads) -> Grads:

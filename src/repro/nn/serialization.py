@@ -190,10 +190,3 @@ def load_params(
     if config_raw is not None:
         config = json.loads(config_raw.tobytes().decode())
     return arrays, config
-
-
-def params_equal(a: Params, b: Params, atol: float = 0.0) -> bool:
-    """Whether two parameter dicts have identical keys and close values."""
-    if set(a) != set(b):
-        return False
-    return all(np.allclose(a[name], b[name], atol=atol) for name in a)

@@ -8,13 +8,9 @@ both — e.g. MAML with the MeLU-style restriction keeps embedding weights
 global (unstacked, shared by every task) while the decision layers are
 stacked and adapted per task.
 
-These helpers are the glue between the per-task world (a list of ordinary
-parameter dicts) and the batched world (one dict of ``[T, ...]`` arrays):
-
-- :func:`stack_params` — list of dicts → one stacked dict,
-- :func:`unstack_params` — stacked dict → list of per-task dicts (views),
-- :func:`tile_params` — one dict → stacked writable copies,
-- :func:`tree_map` — apply a function leaf-wise across aligned dicts.
+:func:`stack_params` turns a list of ordinary per-model parameter dicts
+into one dict of ``[T, ...]`` arrays, and :func:`pad_axis` widens weights
+whose sizes differ along one axis so they can be stacked.
 
 :class:`ParamLayout` and :class:`FlatParams` are the flat form of the same
 contract: a static ``(name, offset, shape)`` table packs a parameter dict
@@ -27,23 +23,11 @@ copies is one broadcast copy, and one task's weights are one row.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.nn.module import Params
-
-
-def tree_map(fn: Callable[..., np.ndarray], tree: Params, *rest: Params) -> Params:
-    """Apply ``fn`` to every array of ``tree`` (zipped with ``rest`` by key).
-
-    All dicts must share exactly the keys of ``tree``; the result maps each
-    key to ``fn(tree[k], rest_0[k], ...)``.
-    """
-    for other in rest:
-        if set(other) != set(tree):
-            raise ValueError("tree_map requires dicts with identical keys")
-    return {name: fn(value, *(r[name] for r in rest)) for name, value in tree.items()}
 
 
 def stack_params(params_list: Sequence[Params]) -> Params:
@@ -55,45 +39,6 @@ def stack_params(params_list: Sequence[Params]) -> Params:
         if set(params) != keys:
             raise ValueError("stack_params requires dicts with identical keys")
     return {name: np.stack([p[name] for p in params_list]) for name in params_list[0]}
-
-
-def unstack_params(
-    params: Params,
-    n: int,
-    stacked_keys: Iterable[str] | None = None,
-    copy: bool = False,
-) -> list[Params]:
-    """Split a stacked dict back into ``n`` per-task dicts.
-
-    Keys in ``stacked_keys`` (default: all) are indexed along their leading
-    task axis — by default the returned arrays are *views* into the stacked
-    storage; pass ``copy=True`` when the per-task dicts outlive the stacked
-    block (e.g. a serving cache), so one surviving task does not pin the
-    whole ``[T, ...]`` array alive.  The remaining (shared, unstacked) keys
-    are passed through by reference either way, so tasks that share a
-    global weight keep sharing it.
-    """
-    keys = set(params) if stacked_keys is None else set(stacked_keys)
-    unknown = keys - set(params)
-    if unknown:
-        raise ValueError(f"stacked_keys not present in params: {sorted(unknown)}")
-    for name in keys:
-        if params[name].shape[:1] != (n,):
-            raise ValueError(
-                f"parameter {name!r} has leading dim {params[name].shape[:1]}, "
-                f"expected ({n},)"
-            )
-
-    def slice_of(value: np.ndarray, t: int) -> np.ndarray:
-        return value[t].copy() if copy else value[t]
-
-    return [
-        {
-            name: (slice_of(value, t) if name in keys else value)
-            for name, value in params.items()
-        }
-        for t in range(n)
-    ]
 
 
 def pad_axis(
@@ -122,21 +67,6 @@ def pad_axis(
     index[axis] = slice(offset, offset + size)
     out[tuple(index)] = value
     return out
-
-
-def tile_params(
-    params: Params, n: int, keys: Iterable[str] | None = None
-) -> Params:
-    """Tile selected parameters into ``n`` writable stacked copies.
-
-    Keys outside ``keys`` (default: all) stay unstacked and are shared by
-    reference — the mixed stacked/shared dict a partial inner loop wants.
-    """
-    chosen = set(params) if keys is None else set(keys)
-    return {
-        name: (np.repeat(value[None], n, axis=0) if name in chosen else value)
-        for name, value in params.items()
-    }
 
 
 class ParamLayout:

@@ -1,4 +1,4 @@
-"""Numerical gradient checking utilities used by the test suite."""
+"""Numerical gradient checking: central differences and a relative error."""
 
 from __future__ import annotations
 

@@ -30,6 +30,19 @@ paths to them and for the benchmarks that time the fast paths against them:
 - **The two-division sigmoid** — each branch of the sign split divides on
   its own; :func:`repro.nn.layers.sigmoid` selects the numerator first and
   divides once, and must match it bit for bit.
+- **The scalar loss kernels** — :func:`binary_cross_entropy` (one mean over
+  every element), :func:`gaussian_kl_to_code` and :func:`info_nce` on one
+  model's batch: the references of the stacked kernels in
+  :mod:`repro.nn.losses` and the terms of the scalar Dual-CVAE loss above.
+- **Per-model views of stacked parameters** — :func:`unstack_params` splits
+  a stacked dict into per-task dicts, and :func:`clip_grad_norm_grouped`
+  clips a stacked gradient dict per group of slices, the reference of
+  :meth:`StackedAdam.clipped_step <repro.nn.optim.StackedAdam.clipped_step>`.
+- **Per-trial ranking metrics** — :func:`rank_of_positive`,
+  :func:`hit_ratio`, :func:`mrr`, :func:`ndcg` and :func:`auc` score one
+  leave-one-out trial; :meth:`MetricSet.from_score_lists
+  <repro.eval.metrics.MetricSet.from_score_lists>` must agree with their
+  mean over a trial list.
 
 The MAML functions drive a live :class:`~repro.meta.maml.MAML` instance (its
 parameters, config and optimizer), and the Dual-CVAE ones a live
@@ -40,20 +53,22 @@ a reference run and a fast run seeded alike start from identical state.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.cvae.augment import AugmentedRatings, DiversePreferenceAugmenter
 from repro.cvae.model import DualCVAE
 from repro.cvae.trainer import DualCVAETrainer, TrainingHistory
+from repro.eval.metrics import _check_k
 from repro.meta.corpus import TaskCorpus
 from repro.meta.maml import MAML, uniform_width_chunks
 from repro.meta.model import PreferenceModel
-from repro.nn.losses import binary_cross_entropy, gaussian_kl_to_code, info_nce
+from repro.nn.layers import softmax
+from repro.nn.losses import _EPS
 from repro.nn.module import Grads, Params
-from repro.nn.optim import Adam, add_grads, clip_grad_norm, mean_task_grads
-from repro.nn.stacking import pad_axis, unstack_params
+from repro.nn.optim import Adam, add_grads, clip_grad_norm, mean_task_grads, require_finite
+from repro.nn.stacking import pad_axis
 from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng
 
@@ -125,7 +140,7 @@ def fomaml_step(maml: MAML, corpus: TaskCorpus, view_ids: Sequence[int]) -> floa
         user, s_items, s_labels, q_items, q_labels = view_content(corpus, view)
         fast = adapt(maml, user, s_items, s_labels)
         loss, grads = maml.model.loss_and_grads(fast, user, q_items, q_labels)
-        losses.append(loss)
+        losses.append(float(loss))
         add_grads(meta_grads, grads, scale=1.0 / len(view_ids))
     clip_grad_norm(meta_grads, maml.config.grad_clip)
     maml._optimizer.step(meta_grads)
@@ -701,3 +716,225 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
         x = x.astype(np.float64)
     ex = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+# ----------------------------------------------------------------------
+# The scalar loss kernels
+# ----------------------------------------------------------------------
+def binary_cross_entropy(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy over every element, as one Python float.
+
+    The scalar form of :func:`repro.nn.losses.binary_cross_entropy`: one
+    mean over the whole array, whatever its shape.  ``pred`` holds
+    probabilities, ``target`` labels in ``[0, 1]``, soft ones included, as
+    MetaDPA's augmented ratings are.
+    """
+    pred = np.clip(pred, _EPS, 1.0 - _EPS)
+    per_elem = -(target * np.log(pred) + (1.0 - target) * np.log(1.0 - pred))
+    grad = (pred - target) / (pred * (1.0 - pred))
+    n = pred.size
+    return float(per_elem.sum() / n), grad / n
+
+
+def gaussian_kl_to_code(
+    mu: np.ndarray, log_var: np.ndarray, code: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Batch-mean KL of ``N(mu, exp(log_var))`` from ``N(code, I)``.
+
+    The one-model form of
+    :func:`repro.nn.losses.gaussian_kl_to_code_stacked`, on ``(batch,
+    latent)`` arrays.
+
+    Returns ``(kl, grad_mu, grad_log_var, grad_code)``.
+    """
+    batch = mu.shape[0]
+    var = np.exp(log_var)
+    diff = mu - code
+    kl = 0.5 * (var + diff * diff - log_var - 1.0).sum() / batch
+    grad_mu = diff / batch
+    grad_code = -diff / batch
+    grad_log_var = 0.5 * (var - 1.0) / batch
+    return float(kl), grad_mu, grad_log_var, grad_code
+
+
+def info_nce(
+    a: np.ndarray,
+    b: np.ndarray,
+    temperature: float = 0.1,
+    normalize: bool = True,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Symmetric InfoNCE between two aligned ``(batch, dim)`` batches.
+
+    The one-model form of :func:`repro.nn.losses.info_nce_stacked`, without
+    row masks: every row is real, and a single pair gives loss 0.
+
+    Returns ``(loss, grad_a, grad_b)``.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    batch = a.shape[0]
+    if batch < 2:
+        # A single pair carries no contrastive signal; define the loss as 0.
+        return 0.0, np.zeros_like(a), np.zeros_like(b)
+
+    if normalize:
+        norm_a = np.linalg.norm(a, axis=1, keepdims=True)
+        norm_b = np.linalg.norm(b, axis=1, keepdims=True)
+        norm_a = np.maximum(norm_a, 1e-8)
+        norm_b = np.maximum(norm_b, 1e-8)
+        a_hat = a / norm_a
+        b_hat = b / norm_b
+    else:
+        a_hat, b_hat = a, b
+
+    logits = (a_hat @ b_hat.T) / temperature  # (batch, batch)
+    # Symmetric cross-entropy: a->b uses rows, b->a uses columns.
+    p_rows = softmax(logits, axis=1)
+    p_cols = softmax(logits, axis=0)
+    idx = np.arange(batch)
+    loss_ab = -np.log(np.clip(p_rows[idx, idx], _EPS, None)).mean()
+    loss_ba = -np.log(np.clip(p_cols[idx, idx], _EPS, None)).mean()
+    loss = 0.5 * (loss_ab + loss_ba)
+
+    # d loss_ab / d logits = (p_rows - I) / batch ; similarly for columns.
+    eye = np.eye(batch, dtype=p_rows.dtype)
+    dlogits = 0.5 * ((p_rows - eye) + (p_cols - eye)) / batch
+    grad_a_hat = (dlogits @ b_hat) / temperature
+    grad_b_hat = (dlogits.T @ a_hat) / temperature
+    if not normalize:
+        return float(loss), grad_a_hat, grad_b_hat
+    # Through the L2 normalization: d(x/||x||) projects out the radial part.
+    grad_a = (grad_a_hat - (grad_a_hat * a_hat).sum(axis=1, keepdims=True) * a_hat) / norm_a
+    grad_b = (grad_b_hat - (grad_b_hat * b_hat).sum(axis=1, keepdims=True) * b_hat) / norm_b
+    return float(loss), grad_a, grad_b
+
+
+# ----------------------------------------------------------------------
+# Per-model views of stacked parameters
+# ----------------------------------------------------------------------
+def unstack_params(
+    params: Params,
+    n: int,
+    stacked_keys: Iterable[str] | None = None,
+    copy: bool = False,
+) -> list[Params]:
+    """Split a stacked dict back into ``n`` per-task dicts.
+
+    Keys in ``stacked_keys`` (default: all) are indexed along their leading
+    task axis — by default the returned arrays are *views* into the stacked
+    storage; pass ``copy=True`` when the per-task dicts outlive the stacked
+    block (e.g. a serving cache), so one surviving task does not pin the
+    whole ``[T, ...]`` array alive.  The remaining (shared, unstacked) keys
+    are passed through by reference either way, so tasks that share a
+    global weight keep sharing it.
+    """
+    keys = set(params) if stacked_keys is None else set(stacked_keys)
+    unknown = keys - set(params)
+    if unknown:
+        raise ValueError(f"stacked_keys not present in params: {sorted(unknown)}")
+    for name in keys:
+        if params[name].shape[:1] != (n,):
+            raise ValueError(
+                f"parameter {name!r} has leading dim {params[name].shape[:1]}, "
+                f"expected ({n},)"
+            )
+
+    def slice_of(value: np.ndarray, t: int) -> np.ndarray:
+        return value[t].copy() if copy else value[t]
+
+    return [
+        {
+            name: (slice_of(value, t) if name in keys else value)
+            for name, value in params.items()
+        }
+        for t in range(n)
+    ]
+
+
+def clip_grad_norm_grouped(
+    grads: Grads, max_norm: float, group_index: np.ndarray
+) -> np.ndarray:
+    """Per-group L2 clipping for gradients stacked along a leading axis.
+
+    ``group_index[d]`` names the group slice ``d`` belongs to; each group's
+    norm is taken over *all* of its slices across every gradient array (the
+    fused Dual-CVAE folds a domain's source and target branches into one
+    group, reproducing one whole-model clip per domain).  Clipping happens
+    in place per group; returns the per-group pre-clip norms.
+    :meth:`StackedAdam.clipped_step` is the same clip over a flat buffer.
+    """
+    require_finite("max_norm", max_norm)
+    group_index = np.asarray(group_index, dtype=np.int64)
+    n_groups = int(group_index.max()) + 1
+    sq_per_slice = np.zeros(group_index.shape[0], dtype=np.float64)
+    for grad in grads.values():
+        # einsum contracts without materializing grad*grad; accumulate
+        # across arrays in float64 like the scalar clip_grad_norm.
+        subs = "i" + "abcdefg"[: grad.ndim - 1]
+        sq = np.einsum(f"{subs},{subs}->i", grad, grad)
+        sq_per_slice += sq.astype(np.float64)
+    sq_per_group = np.zeros(n_groups, dtype=np.float64)
+    np.add.at(sq_per_group, group_index, sq_per_slice)
+    norms = np.sqrt(sq_per_group)
+    scales = np.where(norms > max_norm, max_norm / (norms + 1e-12), 1.0)
+    if np.any(scales < 1.0):
+        per_slice = scales[group_index]
+        for name, grad in grads.items():
+            grad_scales = per_slice.reshape(-1, *([1] * (grad.ndim - 1)))
+            grads[name] = grad * grad_scales.astype(grad.dtype)
+    return norms
+
+
+# ----------------------------------------------------------------------
+# Per-trial ranking metrics
+# ----------------------------------------------------------------------
+def rank_of_positive(scores: np.ndarray) -> float:
+    """1-based rank of the positive (index 0), mid-rank for ties.
+
+    One trial at a time, the definitions
+    :meth:`MetricSet.from_score_lists <repro.eval.metrics.MetricSet.from_score_lists>`
+    vectorizes over a trial list.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1 or scores.size < 1:
+        raise ValueError("scores must be a non-empty 1-D array")
+    pos = scores[0]
+    higher = float(np.sum(scores[1:] > pos))
+    ties = float(np.sum(scores[1:] == pos))
+    return 1.0 + higher + 0.5 * ties
+
+
+def hit_ratio(scores: np.ndarray, k: int) -> float:
+    """1.0 if the positive ranks within the top-``k``, else 0.0."""
+    _check_k(k)
+    return 1.0 if rank_of_positive(scores) <= k else 0.0
+
+
+def mrr(scores: np.ndarray, k: int) -> float:
+    """Reciprocal rank if the positive is within top-``k``, else 0."""
+    _check_k(k)
+    rank = rank_of_positive(scores)
+    return 1.0 / rank if rank <= k else 0.0
+
+
+def ndcg(scores: np.ndarray, k: int) -> float:
+    """NDCG@k for a single relevant item: ``1 / log2(rank + 1)`` inside top-k.
+
+    With exactly one relevant item the ideal DCG is 1, so no normalization
+    constant is needed.
+    """
+    _check_k(k)
+    rank = rank_of_positive(scores)
+    return float(1.0 / np.log2(rank + 1.0)) if rank <= k else 0.0
+
+
+def auc(scores: np.ndarray) -> float:
+    """Fraction of negatives ranked below the positive (ties count half)."""
+    scores = np.asarray(scores, dtype=float)
+    n_neg = scores.size - 1
+    if n_neg == 0:
+        return 0.5
+    pos = scores[0]
+    wins = float(np.sum(scores[1:] < pos))
+    ties = float(np.sum(scores[1:] == pos))
+    return (wins + 0.5 * ties) / n_neg

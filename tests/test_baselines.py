@@ -8,7 +8,8 @@ import pytest
 from repro.baselines import CATN, CoNN, DAML, MeLU, MetaCF, NeuMF, Popularity, TDAR
 from repro.baselines.base import domain_triples, train_supervised, warm_triples
 from repro.data.splits import Scenario
-from repro.nn import numerical_gradient, relative_error
+
+from gradcheck import numerical_gradient, relative_error
 
 ALL = [Popularity, NeuMF, MeLU, MetaCF, CoNN, DAML, TDAR, CATN]
 

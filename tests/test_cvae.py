@@ -8,8 +8,8 @@ import pytest
 from repro.cvae.augment import AugmentedRatings, DiversePreferenceAugmenter, rating_diversity
 from repro.cvae.model import CVAEConfig, DualCVAE
 from repro.cvae.trainer import DualCVAETrainer, TrainerConfig
-from repro.nn import numerical_gradient, relative_error
 
+from gradcheck import numerical_gradient, relative_error
 from oracles import cvae_loss_and_grads
 
 

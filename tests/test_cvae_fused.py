@@ -20,16 +20,18 @@ from repro.cvae.augment import DiversePreferenceAugmenter
 from repro.cvae.model import _COMPONENTS, CVAEConfig, DualCVAE, FusedDualCVAE, _unpad_component
 from repro.cvae.trainer import DualCVAETrainer, MultiDomainCVAETrainer, TrainerConfig
 from repro.data.domain import DomainPair
-from repro.nn import numerical_gradient, relative_error
-from repro.nn.optim import Adam, StackedAdam, clip_grad_norm, clip_grad_norm_grouped
-from repro.nn.losses import info_nce, info_nce_stacked
+from repro.nn.optim import Adam, StackedAdam, clip_grad_norm
+from repro.nn.losses import info_nce_stacked
 from repro.nn.stacking import ParamLayout
 
+from gradcheck import numerical_gradient, relative_error
 from oracles import (
     batch_rows,
+    clip_grad_norm_grouped,
     cvae_loss_and_grads,
     cvae_loss_only,
     fit_generate_sequential,
+    info_nce,
     train_sequential,
 )
 

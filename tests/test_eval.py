@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.eval.metrics import MetricSet, auc, hit_ratio, mrr, ndcg, rank_of_positive
-from repro.eval.metrics import ndcg_curve
+from repro.eval.metrics import MetricSet, ndcg_curve
 from repro.eval.significance import wilcoxon_one_sided
+
+from oracles import auc, hit_ratio, mrr, ndcg, rank_of_positive
 
 
 class TestRankOfPositive:

@@ -11,7 +11,8 @@ from repro.meta.corpus import TaskCorpusBuilder, pack_content
 from repro.meta.maml import MAML, MAMLConfig, subsample_support
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
 from repro.meta.trainer import MetaDPA, MetaDPAConfig, _sharpen_per_user
-from repro.nn import numerical_gradient, relative_error
+
+from gradcheck import numerical_gradient, relative_error
 
 
 def _model(content_dim=6, dtype=np.float64) -> PreferenceModel:

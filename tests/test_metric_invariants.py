@@ -3,8 +3,9 @@
 ``tests/test_eval.py`` checks hand-picked examples; this module asserts the
 properties that must hold for *any* score list — bounds, monotonicity in k,
 invariance under permutation of negatives, agreement between the vectorized
-aggregation and the scalar per-instance definitions — plus the degenerate
-inputs (empty trial list, single-candidate trials, k=1, all-tied scores).
+aggregation and the per-trial definitions in ``tests/oracles.py`` — plus
+the degenerate inputs (empty trial list, single-candidate trials, k=1,
+all-tied scores).
 """
 
 from __future__ import annotations
@@ -12,15 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.eval.metrics import (
-    MetricSet,
-    auc,
-    hit_ratio,
-    mrr,
-    ndcg,
-    ndcg_curve,
-    rank_of_positive,
-)
+from repro.eval.metrics import MetricSet, ndcg_curve
+
+from oracles import auc, hit_ratio, mrr, ndcg, rank_of_positive
 
 
 def random_score_lists(

@@ -7,21 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (
-    Dropout,
-    Embedding,
-    LayerNorm,
-    Linear,
-    Relu,
-    Sigmoid,
-    Softmax,
-    Tanh,
-    numerical_gradient,
-    relative_error,
-)
+from repro.nn import Dropout, Embedding, Linear, Relu, Sigmoid, Softmax, Tanh
 from repro.nn.layers import sigmoid, softmax
 
 import oracles
+from gradcheck import numerical_gradient, relative_error
+from nn_extras import LayerNorm
 
 RNG = np.random.default_rng(0)
 

@@ -1,4 +1,10 @@
-"""Loss values and gradients, including hypothesis property tests."""
+"""Loss values and gradients, including hypothesis property tests.
+
+Each test runs the kernel ``src/`` runs: the per-slice BCE (a 1-D call is
+one slice) and the stacked KL and InfoNCE kernels, a single batch being a
+stack of one.  ``tests/oracles.py`` holds the scalar forms these kernels
+are compared against.
+"""
 
 from __future__ import annotations
 
@@ -8,18 +14,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn import (
-    binary_cross_entropy,
-    gaussian_kl,
-    gaussian_kl_to_code,
-    info_nce,
-    mse_loss,
-    numerical_gradient,
-    relative_error,
-)
-from repro.nn.losses import info_nce_mi_estimate
+from repro.nn import binary_cross_entropy, gaussian_kl_to_code_stacked, info_nce_stacked
+
+import oracles
+from gradcheck import numerical_gradient, relative_error
+from nn_extras import mse_loss
 
 RNG = np.random.default_rng(0)
+
+
+def _kl(mu, log_var, code, row_mask=None):
+    """The stacked KL kernel on one ``(batch, latent)`` batch."""
+    mask = None if row_mask is None else row_mask[None]
+    kl, gm, gv, gc = gaussian_kl_to_code_stacked(mu[None], log_var[None], code[None], mask)
+    return kl[0], gm[0], gv[0], gc[0]
+
+
+def _info_nce(a, b, **kw):
+    """The stacked InfoNCE kernel on one ``(batch, dim)`` pair."""
+    losses, ga, gb = info_nce_stacked(a[None], b[None], **kw)
+    return losses[0], ga[0], gb[0]
 
 
 class TestBCE:
@@ -47,9 +61,11 @@ class TestBCE:
         pred = np.array([0.2, 0.8])
         target = np.array([1.0, 1.0])
         full, _ = binary_cross_entropy(pred, target)
-        masked, grad = binary_cross_entropy(pred, target, weight=np.array([1.0, 0.0]))
+        masked, grad = binary_cross_entropy(pred, target, mask=np.array([1.0, 0.0]))
         assert masked != full
         assert grad[1] == 0.0
+        # A masked element leaves the mean: the loss is the first element's.
+        assert masked == binary_cross_entropy(pred[:1], target[:1])[0]
 
     def test_clipping_handles_extremes(self):
         loss, grad = binary_cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
@@ -65,6 +81,36 @@ class TestBCE:
         loss, _ = binary_cross_entropy(pred, target)
         # BCE with soft targets is bounded below by the target entropy >= 0.
         assert loss >= -1e-9
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("shape", [(13,), (4, 9)], ids=["1d", "tasks"])
+    def test_float32_slices_match_scalar_bitwise(self, shape, masked):
+        """Every slice is the scalar BCE of its real elements, in the
+        input's dtype: float32 in, float32 gradient out."""
+        rng = np.random.default_rng(5)
+        pred = rng.uniform(0.01, 0.99, size=shape).astype(np.float32)
+        target = (rng.random(shape) < 0.5).astype(np.float32)
+        widths = np.full(shape[:-1], shape[-1])
+        mask = None
+        if masked:
+            widths = rng.integers(1, shape[-1] + 1, size=shape[:-1])
+            mask = (np.arange(shape[-1]) < widths[..., None]).astype(np.float32)
+        losses, grad = binary_cross_entropy(pred, target, mask=mask)
+        assert grad.dtype == np.float32 and losses.dtype == np.float32
+        assert losses.shape == shape[:-1] and grad.shape == shape
+        for index in np.ndindex(*shape[:-1]):
+            width = int(widths[index])
+            loss_t, grad_t = oracles.binary_cross_entropy(
+                pred[index][:width], target[index][:width]
+            )
+            np.testing.assert_array_equal(grad[index][:width], grad_t)
+            np.testing.assert_array_equal(grad[index][width:], 0.0)
+            if masked:
+                # A padded row sums its zeros in a different order than the
+                # truncated one, so only the rounding may differ.
+                np.testing.assert_allclose(losses[index], loss_t, rtol=1e-6)
+            else:
+                assert float(losses[index]) == np.float32(loss_t)
 
 
 class TestMSE:
@@ -87,39 +133,46 @@ class TestMSE:
 
 
 class TestGaussianKL:
+    """The KL kernel against the standard-normal prior (a zero code)."""
+
     def test_zero_at_standard_normal(self):
         mu = np.zeros((3, 4))
         log_var = np.zeros((3, 4))
-        kl, gm, gv = gaussian_kl(mu, log_var)
+        kl, gm, gv, _ = _kl(mu, log_var, np.zeros_like(mu))
         assert kl == pytest.approx(0.0)
         np.testing.assert_allclose(gm, 0.0)
         np.testing.assert_allclose(gv, 0.0)
 
     def test_positive_otherwise(self):
-        kl, _, _ = gaussian_kl(np.ones((2, 2)), np.ones((2, 2)))
+        kl, _, _, _ = _kl(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)))
         assert kl > 0.0
 
     def test_gradients(self):
-        mu = RNG.normal(size=(3, 4))
-        log_var = RNG.normal(size=(3, 4)) * 0.5
-        _, gm, gv = gaussian_kl(mu, log_var)
-        num_m = numerical_gradient(lambda m: gaussian_kl(m, log_var)[0], mu.copy())
-        num_v = numerical_gradient(lambda v: gaussian_kl(mu, v)[0], log_var.copy())
-        assert relative_error(gm, num_m) < 1e-5
-        assert relative_error(gv, num_v) < 1e-5
+        # Ragged: the last row is padding and must carry no gradient.
+        mu = RNG.normal(size=(4, 3))
+        log_var = RNG.normal(size=(4, 3)) * 0.5
+        code = np.zeros_like(mu)
+        row_mask = np.array([1.0, 1.0, 1.0, 0.0])
+        _, gm, gv, _ = _kl(mu, log_var, code, row_mask)
+        num_m = numerical_gradient(lambda m: _kl(m, log_var, code, row_mask)[0], mu.copy())
+        num_v = numerical_gradient(lambda v: _kl(mu, v, code, row_mask)[0], log_var.copy())
+        assert relative_error(gm[:3], num_m[:3]) < 1e-5
+        assert relative_error(gv[:3], num_v[:3]) < 1e-5
+        np.testing.assert_array_equal(gm[3], 0.0)
+        np.testing.assert_array_equal(gv[3], 0.0)
 
 
 class TestGaussianKLToCode:
     def test_reduces_to_standard_at_zero_code(self):
         mu = RNG.normal(size=(3, 4))
         log_var = RNG.normal(size=(3, 4)) * 0.3
-        kl_code, *_ = gaussian_kl_to_code(mu, log_var, np.zeros_like(mu))
-        kl_std, *_ = gaussian_kl(mu, log_var)
+        kl_code, *_ = _kl(mu, log_var, np.zeros_like(mu))
+        kl_std = 0.5 * (np.exp(log_var) + mu * mu - log_var - 1.0).sum() / mu.shape[0]
         assert kl_code == pytest.approx(kl_std)
 
     def test_zero_when_posterior_equals_prior(self):
         code = RNG.normal(size=(2, 3))
-        kl, gm, gv, gc = gaussian_kl_to_code(code.copy(), np.zeros((2, 3)), code)
+        kl, gm, gv, gc = _kl(code.copy(), np.zeros((2, 3)), code)
         assert kl == pytest.approx(0.0)
         np.testing.assert_allclose(gm, 0.0, atol=1e-12)
         np.testing.assert_allclose(gc, 0.0, atol=1e-12)
@@ -128,16 +181,10 @@ class TestGaussianKLToCode:
         mu = RNG.normal(size=(3, 4))
         log_var = RNG.normal(size=(3, 4)) * 0.3
         code = RNG.normal(size=(3, 4))
-        _, gm, gv, gc = gaussian_kl_to_code(mu, log_var, code)
-        num_m = numerical_gradient(
-            lambda m: gaussian_kl_to_code(m, log_var, code)[0], mu.copy()
-        )
-        num_v = numerical_gradient(
-            lambda v: gaussian_kl_to_code(mu, v, code)[0], log_var.copy()
-        )
-        num_c = numerical_gradient(
-            lambda c: gaussian_kl_to_code(mu, log_var, c)[0], code.copy()
-        )
+        _, gm, gv, gc = _kl(mu, log_var, code)
+        num_m = numerical_gradient(lambda m: _kl(m, log_var, code)[0], mu.copy())
+        num_v = numerical_gradient(lambda v: _kl(mu, v, code)[0], log_var.copy())
+        num_c = numerical_gradient(lambda c: _kl(mu, log_var, c)[0], code.copy())
         assert relative_error(gm, num_m) < 1e-5
         assert relative_error(gv, num_v) < 1e-5
         assert relative_error(gc, num_c) < 1e-5
@@ -146,20 +193,20 @@ class TestGaussianKLToCode:
 class TestInfoNCE:
     def test_single_pair_is_zero(self):
         a = RNG.normal(size=(1, 4))
-        loss, ga, gb = info_nce(a, a.copy())
+        loss, ga, gb = _info_nce(a, a.copy())
         assert loss == 0.0
         np.testing.assert_allclose(ga, 0.0)
 
     def test_aligned_batches_score_low(self):
         a = RNG.normal(size=(16, 8))
-        loss_aligned, _, _ = info_nce(a, a + 0.01 * RNG.normal(size=a.shape))
+        loss_aligned, _, _ = _info_nce(a, a + 0.01 * RNG.normal(size=a.shape))
         b_shuffled = a[RNG.permutation(16)]
-        loss_shuffled, _, _ = info_nce(a, b_shuffled)
+        loss_shuffled, _, _ = _info_nce(a, b_shuffled)
         assert loss_aligned < loss_shuffled
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            info_nce(np.zeros((3, 2)), np.zeros((4, 2)))
+            _info_nce(np.zeros((3, 2)), np.zeros((4, 2)))
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_gradients(self, normalize):
@@ -168,13 +215,10 @@ class TestInfoNCE:
         # the finite-difference estimate.
         a = 0.5 * RNG.normal(size=(5, 3))
         b = 0.5 * RNG.normal(size=(5, 3))
-        _, ga, gb = info_nce(a, b, temperature=1.0, normalize=normalize)
-        num_a = numerical_gradient(
-            lambda x: info_nce(x, b, temperature=1.0, normalize=normalize)[0], a.copy()
-        )
-        num_b = numerical_gradient(
-            lambda x: info_nce(a, x, temperature=1.0, normalize=normalize)[0], b.copy()
-        )
+        kw = dict(temperature=1.0, normalize=normalize)
+        _, ga, gb = _info_nce(a, b, **kw)
+        num_a = numerical_gradient(lambda x: _info_nce(x, b, **kw)[0], a.copy())
+        num_b = numerical_gradient(lambda x: _info_nce(a, x, **kw)[0], b.copy())
         assert relative_error(ga, num_a) < 1e-4
         assert relative_error(gb, num_b) < 1e-4
 
@@ -182,17 +226,6 @@ class TestInfoNCE:
         # Huge-magnitude inputs stay stable with cosine similarities.
         a = RNG.normal(size=(8, 4)) * 1e6
         b = RNG.normal(size=(8, 4)) * 1e6
-        loss, ga, gb = info_nce(a, b, normalize=True)
+        loss, ga, gb = _info_nce(a, b, normalize=True)
         assert np.isfinite(loss)
         assert np.isfinite(ga).all() and np.isfinite(gb).all()
-
-    def test_mi_estimate_higher_for_dependent_batches(self):
-        a = RNG.normal(size=(32, 8))
-        dependent = info_nce_mi_estimate(a, a + 0.01 * RNG.normal(size=a.shape))
-        independent = info_nce_mi_estimate(a, RNG.normal(size=a.shape))
-        assert dependent > independent
-
-    def test_mi_estimate_bounded_by_log_batch(self):
-        a = RNG.normal(size=(16, 4))
-        est = info_nce_mi_estimate(a, a.copy())
-        assert est <= np.log(16) + 1e-9

@@ -5,18 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import (
-    SGD,
-    Adam,
-    Linear,
-    Relu,
-    Sequential,
-    clip_grad_norm,
-    mlp,
-    numerical_gradient,
-    relative_error,
-)
+from repro.nn import Adam, Linear, Relu, Sequential, clip_grad_norm, mlp
 from repro.nn.optim import add_grads
+
+from gradcheck import numerical_gradient, relative_error
+from nn_extras import SGD
 
 RNG = np.random.default_rng(0)
 

@@ -10,17 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import (
-    load_params,
-    save_params,
-    stack_params,
-    tile_params,
-    tree_map,
-    unstack_params,
-)
+from repro.nn import load_params, save_params, stack_params
 from repro.nn.stacking import FlatParams, ParamLayout
 
-from oracles import TaskBatch, TaskBatchItem
+from nn_extras import tile_params, tree_map
+from oracles import TaskBatch, TaskBatchItem, unstack_params
 
 RNG = np.random.default_rng(0)
 

@@ -5,18 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import predict
 from repro.data.io import load_dataset, save_dataset
-from repro.nn import (
-    Adam,
-    CosineDecay,
-    SGD,
-    StepDecay,
-    WarmupLinear,
-    load_params,
-    params_equal,
-    save_params,
-)
+from repro.nn import Adam, load_params, save_params
+
+from nn_extras import SGD, CosineDecay, StepDecay, WarmupLinear
+from oracles import predict
+
+
+def params_equal(a, b, atol: float = 0.0) -> bool:
+    """Whether two parameter dicts have identical keys and close values."""
+    if set(a) != set(b):
+        return False
+    return all(np.allclose(a[name], b[name], atol=atol) for name in a)
 
 
 class TestParamsSerialization:

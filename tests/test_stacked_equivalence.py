@@ -29,19 +29,18 @@ from repro.nn import (
     Adam,
     Dropout,
     Embedding,
-    LayerNorm,
     Linear,
     Relu,
     Sigmoid,
     Softmax,
     Tanh,
     binary_cross_entropy,
-    binary_cross_entropy_tasks,
     mlp,
     stack_params,
 )
 
 import oracles
+from nn_extras import LayerNorm
 
 RTOL = 1e-9
 ATOL = 1e-11
@@ -189,9 +188,11 @@ class TestLossEquivalence:
         mask = np.zeros((n_tasks, max_w))
         for t, width in enumerate(widths):
             mask[t, :width] = 1.0
-        losses, grads = binary_cross_entropy_tasks(preds, targets, mask=mask)
+        losses, grads = binary_cross_entropy(preds, targets, mask=mask)
         for t, width in enumerate(widths):
-            loss_t, grad_t = binary_cross_entropy(preds[t, :width], targets[t, :width])
+            loss_t, grad_t = oracles.binary_cross_entropy(
+                preds[t, :width], targets[t, :width]
+            )
             np.testing.assert_allclose(losses[t], loss_t, rtol=RTOL, atol=ATOL)
             np.testing.assert_allclose(grads[t, :width], grad_t, rtol=RTOL, atol=ATOL)
             np.testing.assert_array_equal(grads[t, width:], 0.0)
@@ -200,9 +201,9 @@ class TestLossEquivalence:
         rng = np.random.default_rng(3)
         preds = rng.uniform(0.05, 0.95, size=(4, 6))
         targets = (rng.random((4, 6)) < 0.5).astype(float)
-        losses, grads = binary_cross_entropy_tasks(preds, targets)
+        losses, grads = binary_cross_entropy(preds, targets)
         for t in range(4):
-            loss_t, grad_t = binary_cross_entropy(preds[t], targets[t])
+            loss_t, grad_t = oracles.binary_cross_entropy(preds[t], targets[t])
             np.testing.assert_allclose(losses[t], loss_t, rtol=RTOL, atol=ATOL)
             np.testing.assert_allclose(grads[t], grad_t, rtol=RTOL, atol=ATOL)
 
